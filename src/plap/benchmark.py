@@ -100,7 +100,7 @@ def main(argv=None) -> int:
         ratio = np.empty(1 << n)
         ratio[0] = np.inf
         ratio[1:] = cut[1:] / mass[1:]
-        kernels._family_dp_loop(ratio, 4)
+        kernels.family_dp_numpy(ratio, 4)
 
     variants = [("fallback", tables_numpy)]
     if kernels.HAVE_NUMBA:

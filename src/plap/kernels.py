@@ -168,6 +168,57 @@ def _family_dp_loop(ratio, kmax):
     return dp
 
 
+# The numpy version splits each mask into its high bits and its low
+# L = min(n, 8) bits.  The (mask, submask) pairs of the low bits form a fixed
+# table of 3^L entries grouped by mask, so one (high mask, high submask) pair
+# costs one gather, one maximum and one reduceat over that table, and every
+# temporary stays at 3^L elements.  Only min and max are taken, so the table
+# is bit-identical to the loop's.
+
+LOW_BITS = 8
+
+
+def _low_submask_pairs(low):
+    """Every (mask, submask) pair of `low` bits, grouped by ascending mask.
+
+    Returns the submasks, their complements within the mask, and the start
+    of each mask's group (every group holds at least the empty submask).
+    """
+    width = 1 << low
+    ids = np.arange(width)
+    mask, sub = np.nonzero((ids[None, :] & ~ids[:, None]) == 0)
+    return sub, mask ^ sub, np.searchsorted(mask, ids)
+
+
+def family_dp_numpy(ratio, kmax):
+    size = ratio.shape[0]
+    low = min(size.bit_length() - 1, LOW_BITS)
+    sub, rest, starts = _low_submask_pairs(low)
+    # the low-bit table holds the empty submask, which is no family member
+    r = ratio.copy()
+    r[0] = np.inf
+    r = r.reshape(-1, 1 << low)
+    dp = np.full((kmax + 1, size), np.inf)
+    dp[0, :] = 0.0
+    ratio_part = np.empty(sub.shape[0])
+    vals = np.empty(sub.shape[0])
+    for j in range(1, kmax + 1):
+        prev = dp[j - 1].reshape(r.shape)
+        cur = dp[j].reshape(r.shape)
+        for hi in range(r.shape[0]):
+            out = cur[hi]
+            hs = hi
+            while True:
+                np.take(r[hs], sub, out=ratio_part)
+                np.take(prev[hi ^ hs], rest, out=vals)
+                np.maximum(ratio_part, vals, out=vals)
+                np.minimum(out, np.minimum.reduceat(vals, starts), out=out)
+                if hs == 0:
+                    break
+                hs = (hs - 1) & hi
+    return dp
+
+
 if HAVE_NUMBA:
     _plap_apply_numba = _njit(cache=True)(_plap_apply_loop)
     _dirichlet_numba = _njit(cache=True)(_dirichlet_loop)
@@ -186,7 +237,7 @@ else:
     dirichlet = dirichlet_numpy
     path_shoot_core = _shoot_loop
     subset_tables = subset_tables_numpy
-    family_minmax_dp = _family_dp_loop
+    family_minmax_dp = family_dp_numpy
 
 
 def warmup() -> None:

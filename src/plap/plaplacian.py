@@ -116,9 +116,10 @@ def ax_by_gap(p: float, a, b, x, y):
     """|ax - by|^p - (|a|^p |x| + |b|^p |y|) |x - y|^(p-1) for xy <= 0.
 
     Nonpositive whenever xy <= 0; equality holds for p = 1 iff xy = 0 or
-    ab >= 0, and for p > 1 iff xy = 0 or a = b.  Accepts scalars or arrays.
+    ab >= 0, and for p > 1 iff xy = 0 or a = b.  Accepts scalars or arrays,
+    p included, which broadcast together.
     """
-    if p < 1:
+    if np.any(np.asarray(p) < 1):
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     a, b, x, y = (np.asarray(t, dtype=np.float64) for t in (a, b, x, y))
     if np.any(x * y > 0):

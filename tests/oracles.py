@@ -99,6 +99,33 @@ def naive_multiway(g, kmax):
     return best[1:]
 
 
+def reconstruct_family_loop(ratio, dp, k, n):
+    """Lexicographically smallest optimal family (masks) by a submask walk.
+
+    The reference for the vectorized reconstruction: walk every nonempty
+    submask of the remaining mask, keep those that fit under dp[k, full],
+    and take the one whose sorted vertex tuple is smallest.
+    """
+    def key(mask):
+        return tuple(i + 1 for i in range(n) if (mask >> i) & 1)
+
+    target = dp[k, (1 << n) - 1]
+    mask = (1 << n) - 1
+    chosen = []
+    for j in range(k, 0, -1):
+        subs = []
+        s = mask
+        while s:
+            if ratio[s] <= target and dp[j - 1, mask ^ s] <= target:
+                subs.append(s)
+            s = (s - 1) & mask
+        pick = min(subs, key=key)
+        chosen.append(pick)
+        mask ^= pick
+    chosen.sort(key=key)
+    return chosen
+
+
 def fd_gradient(g, f, p, h=1e-6):
     """Central finite differences of the Rayleigh quotient."""
     f = np.asarray(f, dtype=np.float64)

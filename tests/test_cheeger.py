@@ -15,9 +15,10 @@ from plap import (
     tau,
     variational_spectrum,
 )
+from plap import cheeger, kernels
 from plap.cheeger import ExactCapExceeded, multiway_cheeger_greedy, validate_family
 
-from .oracles import naive_multiway
+from .oracles import naive_multiway, reconstruct_family_loop
 from .util import random_connected_graph, random_vertex_function
 
 
@@ -78,6 +79,23 @@ def test_multiway_deterministic_tie_break():
     h, fam = multiway_cheeger(g, 2)
     assert h == pytest.approx(1.0)
     assert fam == (frozenset({1, 2}), frozenset({3, 4}))
+
+
+def test_reconstruction_matches_submask_walk():
+    cycle4 = build_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 4, 1.0)])
+    k5 = build_graph(5, [(u, v, 1.0) for u in range(1, 6) for v in range(u + 1, 6)])
+    graphs = [cycle4, k5]
+    rng = np.random.default_rng(41)
+    for n in (5, 6, 7, 8, 9):
+        w = random_connected_graph(rng, n, mu_mode="unit")
+        edges = [(int(u) + 1, int(v) + 1, 1.0) for u, v in zip(w.edges_u, w.edges_v)]
+        graphs.append(build_graph(n, edges))
+    for g in graphs:
+        ratio = cheeger._ratio_table(g)
+        dp = kernels.family_minmax_dp(ratio, g.n)
+        for k in range(1, g.n + 1):
+            assert (cheeger._reconstruct_family(ratio, dp, k, g.n)
+                    == reconstruct_family_loop(ratio, dp, k, g.n)), (g.n, k)
 
 
 def test_multiway_cap_and_greedy():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from plap import parse_graph, serialize_graph
+from plap import parse_graph, path_graph, serialize_graph
 from plap.cli import main
 
 from .util import random_connected_graph
@@ -110,6 +110,19 @@ def test_certify_p5_all_pass(tmp_path):
     for run in rep["runs"]:
         assert run["nodal"]["all_pass"]
         assert all(c["pass"] for c in run["cheeger"])
+
+
+def test_certify_serialized_unit_path(tmp_path):
+    # serialize_graph writes mu lines, so the file parses as explicit; the
+    # path solver's spectrum must still certify against it
+    gfile = tmp_path / "p5.txt"
+    gfile.write_text(serialize_graph(path_graph(5)))
+    out = tmp_path / "r.json"
+    assert main(["certify", str(gfile), "--p", "1.5", "--json", str(out)]) == 0
+    rep = _load(out)
+    assert rep["input"]["mu_mode"] == "explicit"
+    assert rep["runs"][0]["method"] == "path_shooting"
+    assert rep["all_pass"] is True
 
 
 def test_certify_one_laplacian_p3_degree(tmp_path):

@@ -83,3 +83,17 @@ def test_subset_tables_small_hand_check():
     cut, mass = kernels.subset_tables(2, eu, ev, ew, mu)
     assert list(cut) == [0.0, 2.0, 2.0, 0.0]
     assert list(mass) == [0.0, 1.0, 3.0, 4.0]
+
+
+def test_family_dp_matches_loop():
+    rng = np.random.default_rng(11)
+    for n in range(1, 11):
+        # one decimal gives many ties; ratio[0] is never read, since the
+        # empty set is no family member
+        ratio = np.round(rng.uniform(0.0, 3.0, 1 << n), 1)
+        ratio[rng.random(1 << n) < 0.1] = np.inf
+        ratio[0] = 0.0
+        for kmax in sorted({1, n}):
+            b = kernels._family_dp_loop(ratio, kmax)
+            for dp in (kernels.family_minmax_dp, kernels.family_dp_numpy):
+                assert np.array_equal(dp(ratio, kmax), b), (n, kmax)

@@ -117,6 +117,12 @@ def test_ax_by_gap_values():
     assert ax_by_gap(2.0, 1.0, 2.0, 1.0, -1.0) == pytest.approx(-1.0)
     with pytest.raises(ValueError):
         ax_by_gap(2.0, 1.0, 1.0, 1.0, 1.0)
+    # an array of exponents broadcasts against the other arguments
+    gaps = ax_by_gap(np.array([2.0, 1.0, 2.0]), [1.0, 2.0, 1.0],
+                     [1.0, 3.0, 2.0], 1.0, -1.0)
+    assert gaps == pytest.approx([0.0, 0.0, -1.0])
+    with pytest.raises(ValueError):
+        ax_by_gap(np.array([2.0, 0.5]), 1.0, 1.0, 1.0, -1.0)
 
 
 def test_ax_by_gap_nonpositive_property():
