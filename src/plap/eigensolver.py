@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cheeger, kernels, nodal, plaplacian
-from .graph import Graph, is_connected, path_graph, tau
+from .graph import Graph, components, is_connected, path_graph, tau
 from .plaplacian import EigenPair
 
 MIN_CONTINUATION_P = 1.05
@@ -98,25 +98,6 @@ def _canonical_sign(f: np.ndarray) -> np.ndarray:
         if abs(x) > 1e-12 * scale:
             return -f if x < 0 else f
     return f
-
-
-def _component_lists(g: Graph) -> list[list[int]]:
-    seen = np.zeros(g.n, dtype=bool)
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        stack, comp = [s], [s]
-        while stack:
-            u = stack.pop()
-            for v in g.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(comp)
-    return comps
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +365,7 @@ def _continue_with_diag(g, seed, p_target, steps=16):
         # constant per connected component; snap the seed's rounding noise,
         # which the p < 2 kernel would otherwise amplify
         f = seed.f.astype(np.float64).copy()
-        for comp in _component_lists(g):
+        for comp in components(g):
             f[comp] = float(np.mean(f[comp]))
         f = plaplacian.normalized(g, f, p_target)
         res = plaplacian.eigen_residual(g, f, 0.0, p_target)
@@ -917,6 +898,20 @@ def path_spectrum(n: int, p: float) -> Spectrum:
         nrm = plaplacian.pnorm(g, trace.f, p)
         f = trace.f / nrm
         res = abs(trace.boundary_defect) / nrm ** (p - 1.0)
+        if res > PATH_RESIDUAL_TOL:
+            # the k-th eigenfunction is symmetric about the middle of the
+            # path for odd k and antisymmetric for even k; the left half of
+            # the shot carries less of the error the recurrence accumulates
+            half = n // 2
+            sign = 1.0 if k % 2 else -1.0
+            mirrored = trace.f.copy()
+            mirrored[n - half:] = sign * trace.f[half - 1::-1]
+            if n % 2 and sign < 0:
+                mirrored[half] = 0.0
+            mirrored_res = plaplacian.eigen_residual(g, mirrored, a_root, p)
+            if mirrored_res < res:
+                f = mirrored / plaplacian.pnorm(g, mirrored, p)
+                res = mirrored_res
         # steep defects near p = 1 can jump above tolerance between two
         # adjacent representable lambdas; the conditioning floor is the
         # defect change per ulp and no float64 lambda can beat it

@@ -231,22 +231,33 @@ def path_graph(n: int, mu_mode: str = "unit") -> Graph:
     return build_graph(n, [(i, i + 1, 1.0) for i in range(1, n)], mu_mode=mu_mode)
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 1:
-        return True
-    seen = np.zeros(g.n, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    count = 1
+def components(g: Graph, member: np.ndarray | None = None) -> list[list[int]]:
+    """Connected components of g, or of the subgraph a boolean mask induces.
+
+    Each component is a sorted list of 0-based vertices, and components come
+    in order of their smallest vertex.
+    """
+    # todo[v]: v is in the subgraph and not yet reached
+    todo = ([True] * g.n if member is None
+            else np.asarray(member, dtype=bool).tolist())
     adj = g.adjacency
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == g.n
+    comps = []
+    for s in range(g.n):
+        if todo[s]:
+            todo[s] = False
+            stack, comp = [s], [s]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if todo[v]:
+                        todo[v] = False
+                        comp.append(v)
+                        stack.append(v)
+            comps.append(sorted(comp))
+    return comps
+
+
+def is_connected(g: Graph) -> bool:
+    return len(components(g)) == 1
 
 
 def is_canonical_path(g: Graph) -> bool:

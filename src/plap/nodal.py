@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from . import plaplacian
-from .graph import Graph, is_canonical_path, is_connected
+from .graph import Graph, components, is_canonical_path, is_connected
 
 if TYPE_CHECKING:
     from .eigensolver import Spectrum
@@ -40,28 +40,6 @@ def default_zero_tol(f: np.ndarray) -> float:
     return 1e-9 * m
 
 
-def _components(g: Graph, member: np.ndarray) -> list[list[int]]:
-    """Connected components (sorted 0-based lists) of the induced subgraph."""
-    comps = []
-    seen = np.zeros(g.n, dtype=bool)
-    adj = g.adjacency
-    for s in range(g.n):
-        if member[s] and not seen[s]:
-            seen[s] = True
-            stack = [s]
-            comp = []
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in adj[u]:
-                    if member[v] and not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            comps.append(sorted(comp))
-    comps.sort(key=lambda c: c[0])
-    return comps
-
-
 def _decompose(g: Graph, f, zero_tol, strict: bool) -> NodalDecomposition:
     arr = plaplacian._as_vertex_function(g, f)
     tol = default_zero_tol(arr) if zero_tol is None else float(zero_tol)
@@ -69,14 +47,14 @@ def _decompose(g: Graph, f, zero_tol, strict: bool) -> NodalDecomposition:
     neg = arr < -tol
     zero = ~(pos | neg)
     if strict:
-        domains = [(c, "+") for c in _components(g, pos)]
-        domains += [(c, "-") for c in _components(g, neg)]
+        domains = [(c, "+") for c in components(g, pos)]
+        domains += [(c, "-") for c in components(g, neg)]
     else:
-        domains = [(c, "+") for c in _components(g, pos | zero)]
+        domains = [(c, "+") for c in components(g, pos | zero)]
         # a component that is zero throughout shows up for both closed sign
         # sets; report it once
         seen = {tuple(c) for c, _ in domains}
-        for c in _components(g, neg | zero):
+        for c in components(g, neg | zero):
             if tuple(c) not in seen:
                 domains.append((c, "-"))
     domains.sort(key=lambda t: t[0][0])

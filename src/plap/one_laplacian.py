@@ -10,8 +10,14 @@ binary values, non-finite inputs are rejected.
 Besides verifying a declared eigenpair, the module enumerates the full
 eigenvalue set of tiny graphs (n <= 6) by case analysis over weak orderings
 of the vertex values with a designated zero level; each ordering fixes all
-Sign sets, leaving a linear feasibility problem in (z, s, lambda) whose
-feasible lambda set is an exact interval found by two LP solves.
+Sign sets, leaving a linear feasibility problem in (z, s, lambda).  Its
+feasible lambda set is a single point: summing the vertex equations over a
+level set L cancels the antisymmetric z of the edges inside L, so a level of
+sign sigma gives w(L -> lower levels) - w(L -> higher levels) =
+lambda sigma mu(L), and every ordering but the all-zero one has a nonzero
+level.  That lambda is computed exactly from these sums, and only orderings
+whose levels agree on it are decided by one feasibility LP at that lambda.
+Records keep the interval form [lo, hi]; lo == hi always.
 """
 
 from __future__ import annotations
@@ -105,18 +111,24 @@ def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
         raise ValueError(f"expected {g.n} vertex values, got {len(fvals)}")
     if all(x == 0 for x in fvals):
         raise ValueError("the zero function is not an eigenfunction")
-    lam = to_fraction(lam)
+    return _selection_lp(mu, edges, g.n, fvals, to_fraction(lam))
 
+
+def _selection_lp(mu, edges, n, fvals, lam: Fraction) -> OneLapCertificate:
+    """Exact selection LP for (lambda, f) on rational graph data.
+
+    No connectivity check: the enumeration also runs on disconnected graphs.
+    """
     free_z = [i for i, (u, v, _) in enumerate(edges) if fvals[u] == fvals[v]]
     fixed_z = {i: (ONE if fvals[u] > fvals[v] else -ONE)
                for i, (u, v, _) in enumerate(edges) if fvals[u] != fvals[v]}
-    free_s = [u for u in range(g.n) if fvals[u] == 0]
+    free_s = [u for u in range(n) if fvals[u] == 0]
     z_col = {e: j for j, e in enumerate(free_z)}
     s_col = {u: len(free_z) + j for j, u in enumerate(free_s)}
     nvars = len(free_z) + len(free_s)
 
     rows, rhs = [], []
-    for u in range(g.n):
+    for u in range(n):
         row = [ZERO] * nvars
         const = ZERO
         for i, (a, b, w) in enumerate(edges):
@@ -147,10 +159,10 @@ def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
         row[j] = ONE
         rows.append(row)
         rhs.append(TWO)
-    slacks = len(rows) - g.n
-    padded = [row + [ZERO] * slacks for row in rows[:g.n]]
+    slacks = len(rows) - n
+    padded = [row + [ZERO] * slacks for row in rows[:n]]
     for i in range(slacks):
-        row = rows[g.n + i] + [ZERO] * slacks
+        row = rows[n + i] + [ZERO] * slacks
         row[nvars + i] = ONE
         padded.append(row)
     result = lp_solve(padded, rhs, [ZERO] * (nvars + slacks))
@@ -162,7 +174,7 @@ def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
         val = fixed_z[i] if i in fixed_z else x[z_col[i]] - ONE
         z[(u + 1, v + 1)] = val
     s = {}
-    for u in range(g.n):
+    for u in range(n):
         if fvals[u] != 0:
             s[u + 1] = ONE if fvals[u] > 0 else -ONE
         else:
@@ -217,8 +229,8 @@ class OrderPattern:
     def constant(self) -> bool:
         return self.m == 1
 
-    def vertex_sign(self, u: int) -> int:
-        pos = 2 * self.levels[u] + 1
+    def level_sign(self, i: int) -> int:
+        pos = 2 * i + 1
         if pos > self.zero_pos:
             return 1
         if pos < self.zero_pos:
@@ -269,83 +281,39 @@ def _flip(levels: tuple[int, ...], m: int, zero_pos: int):
     return flipped, 2 * m - zero_pos
 
 
-def _pattern_lambda_range(mu, edges, n, pat: OrderPattern):
-    """Exact feasible lambda interval for one pattern, or None.
+def _level_sums(levels: tuple[int, ...], m: int, mu, edges):
+    """Per level i: net[i] = w(L_i -> lower levels) - w(L_i -> higher levels)
+    and mass[i] = mu(L_i)."""
+    net = [0] * m
+    mass = [0] * m
+    for u, x in enumerate(mu):
+        mass[levels[u]] += x
+    for a, b, w in edges:
+        la, lb = levels[a], levels[b]
+        if la != lb:
+            flow = w if la > lb else -w
+            net[la] += flow
+            net[lb] -= flow
+    return net, mass
 
-    Variables: x_e in [0, 2] per same-level edge (z = x - 1), lambda >= 0,
-    and per zero vertex a split y = a - b with |y| <= lambda encoding
-    lambda s(u).
+
+def _pinned_lambda(net, mass, pat: OrderPattern) -> Fraction | None:
+    """The one lambda the level sums admit for a pattern, or None.
+
+    net[i] equals lambda sigma_i mu(L_i) on a level of sign sigma_i != 0 and
+    lies in [-lambda mu(L_0), lambda mu(L_0)] on the zero level L_0.  Ratios
+    are compared by cross-multiplying, so integer sums stay integers.
     """
-    free_z = [i for i, (u, v, _) in enumerate(edges)
-              if pat.levels[u] == pat.levels[v]]
-    z_col = {e: j for j, e in enumerate(free_z)}
-    lam_col = len(free_z)
-    zero_vs = [u for u in range(n) if pat.vertex_sign(u) == 0]
-    a_col = {u: lam_col + 1 + 2 * j for j, u in enumerate(zero_vs)}
-    nvars = lam_col + 1 + 2 * len(zero_vs)
-
-    rows, rhs = [], []
-    for u in range(n):
-        row = [ZERO] * nvars
-        const = ZERO
-        for i, (a, b, w) in enumerate(edges):
-            if a == u:
-                orient = ONE
-            elif b == u:
-                orient = -ONE
-            else:
-                continue
-            if i in z_col:
-                row[z_col[i]] += orient * w
-                const += orient * w
-            else:
-                sig = ONE if pat.levels[a] > pat.levels[b] else -ONE
-                const -= orient * w * sig
-        sgn = pat.vertex_sign(u)
-        if sgn != 0:
-            row[lam_col] -= mu[u] * sgn
-        else:
-            row[a_col[u]] -= mu[u]
-            row[a_col[u] + 1] += mu[u]
-        rows.append(row)
-        rhs.append(const)
-    ineq = []  # (row, rhs) pairs needing a surplus/slack column each
-    for j in range(len(free_z)):
-        row = [ZERO] * nvars
-        row[j] = ONE
-        ineq.append((row, TWO, ONE))          # x_e + slack = 2
-    for u in zero_vs:
-        row = [ZERO] * nvars                  # lambda - (a - b) - slack = 0
-        row[lam_col] = ONE
-        row[a_col[u]] = -ONE
-        row[a_col[u] + 1] = ONE
-        ineq.append((row, ZERO, -ONE))
-        row = [ZERO] * nvars                  # lambda + (a - b) - slack = 0
-        row[lam_col] = ONE
-        row[a_col[u]] = ONE
-        row[a_col[u] + 1] = -ONE
-        ineq.append((row, ZERO, -ONE))
-    extra = len(ineq)
-    padded = [row + [ZERO] * extra for row in rows]
-    full_rhs = list(rhs)
-    for i, (row, rv, sign) in enumerate(ineq):
-        prow = row + [ZERO] * extra
-        prow[nvars + i] = sign
-        padded.append(prow)
-        full_rhs.append(rv)
-    total = nvars + extra
-    cmin = [ZERO] * total
-    cmin[lam_col] = ONE
-    res_min = lp_solve(padded, full_rhs, cmin)
-    if res_min.status != "optimal":
+    signed = [(sigma * net[i], mass[i]) for i in range(pat.m)
+              if (sigma := pat.level_sign(i))]
+    top, bottom = signed[0]  # lambda = top / bottom
+    if top < 0 or any(t * bottom != top * b for t, b in signed[1:]):
         return None
-    cmax = [ZERO] * total
-    cmax[lam_col] = -ONE
-    res_max = lp_solve(padded, full_rhs, cmax)
-    if res_max.status != "optimal":
-        raise RuntimeError("lambda unbounded for a nonzero sign pattern; "
-                           "this contradicts the degree bound")
-    return res_min.value, -res_max.value
+    if pat.zero_pos % 2:
+        i = pat.zero_pos // 2
+        if abs(net[i]) * bottom > top * mass[i]:
+            return None
+    return Fraction(top, bottom)
 
 
 def enumerate_1lap_eigenvalues(g: Graph) -> list[EigenvalueRecord]:
@@ -358,17 +326,25 @@ def enumerate_1lap_eigenvalues(g: Graph) -> list[EigenvalueRecord]:
         raise ValueError(
             f"exhaustive enumeration capped at n <= {ENUMERATION_CAP}, got {g.n}")
     mu, edges = _rational_graph(g)
+    # level sums on integers: every measure and weight times the lcm of their
+    # denominators, which leaves each pinned ratio as it is
+    scale = math.lcm(*(x.denominator for x in mu),
+                     *(w.denominator for _, _, w in edges))
+    int_mu = [int(x * scale) for x in mu]
+    int_edges = [(u, v, int(w * scale)) for u, v, w in edges]
     records = []
     for levels, m in _ordered_partitions(g.n):
+        net, mass = _level_sums(levels, m, int_mu, int_edges)
         for zero_pos in range(2 * m + 1):
             if m == 1 and zero_pos == 1:
                 continue  # f identically zero
             if (levels, zero_pos) > _flip(levels, m, zero_pos):
                 continue  # the sign-flipped twin covers this pattern
             pat = OrderPattern(levels=levels, m=m, zero_pos=zero_pos)
-            rng = _pattern_lambda_range(mu, edges, g.n, pat)
-            if rng is not None:
-                records.append(EigenvalueRecord(lo=rng[0], hi=rng[1], pattern=pat))
+            lam = _pinned_lambda(net, mass, pat)
+            if lam is not None and _selection_lp(
+                    mu, edges, g.n, pat.example_function(), lam).feasible:
+                records.append(EigenvalueRecord(lo=lam, hi=lam, pattern=pat))
     records.sort(key=lambda r: (r.lo, r.hi))
     return records
 

@@ -24,12 +24,13 @@ class LPResult:
 def _pivot(tab, b, basis, row, col):
     piv = tab[row][col]
     inv = ONE / piv
-    tab[row] = [v * inv for v in tab[row]]
+    # zero pivot-row entries leave every entry of their column as it is
+    prow = tab[row] = [v * inv if v else v for v in tab[row]]
     b[row] *= inv
     for i in range(len(tab)):
         if i != row and tab[i][col] != 0:
             factor = tab[i][col]
-            tab[i] = [vi - factor * vr for vi, vr in zip(tab[i], tab[row])]
+            tab[i] = [vi - factor * vr if vr else vi for vi, vr in zip(tab[i], prow)]
             b[i] -= factor * b[row]
     basis[row] = col
 

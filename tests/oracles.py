@@ -10,6 +10,14 @@ from fractions import Fraction
 import numpy as np
 
 from plap import rayleigh_quotient
+from plap.one_laplacian import (
+    EigenvalueRecord,
+    OrderPattern,
+    _flip,
+    _ordered_partitions,
+    _rational_graph,
+)
+from plap.simplex import lp_solve
 
 
 def p2_path_eigenvalues(n):
@@ -124,6 +132,105 @@ def reconstruct_family_loop(ratio, dp, k, n):
         mask ^= pick
     chosen.sort(key=key)
     return chosen
+
+
+def pattern_lambda_range_lp(mu, edges, n, pat):
+    """Feasible lambda interval of one order pattern by two full LPs, or None.
+
+    The reference for the level-sum pinning: lambda is an LP variable, each
+    zero vertex carries a split y = a - b with |y| <= lambda encoding
+    lambda s(u), and the interval ends are min and max lambda.
+    """
+    def vertex_sign(u):
+        return pat.level_sign(pat.levels[u])
+
+    zero, one, two = Fraction(0), Fraction(1), Fraction(2)
+    free_z = [i for i, (u, v, _) in enumerate(edges)
+              if pat.levels[u] == pat.levels[v]]
+    z_col = {e: j for j, e in enumerate(free_z)}
+    lam_col = len(free_z)
+    zero_vs = [u for u in range(n) if vertex_sign(u) == 0]
+    a_col = {u: lam_col + 1 + 2 * j for j, u in enumerate(zero_vs)}
+    nvars = lam_col + 1 + 2 * len(zero_vs)
+
+    rows, rhs = [], []
+    for u in range(n):
+        row = [zero] * nvars
+        const = zero
+        for i, (a, b, w) in enumerate(edges):
+            if a == u:
+                orient = one
+            elif b == u:
+                orient = -one
+            else:
+                continue
+            if i in z_col:
+                row[z_col[i]] += orient * w
+                const += orient * w
+            else:
+                sig = one if pat.levels[a] > pat.levels[b] else -one
+                const -= orient * w * sig
+        sgn = vertex_sign(u)
+        if sgn != 0:
+            row[lam_col] -= mu[u] * sgn
+        else:
+            row[a_col[u]] -= mu[u]
+            row[a_col[u] + 1] += mu[u]
+        rows.append(row)
+        rhs.append(const)
+    ineq = []  # (row, rhs, sign of its slack/surplus column)
+    for j in range(len(free_z)):
+        row = [zero] * nvars
+        row[j] = one
+        ineq.append((row, two, one))          # x_e + slack = 2
+    for u in zero_vs:
+        for side in (-one, one):              # lambda +- (a - b) - slack = 0
+            row = [zero] * nvars
+            row[lam_col] = one
+            row[a_col[u]] = side
+            row[a_col[u] + 1] = -side
+            ineq.append((row, zero, -one))
+    extra = len(ineq)
+    padded = [row + [zero] * extra for row in rows]
+    full_rhs = list(rhs)
+    for i, (row, rv, sign) in enumerate(ineq):
+        prow = row + [zero] * extra
+        prow[nvars + i] = sign
+        padded.append(prow)
+        full_rhs.append(rv)
+    total = nvars + extra
+    cmin = [zero] * total
+    cmin[lam_col] = one
+    res_min = lp_solve(padded, full_rhs, cmin)
+    if res_min.status != "optimal":
+        return None
+    cmax = [zero] * total
+    cmax[lam_col] = -one
+    res_max = lp_solve(padded, full_rhs, cmax)
+    assert res_max.status == "optimal", "lambda unbounded for a nonzero pattern"
+    return res_min.value, -res_max.value
+
+
+def enumerate_1lap_lp(g):
+    """enumerate_1lap_eigenvalues with every pattern decided by two full LPs.
+
+    The weak orderings come from the module's own generator; only the
+    per-pattern decision is independent of the code under test.
+    """
+    mu, edges = _rational_graph(g)
+    records = []
+    for levels, m in _ordered_partitions(g.n):
+        for zero_pos in range(2 * m + 1):
+            if m == 1 and zero_pos == 1:
+                continue
+            if (levels, zero_pos) > _flip(levels, m, zero_pos):
+                continue
+            pat = OrderPattern(levels=levels, m=m, zero_pos=zero_pos)
+            rng = pattern_lambda_range_lp(mu, edges, g.n, pat)
+            if rng is not None:
+                records.append(EigenvalueRecord(lo=rng[0], hi=rng[1], pattern=pat))
+    records.sort(key=lambda r: (r.lo, r.hi))
+    return records
 
 
 def fd_gradient(g, f, p, h=1e-6):

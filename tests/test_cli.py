@@ -125,6 +125,15 @@ def test_certify_serialized_unit_path(tmp_path):
     assert rep["all_pass"] is True
 
 
+def test_certify_unit_path_11(tmp_path):
+    # the k = 7, p = 1.1 shot ends 1.75e-8 off its boundary equation
+    gfile = tmp_path / "p11.txt"
+    gfile.write_text("n 11\n" + "".join(f"{i} {i + 1} 1.0\n" for i in range(1, 11)))
+    out = tmp_path / "r.json"
+    assert main(["certify", str(gfile), "--json", str(out)]) == 0
+    assert _load(out)["all_pass"] is True
+
+
 def test_certify_one_laplacian_p3_degree(tmp_path):
     gfile = tmp_path / "p3.txt"
     gfile.write_text("n 3\n1 2 1.0\n2 3 1.0\n")

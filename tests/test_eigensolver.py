@@ -14,6 +14,7 @@ from plap import (
     variational_spectrum,
 )
 from plap import build_graph, certify_cheeger
+from plap.eigensolver import PATH_RESIDUAL_TOL
 
 from .oracles import charpoly_roots, p2_path_eigenvalues, path_p2_charpoly
 from .util import random_connected_graph
@@ -206,6 +207,17 @@ def test_path_spectrum_structure_p_not_2():
             g = path_graph(n)
             assert rayleigh_quotient(g, pair.f, p) == pytest.approx(
                 pair.lam, rel=1e-9, abs=1e-12)
+
+
+def test_path_spectrum_mirrors_ill_conditioned_pairs():
+    # at p = 1.1 the shots for k = 7 on n = 11 and k = 8 on n = 13 end above
+    # 1e-8 off the boundary equation; the mirrored left half of each shot
+    # satisfies every equation
+    for n, k in ((11, 7), (13, 8)):
+        sp = path_spectrum(n, 1.1)
+        assert all(pair.residual <= PATH_RESIDUAL_TOL for pair in sp.pairs)
+        pair = sp.pairs[k - 1]
+        assert eigen_residual(path_graph(n), pair.f, pair.lam, 1.1) <= PATH_RESIDUAL_TOL
 
 
 def test_path_spectrum_validation():

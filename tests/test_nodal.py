@@ -14,6 +14,7 @@ from plap import (
     weak_nodal_domains,
 )
 from plap.eigensolver import Spectrum
+from plap.graph import components
 from plap.nodal import multiplicity_groups
 
 from .util import random_connected_graph
@@ -180,8 +181,7 @@ def test_decomposition_structural_invariants():
             for dom in dec.domains:
                 member = np.zeros(g.n, dtype=bool)
                 member[[v - 1 for v in dom]] = True
-                from plap.nodal import _components
-                assert len(_components(g, member)) == 1
+                assert len(components(g, member)) == 1
 
 
 def test_adjacent_strong_domains_have_opposite_signs():

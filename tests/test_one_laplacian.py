@@ -18,6 +18,9 @@ from plap.one_laplacian import (
 )
 from plap.simplex import lp_solve
 
+from .oracles import enumerate_1lap_lp
+from .util import MU_MODES, random_connected_graph
+
 F = Fraction
 
 
@@ -93,7 +96,6 @@ def test_verify_p3_half_infeasible():
 
 def test_verify_constant_zero():
     rng = np.random.default_rng(2)
-    from .util import random_connected_graph
     g = random_connected_graph(rng, 5)
     cert = verify_1lap_eigenpair(g, [1] * 5, 0)
     assert cert.feasible
@@ -167,3 +169,37 @@ def test_enumerate_cap():
     g = path_graph(7)
     with pytest.raises(ValueError, match="capped"):
         enumerate_1lap_eigenvalues(g)
+
+
+def _cycle(n):
+    return build_graph(n, [(i, i + 1, 1.0) for i in range(1, n)] + [(1, n, 1.0)])
+
+
+def _complete(n):
+    return build_graph(n, [(u, v, 1.0) for u in range(1, n + 1)
+                           for v in range(u + 1, n + 1)])
+
+
+def test_enumerate_matches_two_lp_reference():
+    rng = np.random.default_rng(11)
+    graphs = [random_connected_graph(rng, n, mode)
+              for n in range(2, 6) for mode in MU_MODES]
+    graphs += [make(n) for n in range(3, 6) for make in (path_graph, _cycle, _complete)]
+    graphs.append(build_graph(5, [(1, 2, 1.0), (2, 3, 0.5), (4, 5, 2.0)]))
+    for g in graphs:
+        records = enumerate_1lap_eigenvalues(g)
+        assert records == enumerate_1lap_lp(g)
+        assert all(r.lo == r.hi for r in records)
+
+
+def test_enumerate_at_cap_reverifies():
+    rng = np.random.default_rng(6)
+    g = random_connected_graph(rng, 6, "degree")
+    records = enumerate_1lap_eigenvalues(g)
+    for rec in records:
+        f = rec.pattern.example_function()
+        cert = verify_1lap_eigenpair(g, f, rec.lo)
+        assert check_certificate(g, f, rec.lo, cert)
+    h2 = multiway_cheeger(g, 2)[0]
+    assert any(float(lo) - 1e-12 <= h2 <= float(hi) + 1e-12
+               for lo, hi in merged_eigenvalues(records))
