@@ -7,10 +7,10 @@ values are computed by enumeration over subset masks (a 2^n cut table plus a
 3^n min-max packing recursion), capped at n <= 14; beyond the cap a greedy
 spectral heuristic is available and clearly labeled non-exact.
 
-Without numba the recursion is the vectorized `kernels.family_dp_numpy`:
-each mask splits into high bits and L = min(n, 8) low bits, and one
-(high mask, high submask) pair is a maximum and a `minimum.reduceat` over a
-3^L-entry low-bit table.  Every layer for k = 1..n takes about 0.04 s at
+The recursion is the vectorized `kernels.family_minmax_dp`: each mask
+splits into high bits and L = min(n, 8) low bits, and one (high mask, high
+submask) pair is a maximum and a `minimum.reduceat` over a 3^L-entry
+low-bit table.  Every layer for k = 1..n takes about 0.04 s at
 n = 12, 0.16 s at n = 13 and 0.47 s at n = 14 on a shared 2-core x86-64 VM;
 `python3 perfbench/run.py` times it inside the whole pipeline.  The optimal
 family is read back by filtering all submasks of the remaining mask at once.
@@ -221,11 +221,13 @@ def certify_cheeger(
     zero_tol: float | None = None,
     hk_values: Sequence[float] | None = None,
     tol_base: float = 1e-9,
+    strong_counts: Sequence[int] | None = None,
 ) -> list[CheegerCertificate]:
     """Evaluate the two-sided isoperimetric bound for every pair in a spectrum.
 
     Pass tolerance is tol_base + 1e-6 * lambda_k on each side.  hk_values
-    may carry precomputed exact constants h_1..h_n to avoid re-enumeration.
+    may carry precomputed exact constants h_1..h_n to avoid re-enumeration,
+    and strong_counts each pair's precomputed strong nodal count m.
     """
     if spectrum.graph is not g and spectrum.graph != g:
         raise ValueError("spectrum was computed on a different graph")
@@ -241,7 +243,8 @@ def certify_cheeger(
     certs = []
     for i, pair in enumerate(spectrum.pairs):
         k = i + 1
-        m = nodal.strong_nodal_domains(g, pair.f, zero_tol).count
+        m = (nodal.strong_nodal_domains(g, pair.f, zero_tol).count
+             if strong_counts is None else strong_counts[i])
         h_k = float(hk_values[k - 1])
         h_m = float(hk_values[m - 1])
         lower = (2.0 / t) ** (p - 1.0) * (h_m / p) ** p

@@ -612,6 +612,7 @@ def variational_spectrum(
     p: float,
     steps: int = 16,
     hk_values: Sequence[float] | None = None,
+    hk_families: Sequence | None = None,
 ) -> Spectrum:
     """The variational eigenvalue sequence at the target p.
 
@@ -622,7 +623,9 @@ def variational_spectrum(
     branch triggers a repair pass that seeds additional eigenpairs from the
     optimal-cut indicator spans directly at the target p, after which the
     best certified ascending selection is reported and anything still
-    violating the bound stays flagged in the diagnostics.
+    violating the bound stays flagged in the diagnostics.  hk_families may
+    carry the optimal families for k = 1..n that the repair pass seeds
+    from, as `cheeger.multiway_cheeger_all(g, g.n)` returns them.
     """
     if p <= 1:
         raise ValueError(f"variational spectrum requires p > 1, got {p}")
@@ -662,7 +665,7 @@ def variational_spectrum(
             return bad
 
         rng = np.random.default_rng(12961)
-        families = None
+        families = hk_families
         for _ in range(3):
             pairs_sorted = sorted((pr for pr, _ in pool), key=lambda x: x.lam)
             bad = violations(pairs_sorted)
@@ -753,7 +756,7 @@ def path_shoot(n: int, p: float, lam: float) -> ShootingTrace:
     if lam < 0:
         raise ValueError(f"trial eigenvalue must be nonnegative, got {lam}")
     f, defect, zeros = kernels.path_shoot_core(n, float(p), float(lam))
-    return ShootingTrace(lam=float(lam), f=f, zero_count=int(zeros),
+    return ShootingTrace(lam=float(lam), f=np.array(f), zero_count=zeros,
                          boundary_defect=float(defect))
 
 
@@ -860,7 +863,9 @@ def path_spectrum(n: int, p: float) -> Spectrum:
                 if dm == 0.0:
                     a = b = mid
                     break
-                if np.sign(dm) == np.sign(da):
+                # dm and da are nonzero, and a nan defect has neither sign,
+                # as under np.sign; two np.sign calls cost a third of a shot
+                if (dm > 0.0 and da > 0.0) or (dm < 0.0 and da < 0.0):
                     a, da = mid, dm
                 else:
                     b, db = mid, dm

@@ -9,7 +9,7 @@ decided against a zero tolerance (default 1e-9 * max|f|).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -94,6 +94,7 @@ def nodal_space_max_rq(
     sample_count: int = 1000,
     seed: int = 0,
     zero_tol: float | None = None,
+    decomposition: NodalDecomposition | None = None,
 ) -> float:
     """Largest Rayleigh quotient found over the nodal space of an eigenpair.
 
@@ -101,12 +102,25 @@ def nodal_space_max_rq(
     Samples random coefficient vectors plus, for up to 12 domains, every +-1
     sign pattern; the result never exceeds the eigenvalue (up to solver
     noise), which is what the certification harness asserts.
+    decomposition may carry the nodal decomposition of pair.f of this kind,
+    computed once by the caller.
+
+    When f has no zero vertex, its weak domains are its strong domains, so
+    for one seed both kinds build the same basis, draw the same samples and
+    return the same float; `plap certify` then reports the strong value for
+    the weak space instead of sampling it again.
     """
     if kind not in ("strong", "weak"):
         raise ValueError(f"kind must be 'strong' or 'weak', got {kind!r}")
     if pair.residual > 1e-8 and pair.p > 1:
         raise ValueError(f"eigenpair residual {pair.residual:.3g} exceeds 1e-8")
-    dec = _decompose(g, pair.f, zero_tol, strict=(kind == "strong"))
+    if decomposition is None:
+        dec = _decompose(g, pair.f, zero_tol, strict=(kind == "strong"))
+    elif decomposition.kind != kind:
+        raise ValueError(f"a {decomposition.kind} decomposition was passed "
+                         f"for the {kind} nodal space")
+    else:
+        dec = decomposition
     m = dec.count
     if m == 0:
         raise ValueError("empty nodal decomposition")
@@ -171,6 +185,8 @@ def certify_nodal_bounds(
     spectrum: "Spectrum",
     multiplicity_tol: float = DEFAULT_MULTIPLICITY_TOL,
     zero_tol: float | None = None,
+    decompositions: Sequence[tuple[NodalDecomposition, NodalDecomposition]]
+    | None = None,
 ) -> NodalReport:
     """Check every pair's nodal counts against the variational-index bounds.
 
@@ -178,6 +194,8 @@ def certify_nodal_bounds(
     at most k weak domains for p > 1 (k + r - 1 when p = 1); and any pair in
     the second eigenvalue's group must have exactly 2 weak domains when p > 1
     on a connected graph.  Failures are report entries, not exceptions.
+    decompositions may carry each pair's precomputed (strong, weak)
+    decompositions, in pair order.
     """
     g = spectrum.graph
     p = spectrum.p
@@ -193,8 +211,11 @@ def certify_nodal_bounds(
     for i, pair in enumerate(spectrum.pairs):
         k = i + 1
         r = len(group_of[i])
-        strong = strong_nodal_domains(g, pair.f, zero_tol).count
-        weak = weak_nodal_domains(g, pair.f, zero_tol).count
+        if decompositions is None:
+            strong = strong_nodal_domains(g, pair.f, zero_tol).count
+            weak = weak_nodal_domains(g, pair.f, zero_tol).count
+        else:
+            strong, weak = (dec.count for dec in decompositions[i])
         strong_bound = k + r - 1
         weak_bound = k if p > 1 else k + r - 1
         exact2 = p > 1 and connected and i in lambda2_group

@@ -107,6 +107,68 @@ def naive_multiway(g, kmax):
     return best[1:]
 
 
+def family_dp_loop(ratio, kmax):
+    """Min-max family table by a plain submask walk per mask.
+
+    The reference for `kernels.family_minmax_dp`: dp[j, mask] is the
+    smallest largest ratio over j disjoint nonempty subsets inside mask.
+    """
+    size = ratio.shape[0]
+    dp = np.full((kmax + 1, size), np.inf)
+    dp[0, :] = 0.0
+    for j in range(1, kmax + 1):
+        prev = dp[j - 1]
+        cur = dp[j]
+        for mask in range(1, size):
+            best = np.inf
+            s = mask
+            while s:
+                r = ratio[s]
+                if r < best:
+                    rest = prev[mask ^ s]
+                    v = rest if rest > r else r
+                    if v < best:
+                        best = v
+                s = (s - 1) & mask
+            cur[mask] = best
+    return dp
+
+
+def shoot_array(n, p, lam):
+    """The unit-path shooting recurrence marched in a float64 array.
+
+    The reference for `kernels.path_shoot_core`, which marches Python
+    floats: returns (f, boundary defect, generalized-zero count).
+    """
+    qm1 = 1.0 / (p - 1.0)
+    f = np.empty(n)
+    f[0] = 1.0
+    t = 0.0
+    zeros = 0
+    for i in range(n - 1):
+        fi = f[i]
+        if fi > 0.0:
+            t -= lam * fi ** (p - 1.0)
+        elif fi < 0.0:
+            t += lam * (-fi) ** (p - 1.0)
+        if t > 0.0:
+            f[i + 1] = fi + t ** qm1
+        elif t < 0.0:
+            f[i + 1] = fi - (-t) ** qm1
+        else:
+            f[i + 1] = fi
+        if fi != 0.0 and fi * f[i + 1] <= 0.0:
+            zeros += 1
+    fn = f[n - 1]
+    if fn > 0.0:
+        defect = t - lam * fn ** (p - 1.0)
+    elif fn < 0.0:
+        defect = t + lam * (-fn) ** (p - 1.0)
+    else:
+        defect = t
+    return f, defect, zeros
+
+
 def reconstruct_family_loop(ratio, dp, k, n):
     """Lexicographically smallest optimal family (masks) by a submask walk.
 

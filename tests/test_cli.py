@@ -205,7 +205,86 @@ def test_solver_nonconvergence_exits_three(tmp_path, monkeypatch):
     assert main(["solve", str(gfile), "--p", "1.5"]) == 3
 
 
-def test_benchmark_runs_quickly():
-    from plap.benchmark import main as bench_main
-    assert bench_main(["--n-apply", "200", "--n-path", "6",
-                       "--n-subset", "8", "--repeat", "1"]) == 0
+def test_certify_decomposes_each_pair_once(tmp_path, monkeypatch):
+    from plap import nodal
+    calls = []
+    for name in ("strong_nodal_domains", "weak_nodal_domains"):
+        fn = getattr(nodal, name)
+        monkeypatch.setattr(nodal, name,
+                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+    gfile = tmp_path / "p5.txt"
+    gfile.write_text(PATH5)
+    out = tmp_path / "r.json"
+    assert main(["certify", str(gfile), "--json", str(out)]) == 0
+    runs = _load(out)["runs"]
+    assert len(calls) == 2 * 5 * len(runs)
+
+
+def test_certify_weak_space_matches_direct_sampling(tmp_path):
+    # on the odd path the even-k eigenfunctions vanish at the middle vertex,
+    # so their weak space differs from the strong one; the others reuse it
+    import plap.cli as cli
+    from plap import nodal
+    gfile = tmp_path / "p5.txt"
+    gfile.write_text(PATH5)
+    out = tmp_path / "r.json"
+    assert main(["certify", str(gfile), "--seed", "3", "--json", str(out)]) == 0
+    g = parse_graph(PATH5, "unit")
+    zero_free = with_zero = 0
+    for run in _load(out)["runs"]:
+        sp = cli._spectrum_for(g, run["p"], 16)
+        for i, (pair, entry) in enumerate(zip(sp.pairs, run["nodal_space"])):
+            direct = nodal.nodal_space_max_rq(g, pair, kind="weak", seed=3 + i)
+            assert entry["weak"]["max_rq"] == direct, (run["p"], i + 1)
+            if nodal.weak_nodal_domains(g, pair.f).zero_set:
+                with_zero += 1
+            else:
+                zero_free += 1
+    assert zero_free and with_zero
+
+
+def test_power_inequality_gap_reported_as_zero():
+    import plap.cli as cli
+    for seed in range(200):
+        check = cli._kernel_inequality_check(np.random.default_rng(seed))
+        assert repr(check["max_normalized_gap"]) == "0.0", seed
+        assert check["pass"] is True
+
+
+@pytest.mark.parametrize("gap, reported, passed", [
+    (-1e-15, "0.0", True), (2.5e-16, "0.0", True), (4e-13, "4e-13", True),
+    (3e-12, "3e-12", False)])
+def test_power_inequality_gap_rounding(monkeypatch, gap, reported, passed):
+    # the report rounds to an absolute 1e-13; pass tests the unrounded gap
+    import plap.cli as cli
+    from plap import plaplacian
+    monkeypatch.setattr(plaplacian, "ax_by_gap", lambda p, a, b, x, y: np.full(
+        p.shape, gap) * (np.abs(a * x) + np.abs(b * y) + 1.0) ** p)
+    check = cli._kernel_inequality_check(np.random.default_rng(0))
+    assert repr(check["max_normalized_gap"]) == reported
+    assert check["pass"] is passed
+
+
+def test_certify_repair_reuses_hk_families(tmp_path, monkeypatch):
+    # found by a seeded search: at p = 1.1 the continued spectrum of this
+    # graph sends the repair pass to seed from the optimal h_k families
+    from plap import cheeger, eigensolver
+    calls = {"hk": 0, "repair": 0}
+
+    def counted(name, module, key):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted("multiway_cheeger_all", cheeger, "hk")
+    counted("solve_from_guess", eigensolver, "repair")
+    g = random_connected_graph(np.random.default_rng(24), 4)
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(serialize_graph(g))
+    assert main(["certify", str(gfile), "--p", "1.1",
+                 "--json", str(tmp_path / "r.json")]) == 0
+    assert calls["repair"] > 0
+    assert calls["hk"] == 1
