@@ -5,7 +5,11 @@ Three routes:
 * dense generalized symmetric solve at p = 2 (every eigenpair, machine
   precision);
 * damped-Newton continuation in p from the p = 2 seeds for general graphs,
-  certified post hoc against indicator-span upper bounds;
+  certified post hoc against indicator-span upper bounds.  One Newton
+  solver and one continuation driver work over two coordinate forms: the
+  direct form (f, lam) serves p >= 2 and the flux form (phi_p(f),
+  phi_p(edge differences), lam) serves p < 2.  The form is chosen per grid
+  step, and a halved step keeps the form of the step it splits;
 * a shooting solver on unit-weight paths that indexes eigenvalues by the
   generalized-zero count of the shot solution, which is nondecreasing in
   lambda, and bisects the boundary defect inside each count level set.
@@ -33,13 +37,11 @@ PATH_BISECTION_MAX_ITER = 200
 
 
 class ContinuationError(RuntimeError):
-    """Newton path following failed; carries the last iterate."""
+    """Continuation in p failed, or too few eigenpairs could be computed.
 
-    def __init__(self, message, p_failed=None, lam=None, f=None):
-        super().__init__(message)
-        self.p_failed = p_failed
-        self.lam = lam
-        self.f = f
+    The message says where: the stalled p, the residual, or the terminated
+    branches.  The CLI maps it to exit code 3.
+    """
 
 
 class BracketError(RuntimeError):
@@ -135,13 +137,12 @@ def solve_p2_spectrum(g: Graph) -> Spectrum:
 
 # ---------------------------------------------------------------------------
 # Continuation in p
-
-def _aug_residual(g: Graph, f: np.ndarray, lam: float, p: float) -> np.ndarray:
-    out = np.empty(g.n + 1)
-    out[:g.n] = (kernels.plap_apply(g.edges_u, g.edges_v, g.edges_w, f, p, g.n)
-                 - lam * g.mu * plaplacian.phi(p, f))
-    out[g.n] = kernels.weighted_pnorm_pow(g.mu, f, p) - 1.0
-    return out
+#
+# `_newton` and the step recursion in `_continue_with_diag` take a form of
+# the augmented system (eigen-equation plus unit-norm row) with unknowns
+# x = (coordinates, lam).  A form poses a vertex function f as x and maps
+# x back to f, and supplies the residual, Jacobian, line-search candidates
+# and the finished pair.
 
 
 def _dphi(x: np.ndarray, p: float) -> np.ndarray:
@@ -150,24 +151,6 @@ def _dphi(x: np.ndarray, p: float) -> np.ndarray:
     if p < 2.0:
         ax = np.maximum(ax, 1e-13)
     return (p - 1.0) * ax ** (p - 2.0)
-
-
-def _aug_jacobian(g: Graph, f: np.ndarray, lam: float, p: float) -> np.ndarray:
-    n = g.n
-    eu, ev, ew = g.edges_u, g.edges_v, g.edges_w
-    jac = np.zeros((n + 1, n + 1))
-    wd = ew * _dphi(f[eu] - f[ev], p)
-    jac[eu, ev] = -wd
-    jac[ev, eu] = -wd
-    diag = np.zeros(n)
-    np.add.at(diag, eu, wd)
-    np.add.at(diag, ev, wd)
-    diag -= lam * g.mu * _dphi(f, p)
-    jac[np.arange(n), np.arange(n)] = diag
-    mphi = g.mu * plaplacian.phi(p, f)
-    jac[:n, n] = -mphi
-    jac[n, :n] = p * mphi
-    return jac
 
 
 def _snap_tiny(f: np.ndarray) -> np.ndarray:
@@ -181,56 +164,59 @@ def _snap_tiny(f: np.ndarray) -> np.ndarray:
     return out
 
 
-@_quiet
-def _newton_eigen(g, f0, lam0, p, tol=1e-12, max_iter=200):
-    f = f0.copy()
-    lam = lam0
-    res = _aug_residual(g, f, lam, p)
-    nrm2 = float(np.linalg.norm(res))
-    iters = 0
-    for _ in range(max_iter):
-        if np.max(np.abs(res)) <= tol:
-            return f, lam, iters
-        jac = _aug_jacobian(g, f, lam, p)
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-        if not np.all(np.isfinite(step)):
-            step = np.linalg.lstsq(jac, -res, rcond=None)[0]
-            if not np.all(np.isfinite(step)):
-                raise _NewtonFailure("non-finite Newton step")
-        # Armijo backtracking on the residual norm; each trial also gets a
-        # snapped twin because cusp coordinates converge to exact zeros
-        alpha = 1.0
-        while True:
-            f_try = f + alpha * step[:g.n]
-            lam_try = lam + alpha * step[g.n]
-            best = None
-            for cand in (f_try, _snap_tiny(f_try)):
-                res_try = _aug_residual(g, cand, lam_try, p)
-                nrm_try = float(np.linalg.norm(res_try))
-                if np.isfinite(nrm_try) and (best is None or nrm_try < best[2]):
-                    best = (cand, res_try, nrm_try)
-            if best is not None and best[2] <= (1.0 - 1e-4 * alpha) * nrm2:
-                f, res, nrm2 = best
-                lam = lam_try
-                break
-            alpha *= 0.5
-            if alpha < 2.0 ** -40:
-                # stiff instances bottom out above tol; accept the floor
-                # when it is already far below the solver contract
-                if np.max(np.abs(res)) <= 100 * tol:
-                    return f, lam, iters
-                raise _NewtonFailure("backtracking stalled")
-        iters += 1
-    if np.max(np.abs(res)) <= 100 * tol:
-        return f, lam, iters
-    raise _NewtonFailure("Newton did not converge")
+class _DirectForm:
+    """x = (f, lam); f is renormalised at every new p before Newton."""
+
+    renormalises = True
+    failures = ("non-finite Newton step", "backtracking stalled",
+                "Newton did not converge")
+
+    def __init__(self, g: Graph):
+        self.g = g
+
+    def pose(self, f, lam, p):
+        return np.append(f, lam)
+
+    def vertex(self, x, p):
+        return x[:-1]
+
+    def residual(self, x, p):
+        g, f, lam = self.g, x[:-1], x[-1]
+        out = np.empty(g.n + 1)
+        out[:g.n] = (kernels.plap_apply(g.edges_u, g.edges_v, g.edges_w, f, p, g.n)
+                     - lam * g.mu * plaplacian.phi(p, f))
+        out[g.n] = kernels.weighted_pnorm_pow(g.mu, f, p) - 1.0
+        return out
+
+    def jacobian(self, x, p):
+        g, f, lam = self.g, x[:-1], x[-1]
+        n = g.n
+        eu, ev, ew = g.edges_u, g.edges_v, g.edges_w
+        jac = np.zeros((n + 1, n + 1))
+        wd = ew * _dphi(f[eu] - f[ev], p)
+        jac[eu, ev] = -wd
+        jac[ev, eu] = -wd
+        diag = np.zeros(n)
+        np.add.at(diag, eu, wd)
+        np.add.at(diag, ev, wd)
+        diag -= lam * g.mu * _dphi(f, p)
+        jac[np.arange(n), np.arange(n)] = diag
+        mphi = g.mu * plaplacian.phi(p, f)
+        jac[:n, n] = -mphi
+        jac[n, :n] = p * mphi
+        return jac
+
+    def candidates(self, x):
+        # each trial also gets a snapped twin because cusp coordinates
+        # converge to exact zeros
+        return x, np.append(_snap_tiny(x[:-1]), x[-1])
+
+    def finish(self, x, lam, p):
+        f = _canonical_sign(plaplacian.normalized(self.g, x[:-1], p))
+        return f, plaplacian.eigen_residual(self.g, f, lam, p)
 
 
-# ---------------------------------------------------------------------------
-# Flux-form Newton for 1 < p < 2.
+# The flux form, for 1 < p < 2.
 #
 # Near p = 1, eigenfunctions develop plateaus whose internal value
 # differences scale like c^(1/(p-1)) and can drop below the float spacing of
@@ -243,51 +229,92 @@ def _newton_eigen(g, f0, lam0, p, tol=1e-12, max_iter=200):
 #   vertex rows:  sum_e orient(u, e) w_e t_e - lam mu(u) s_u = 0
 #   norm row:     sum_u mu(u) |s_u|^q - 1 = 0   (equals the f p-norm)
 
-def _mixed_residual(g, s, t, lam, q):
-    n, m = g.n, g.m
-    eu, ev, ew = g.edges_u, g.edges_v, g.edges_w
-    out = np.empty(n + m + 1)
-    phis = plaplacian.phi(q, s)
-    out[:m] = plaplacian.phi(q, t) - phis[eu] + phis[ev]
-    wt = ew * t
-    out[m:m + n] = (np.bincount(eu, weights=wt, minlength=n)
-                    - np.bincount(ev, weights=wt, minlength=n)
-                    - lam * g.mu * s)
-    out[m + n] = float(np.sum(g.mu * np.abs(s) ** q)) - 1.0
-    return out
+class _FluxForm:
+    """x = (s, t, lam); s and t are not renormalised between steps."""
 
+    renormalises = False
+    failures = ("non-finite flux-form step", "flux-form backtracking stalled",
+                "flux-form Newton did not converge")
 
-def _mixed_jacobian(g, s, t, lam, q):
-    n, m = g.n, g.m
-    eu, ev, ew = g.edges_u, g.edges_v, g.edges_w
-    size = n + m + 1
-    jac = np.zeros((size, size))
-    rows = np.arange(m)
-    dq_t = (q - 1.0) * np.abs(t) ** (q - 2.0)
-    dq_s = (q - 1.0) * np.abs(s) ** (q - 2.0)
-    jac[rows, n + rows] = dq_t
-    jac[rows, eu] = -dq_s[eu]
-    jac[rows, ev] = dq_s[ev]
-    np.add.at(jac, (m + eu, n + rows), ew)
-    np.add.at(jac, (m + ev, n + rows), -ew)
-    vrows = np.arange(n)
-    jac[m + vrows, vrows] = -lam * g.mu
-    jac[m + vrows, n + m] = -g.mu * s
-    jac[m + n, :n] = q * g.mu * plaplacian.phi(q, s)
-    return jac
+    def __init__(self, g: Graph):
+        self.g = g
+
+    def pose(self, f, lam, p):
+        eu, ev = self.g.edges_u, self.g.edges_v
+        return np.concatenate([plaplacian.phi(p, f),
+                               plaplacian.phi(p, f[eu] - f[ev]), [lam]])
+
+    def vertex(self, x, p):
+        return plaplacian.phi(p / (p - 1.0), x[:self.g.n])
+
+    def residual(self, x, p):
+        g = self.g
+        n, m = g.n, g.m
+        eu, ev, ew = g.edges_u, g.edges_v, g.edges_w
+        s, t, lam, q = x[:n], x[n:n + m], x[-1], p / (p - 1.0)
+        out = np.empty(n + m + 1)
+        phis = plaplacian.phi(q, s)
+        out[:m] = plaplacian.phi(q, t) - phis[eu] + phis[ev]
+        wt = ew * t
+        out[m:m + n] = (np.bincount(eu, weights=wt, minlength=n)
+                        - np.bincount(ev, weights=wt, minlength=n)
+                        - lam * g.mu * s)
+        out[m + n] = float(np.sum(g.mu * np.abs(s) ** q)) - 1.0
+        return out
+
+    def jacobian(self, x, p):
+        g = self.g
+        n, m = g.n, g.m
+        eu, ev, ew = g.edges_u, g.edges_v, g.edges_w
+        s, t, lam, q = x[:n], x[n:n + m], x[-1], p / (p - 1.0)
+        size = n + m + 1
+        jac = np.zeros((size, size))
+        rows = np.arange(m)
+        dq_t = (q - 1.0) * np.abs(t) ** (q - 2.0)
+        dq_s = (q - 1.0) * np.abs(s) ** (q - 2.0)
+        jac[rows, n + rows] = dq_t
+        jac[rows, eu] = -dq_s[eu]
+        jac[rows, ev] = dq_s[ev]
+        np.add.at(jac, (m + eu, n + rows), ew)
+        np.add.at(jac, (m + ev, n + rows), -ew)
+        vrows = np.arange(n)
+        jac[m + vrows, vrows] = -lam * g.mu
+        jac[m + vrows, n + m] = -g.mu * s
+        jac[m + n, :n] = q * g.mu * plaplacian.phi(q, s)
+        return jac
+
+    def candidates(self, x):
+        return (x,)
+
+    def finish(self, x, lam, p):
+        n, q = self.g.n, p / (p - 1.0)
+        s, t = x[:n], x[n:-1]
+        nrm = plaplacian.pnorm(self.g, plaplacian.phi(q, s), p)
+        # the norm row already pins this to 1; rescale s and t consistently
+        s = s / plaplacian.phi(p, nrm)
+        t = t / plaplacian.phi(p, nrm)
+        f = plaplacian.phi(q, s)
+        flipped = _canonical_sign(f)
+        if flipped is not f:
+            f, s, t = flipped, -s, -t
+        res = self.residual(np.concatenate([s, t, [lam]]), p)
+        return f, float(np.max(np.abs(res)))
 
 
 @_quiet
-def _newton_mixed(g, s0, t0, lam0, q, tol=1e-12, max_iter=200):
-    s, t, lam = s0.copy(), t0.copy(), lam0
-    n, m = g.n, g.m
-    res = _mixed_residual(g, s, t, lam, q)
+def _newton(form, x, p, tol=1e-12, max_iter=200):
+    """Damped Newton on the form's augmented system at fixed p.
+
+    Returns (x, iterations); raises _NewtonFailure with one of the form's
+    three failure messages.
+    """
+    res = form.residual(x, p)
     nrm2 = float(np.linalg.norm(res))
     iters = 0
     for _ in range(max_iter):
         if np.max(np.abs(res)) <= tol:
-            return s, t, lam, iters
-        jac = _mixed_jacobian(g, s, t, lam, q)
+            return x, iters
+        jac = form.jacobian(x, p)
         try:
             step = np.linalg.solve(jac, -res)
             if not np.all(np.isfinite(step)):
@@ -295,26 +322,30 @@ def _newton_mixed(g, s0, t0, lam0, q, tol=1e-12, max_iter=200):
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(jac, -res, rcond=None)[0]
             if not np.all(np.isfinite(step)):
-                raise _NewtonFailure("non-finite flux-form step")
+                raise _NewtonFailure(form.failures[0])
+        # Armijo backtracking on the residual norm over the best candidate
         alpha = 1.0
         while True:
-            s_try = s + alpha * step[:n]
-            t_try = t + alpha * step[n:n + m]
-            lam_try = lam + alpha * step[n + m]
-            res_try = _mixed_residual(g, s_try, t_try, lam_try, q)
-            nrm_try = float(np.linalg.norm(res_try))
-            if np.isfinite(nrm_try) and nrm_try <= (1.0 - 1e-4 * alpha) * nrm2:
-                s, t, lam, res, nrm2 = s_try, t_try, lam_try, res_try, nrm_try
+            best = None
+            for cand in form.candidates(x + alpha * step):
+                res_try = form.residual(cand, p)
+                nrm_try = float(np.linalg.norm(res_try))
+                if np.isfinite(nrm_try) and (best is None or nrm_try < best[2]):
+                    best = (cand, res_try, nrm_try)
+            if best is not None and best[2] <= (1.0 - 1e-4 * alpha) * nrm2:
+                x, res, nrm2 = best
                 break
             alpha *= 0.5
             if alpha < 2.0 ** -40:
+                # stiff instances bottom out above tol; accept the floor
+                # when it is already far below the solver contract
                 if np.max(np.abs(res)) <= 100 * tol:
-                    return s, t, lam, iters
-                raise _NewtonFailure("flux-form backtracking stalled")
+                    return x, iters
+                raise _NewtonFailure(form.failures[1])
         iters += 1
     if np.max(np.abs(res)) <= 100 * tol:
-        return s, t, lam, iters
-    raise _NewtonFailure("flux-form Newton did not converge")
+        return x, iters
+    raise _NewtonFailure(form.failures[2])
 
 
 def _fold_restarts(g: Graph, f: np.ndarray):
@@ -373,114 +404,68 @@ def _continue_with_diag(g, seed, p_target, steps=16):
                          residual=res, normalized=True)
         return pair, diag
 
-    def advance_direct(f, lam, p_from, p_to, depth):
-        f = plaplacian.normalized(g, f, p_to)
+    def advance(form, x, p_from, p_to, depth):
+        if form.renormalises:
+            f = plaplacian.normalized(g, form.vertex(x, p_to), p_to)
+            x = form.pose(f, x[-1], p_to)
+        lam = x[-1]
         try:
-            f_new, lam_new, iters = _newton_eigen(g, f, lam, p_to)
+            x_new, iters = _newton(form, x, p_to)
         except _NewtonFailure as exc:
             # a stall usually means the branch crossed a kink of the power
-            # kernel; try restarting on the far side before shrinking steps
-            for trial in _fold_restarts(g, f):
+            # kernel; try restarting on the far side before shrinking steps.
+            # The flux form rebuilds f with the q of p_from; trials are
+            # normalised at p_to
+            for trial in _fold_restarts(g, form.vertex(x, p_from)):
                 try:
-                    t = plaplacian.normalized(g, trial, p_to)
-                    f_new, lam_new, iters = _newton_eigen(g, t, lam, p_to)
-                except _NewtonFailure:
-                    continue
-                if abs(lam_new - lam) <= 0.1 * (1.0 + abs(lam)):
-                    diag["fold_restarts"] = diag.get("fold_restarts", 0) + 1
-                    diag["newton_iterations"] += iters
-                    diag["p_steps"] += 1
-                    return f_new, lam_new
-            if depth >= 12:
-                raise ContinuationError(
-                    f"continuation stalled at p = {p_to:.6g}: {exc}",
-                    p_failed=p_to, lam=lam, f=f) from None
-            diag["halvings"] += 1
-            mid = float(np.sqrt(p_from * p_to))
-            f, lam = advance_direct(f, lam, p_from, mid, depth + 1)
-            return advance_direct(f, lam, mid, p_to, depth + 1)
-        diag["newton_iterations"] += iters
-        diag["p_steps"] += 1
-        return f_new, lam_new
-
-    def advance_mixed(s, t, lam, p_from, p_to, depth):
-        q = p_to / (p_to - 1.0)
-        try:
-            s_new, t_new, lam_new, iters = _newton_mixed(g, s, t, lam, q)
-        except _NewtonFailure as exc:
-            # fold restarts, expressed on the reconstructed vertex function
-            q_from = p_from / (p_from - 1.0)
-            f_cur = plaplacian.phi(q_from, s)
-            for trial in _fold_restarts(g, f_cur):
-                try:
-                    ft = plaplacian.normalized(g, trial, p_to)
-                    st = plaplacian.phi(p_to, ft)
-                    tt = plaplacian.phi(p_to, ft[g.edges_u] - ft[g.edges_v])
-                    s_new, t_new, lam_new, iters = _newton_mixed(g, st, tt, lam, q)
+                    t = form.pose(plaplacian.normalized(g, trial, p_to), lam, p_to)
+                    x_new, iters = _newton(form, t, p_to)
                 except (_NewtonFailure, ValueError):
                     continue
-                if abs(lam_new - lam) <= 0.1 * (1.0 + abs(lam)):
+                if abs(x_new[-1] - lam) <= 0.1 * (1.0 + abs(lam)):
                     diag["fold_restarts"] = diag.get("fold_restarts", 0) + 1
-                    diag["newton_iterations"] += iters
-                    diag["p_steps"] += 1
-                    return s_new, t_new, lam_new
-            if depth >= 12:
-                raise ContinuationError(
-                    f"continuation stalled at p = {p_to:.6g}: {exc}",
-                    p_failed=p_to, lam=lam,
-                    f=plaplacian.phi(q, s)) from None
-            diag["halvings"] += 1
-            mid = float(np.sqrt(p_from * p_to))
-            s, t, lam = advance_mixed(s, t, lam, p_from, mid, depth + 1)
-            return advance_mixed(s, t, lam, mid, p_to, depth + 1)
+                    break
+            else:
+                if depth >= 12:
+                    raise ContinuationError(
+                        f"continuation stalled at p = {p_to:.6g}: {exc}") from None
+                # a halved step keeps the form of the grid step it splits,
+                # even where the midpoint lies on the other side of p = 2
+                diag["halvings"] += 1
+                mid = float(np.sqrt(p_from * p_to))
+                x = advance(form, x, p_from, mid, depth + 1)
+                return advance(form, x, mid, p_to, depth + 1)
         diag["newton_iterations"] += iters
         diag["p_steps"] += 1
-        return s_new, t_new, lam_new
+        return x_new
 
     ratio = p_target / seed.p
     grid = [seed.p * ratio ** (i / steps) for i in range(steps + 1)]
     grid[-1] = p_target
-    f, lam = seed.f.astype(np.float64), seed.lam
-    s = t = None
+    direct, flux = _DirectForm(g), _FluxForm(g)
+    form = direct
+    x = direct.pose(seed.f.astype(np.float64), seed.lam, seed.p)
     for p_from, p_to in zip(grid, grid[1:]):
-        if p_to >= 2.0:
-            if s is not None:
-                # leaving the flux-form regime
-                q_prev = p_from / (p_from - 1.0)
-                f = plaplacian.phi(q_prev, s)
-                s = t = None
-            f, lam = advance_direct(f, lam, p_from, p_to, 0)
-        else:
-            if s is None:
-                # entering the flux-form regime: change of variables
+        step_form = direct if p_to >= 2.0 else flux
+        if step_form is not form:
+            # change of variables between the regimes; the flux form, which
+            # does not renormalise, is entered with a normalised f
+            f = form.vertex(x, p_from)
+            if not step_form.renormalises:
                 f = plaplacian.normalized(g, f, p_from)
-                s = plaplacian.phi(p_from, f)
-                t = plaplacian.phi(p_from, f[g.edges_u] - f[g.edges_v])
-            s, t, lam = advance_mixed(s, t, lam, p_from, p_to, 0)
-    lam = max(float(lam), 0.0)
-    if s is not None:
+            form, x = step_form, step_form.pose(f, x[-1], p_from)
+        x = advance(form, x, p_from, p_to, 0)
+    lam = max(float(x[-1]), 0.0)
+    f, res = form.finish(x, lam, p_target)
+    if form is flux:
         diag["coordinates"] = "flux"
-        q = p_target / (p_target - 1.0)
-        f = plaplacian.phi(q, s)
-        nrm = plaplacian.pnorm(g, f, p_target)
-        # the norm row already pins this to 1; rescale s and t consistently
-        s = s / plaplacian.phi(p_target, nrm)
-        t = t / plaplacian.phi(p_target, nrm)
-        f = plaplacian.phi(q, s)
-        flipped = _canonical_sign(f)
-        if flipped is not f:
-            f, s, t = flipped, -s, -t
-        res = float(np.max(np.abs(_mixed_residual(g, s, t, lam, q))))
         # entry differences can quantize below float resolution near p = 1,
         # making the direct defect evaluation pessimistic; record it anyway
         diag["direct_defect"] = plaplacian.eigen_residual(g, f, lam, p_target)
-    else:
-        f = _canonical_sign(plaplacian.normalized(g, f, p_target))
-        res = plaplacian.eigen_residual(g, f, lam, p_target)
     if res > CONTINUATION_RESIDUAL_TOL:
         raise ContinuationError(
             f"continued pair residual {res:.3g} exceeds "
-            f"{CONTINUATION_RESIDUAL_TOL}", p_failed=p_target, lam=lam, f=f)
+            f"{CONTINUATION_RESIDUAL_TOL}")
     return EigenPair(p=p_target, lam=lam, f=f, residual=res,
                      normalized=True), diag
 
@@ -507,27 +492,14 @@ def solve_from_guess(g: Graph, f0: np.ndarray, p: float) -> EigenPair | None:
     except ValueError:
         return None
     lam0 = plaplacian.rayleigh_quotient(g, f0, p)
+    form = _DirectForm(g) if p >= 2.0 else _FluxForm(g)
     try:
-        if p < 2.0:
-            q = p / (p - 1.0)
-            s = plaplacian.phi(p, f0)
-            t = plaplacian.phi(p, f0[g.edges_u] - f0[g.edges_v])
-            s, t, lam, _ = _newton_mixed(g, s, t, lam0, q)
-            f = plaplacian.phi(q, s)
-            nrm = plaplacian.pnorm(g, f, p)
-            s = s / plaplacian.phi(p, nrm)
-            t = t / plaplacian.phi(p, nrm)
-            f = plaplacian.phi(q, s)
-            flipped = _canonical_sign(f)
-            if flipped is not f:
-                f, s, t = flipped, -s, -t
-            res = float(np.max(np.abs(_mixed_residual(g, s, t, lam, q))))
-        else:
-            f, lam, _ = _newton_eigen(g, f0, lam0, p)
-            f = _canonical_sign(plaplacian.normalized(g, f, p))
-            res = plaplacian.eigen_residual(g, f, lam, p)
+        x, _ = _newton(form, form.pose(f0, lam0, p), p)
     except _NewtonFailure:
         return None
+    # unlike continuation, the residual is taken before lam is clamped at 0
+    lam = x[-1]
+    f, res = form.finish(x, lam, p)
     if res > CONTINUATION_RESIDUAL_TOL or not np.isfinite(lam) or lam < -1e-12:
         return None
     return EigenPair(p=p, lam=max(float(lam), 0.0), f=f, residual=res,
@@ -655,7 +627,8 @@ def variational_spectrum(
     if hk_values is None and g.n <= cheeger.EXACT_HK_CAP:
         hk_values = [h for h, _ in cheeger.multiway_cheeger_all(g, g.n)]
 
-    if hk_values is not None and g.n > 1:
+    certified = hk_values is not None and g.n > 1
+    if certified:
         def violations(pairs_sorted):
             bad = []
             for k, pr in enumerate(pairs_sorted[:g.n], 1):
@@ -689,10 +662,12 @@ def variational_spectrum(
                 added += 1
             if added == 0:
                 break
-        if len(pool) < g.n:
-            raise ContinuationError(
-                f"only {len(pool)} of {g.n} eigenpairs could be computed at "
-                f"p = {p}; " + "; ".join(notes), p_failed=p)
+    # after the repair pass, if there was one
+    if len(pool) < g.n:
+        raise ContinuationError(
+            f"only {len(pool)} of {g.n} eigenpairs could be computed at "
+            f"p = {p}; " + "; ".join(notes))
+    if certified:
         diag_of = {id(pr): dg for pr, dg in pool}
         selection, _, _ = _best_selection(g, p, [pr for pr, _ in pool],
                                           hk_values)
@@ -711,10 +686,6 @@ def variational_spectrum(
                     f"variational branch")
                 notes.append(diag["branch_warning"])
     else:
-        if len(pool) < g.n:
-            raise ContinuationError(
-                f"only {len(pool)} of {g.n} eigenpairs could be computed at "
-                f"p = {p}; " + "; ".join(notes), p_failed=p)
         notes.append("indicator-span certification skipped: exact multiway "
                      "constants unavailable at this size")
         results = sorted(pool, key=lambda tp: tp[0].lam)

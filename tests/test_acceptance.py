@@ -1,6 +1,5 @@
 """Acceptance suite: one test per release criterion, each printing a
-pass/fail line and enforcing its runtime budget (JIT warmup happens in a
-session fixture, so budgets measure the algorithms)."""
+pass/fail line and enforcing its runtime budget."""
 
 import itertools
 import time

@@ -14,7 +14,7 @@ from plap import (
     variational_spectrum,
 )
 from plap import build_graph, certify_cheeger
-from plap.eigensolver import PATH_RESIDUAL_TOL
+from plap.eigensolver import PATH_RESIDUAL_TOL, _same_pair, solve_from_guess
 
 from .oracles import charpoly_roots, p2_path_eigenvalues, path_p2_charpoly
 from .util import random_connected_graph
@@ -105,6 +105,31 @@ def test_continuation_below_min_p_warns():
     seed = solve_p2_spectrum(g).pairs[1]
     with pytest.warns(UserWarning, match="curvature degenerates"):
         continue_in_p(g, seed, 1.03)
+
+
+def test_halved_step_across_p2_keeps_its_form():
+    # continuing back from p = 3 to 1.3 halves a flux-form grid step whose
+    # midpoint can lie at p >= 2; both halves must stay in the flux form
+    rng = np.random.default_rng(16)
+    g = random_connected_graph(rng, rng.integers(4, 7))
+    seed = solve_p2_spectrum(g).pairs[3]
+    pair = continue_in_p(g, continue_in_p(g, seed, 3.0), 1.3)
+    assert pair.residual <= 1e-9
+    assert pair.lam == pytest.approx(3.5755748892515187, rel=1e-12)
+
+
+def test_solve_from_guess_recovers_continued_pairs_in_both_forms():
+    rng = np.random.default_rng(0)
+    g = random_connected_graph(rng, 6)
+    base = solve_p2_spectrum(g)
+    for p in (1.5, 3.0):  # flux form, direct form
+        for seed in base.pairs[1:]:
+            pair = continue_in_p(g, seed, p)
+            f0 = pair.f + 1e-2 * rng.standard_normal(g.n)
+            got = solve_from_guess(g, f0, p)
+            assert got is not None and _same_pair(got, pair), (p, seed.lam)
+            assert got.lam == pytest.approx(pair.lam, abs=1e-9)
+        assert solve_from_guess(g, np.zeros(g.n), p) is None
 
 
 def test_variational_spectrum_p2_is_dense():
