@@ -195,6 +195,24 @@ def sweep_bound(g: Graph, f, p: float) -> float:
     return p * r ** (1.0 / p) * (tau(g) / 2.0) ** (1.0 / q)
 
 
+def upper_bound(p: float, h_k: float) -> float:
+    """The paper's upper bound 2^(p-1) h_k on lambda_k."""
+    return 2.0 ** (p - 1.0) * h_k
+
+
+def lower_bound(p: float, t: float, h_m: float) -> float:
+    """The paper's lower bound (2/tau)^(p-1) (h_m/p)^p on lambda_k; 0.0 at
+    h_m = 0, as the formula gives for tau > 0 (edgeless graphs have tau = 0)."""
+    if h_m == 0.0:
+        return 0.0
+    return (2.0 / t) ** (p - 1.0) * (h_m / p) ** p
+
+
+def bound_tol(lam: float, tol_base: float = 1e-9) -> float:
+    """Pass tolerance of either side of the bound: tol_base + 1e-6 |lambda|."""
+    return tol_base + 1e-6 * abs(lam)
+
+
 @dataclass(frozen=True)
 class CheegerCertificate:
     """One instance of the two-sided bound linking lambda_k to h_k and h_m."""
@@ -218,16 +236,15 @@ class CheegerCertificate:
 def certify_cheeger(
     g: Graph,
     spectrum: "Spectrum",
-    zero_tol: float | None = None,
-    hk_values: Sequence[float] | None = None,
+    hk: Sequence | None = None,
     tol_base: float = 1e-9,
     strong_counts: Sequence[int] | None = None,
 ) -> list[CheegerCertificate]:
     """Evaluate the two-sided isoperimetric bound for every pair in a spectrum.
 
-    Pass tolerance is tol_base + 1e-6 * lambda_k on each side.  hk_values
-    may carry precomputed exact constants h_1..h_n to avoid re-enumeration,
-    and strong_counts each pair's precomputed strong nodal count m.
+    Pass tolerance is `bound_tol` on each side.  hk may carry the list that
+    `multiway_cheeger_all(g, g.n)` returns, to avoid re-enumeration, and
+    strong_counts each pair's precomputed strong nodal count m.
     """
     if spectrum.graph is not g and spectrum.graph != g:
         raise ValueError("spectrum was computed on a different graph")
@@ -237,19 +254,19 @@ def certify_cheeger(
     for pair in spectrum.pairs:
         if pair.residual > 1e-8:
             raise ValueError(f"pair residual {pair.residual:.3g} exceeds 1e-8")
-    if hk_values is None:
-        hk_values = [h for h, _ in multiway_cheeger_all(g, g.n)]
+    if hk is None:
+        hk = multiway_cheeger_all(g, g.n)
     t = tau(g)
     certs = []
     for i, pair in enumerate(spectrum.pairs):
         k = i + 1
-        m = (nodal.strong_nodal_domains(g, pair.f, zero_tol).count
+        m = (nodal.strong_nodal_domains(g, pair.f).count
              if strong_counts is None else strong_counts[i])
-        h_k = float(hk_values[k - 1])
-        h_m = float(hk_values[m - 1])
-        lower = (2.0 / t) ** (p - 1.0) * (h_m / p) ** p
-        upper = 2.0 ** (p - 1.0) * h_k
-        tol = tol_base + 1e-6 * abs(pair.lam)
+        h_k = float(hk[k - 1][0])
+        h_m = float(hk[m - 1][0])
+        lower = lower_bound(p, t, h_m)
+        upper = upper_bound(p, h_k)
+        tol = bound_tol(pair.lam, tol_base)
         certs.append(CheegerCertificate(
             p=p, k=k, lam=float(pair.lam), m=m, h_k=h_k, h_m=h_m, tau=t,
             lower=lower, upper=upper,

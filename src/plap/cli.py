@@ -72,16 +72,14 @@ def _load_vertex_function(path: str, n: int) -> np.ndarray:
     return np.array(vals)
 
 
-def _spectrum_for(g: Graph, p: float, steps: int, hk_values=None,
-                  hk_families=None) -> Spectrum:
+def _spectrum_for(g: Graph, p: float, steps: int, hk=None) -> Spectrum:
     if p == 2.0:
         return solve_p2_spectrum(g)
     if is_unit_path(g):
         # a unit path read with explicit unit mu lines is the same operator;
         # the spectrum belongs to the caller's graph
         return dataclasses.replace(path_spectrum(g.n, p), graph=g)
-    return variational_spectrum(g, p, steps=steps, hk_values=hk_values,
-                                hk_families=hk_families)
+    return variational_spectrum(g, p, steps=steps, hk=hk)
 
 
 def _spectrum_rows(sp: Spectrum, with_f: bool):
@@ -235,15 +233,14 @@ def _operator_checks(g: Graph, p: float, rng) -> dict:
             "pass": bool(sum_zero and scale_inv)}
 
 
-def _certify_one_p(g, p, steps, seed, tol_base, hk_values, hk_families):
-    sp = _spectrum_for(g, p, steps, hk_values=hk_values,
-                       hk_families=hk_families)
+def _certify_one_p(g, p, steps, seed, tol_base, hk):
+    sp = _spectrum_for(g, p, steps, hk=hk)
     decs = [(nodal.strong_nodal_domains(g, pair.f),
              nodal.weak_nodal_domains(g, pair.f)) for pair in sp.pairs]
     nrep = nodal.certify_nodal_bounds(sp, decompositions=decs)
-    certs = (cheeger.certify_cheeger(
-        g, sp, hk_values=hk_values, tol_base=tol_base,
-        strong_counts=[strong.count for strong, _ in decs]) if p > 1 else [])
+    certs = cheeger.certify_cheeger(
+        g, sp, hk=hk, tol_base=tol_base,
+        strong_counts=[strong.count for strong, _ in decs])
     span_checks = []
     for i, (pair, (strong, weak)) in enumerate(zip(sp.pairs, decs)):
         strong_rq = nodal.nodal_space_max_rq(g, pair, kind="strong",
@@ -282,7 +279,7 @@ def _certify_one_p(g, p, steps, seed, tol_base, hk_values, hk_families):
     ok = (nrep.all_pass and all(c.passed for c in certs)
           and all(e["strong"]["pass"] and e["weak"]["pass"] for e in span_checks)
           and all(pair.residual <= 1e-9 for pair in sp.pairs))
-    return run, ok, sp, nrep
+    return run, ok
 
 
 def _one_laplacian_section(g: Graph, h2: float | None) -> tuple[dict, bool]:
@@ -342,11 +339,8 @@ def _cmd_certify(args) -> int:
         print(f"error: --one-laplacian requires n <= "
               f"{one_laplacian.ENUMERATION_CAP}, got n = {g.n}", file=sys.stderr)
         return EXIT_USAGE
-    hk_values = hk_families = None
-    if g.n <= cheeger.EXACT_HK_CAP:
-        hk = cheeger.multiway_cheeger_all(g, g.n)
-        hk_values = [h for h, _ in hk]
-        hk_families = [fam for _, fam in hk]
+    hk = (cheeger.multiway_cheeger_all(g, g.n)
+          if g.n <= cheeger.EXACT_HK_CAP else None)
     checks = []
     runs = []
     t0 = time.perf_counter()
@@ -354,8 +348,7 @@ def _cmd_certify(args) -> int:
     checks.append({"name": "power_inequality_suite", "pass": kernel_check["pass"]})
     for p in p_list:
         t1 = time.perf_counter()
-        run, ok, sp, _ = _certify_one_p(g, p, args.steps, args.seed,
-                                        args.tol, hk_values, hk_families)
+        run, ok = _certify_one_p(g, p, args.steps, args.seed, args.tol, hk)
         op_check = _operator_checks(g, p, np.random.default_rng(args.seed + 7))
         run["operator_checks"] = op_check
         runs.append(run)
@@ -365,7 +358,7 @@ def _cmd_certify(args) -> int:
               file=sys.stderr)
     one_lap_section = None
     if args.one_laplacian:
-        h2 = hk_values[1] if g.n >= 2 else None
+        h2 = hk[1][0] if g.n >= 2 else None
         one_lap_section, ol_ok = _one_laplacian_section(g, h2)
         checks.append({"name": "one_laplacian", "pass": bool(ol_ok)})
     all_pass = all(c["pass"] for c in checks)

@@ -155,12 +155,16 @@ def _dphi(x: np.ndarray, p: float) -> np.ndarray:
 
 def _snap_tiny(f: np.ndarray) -> np.ndarray:
     # entries below resolvable size sit on the kernel's cusp; the exact zero
-    # is the only representable fixed point there
+    # is the only representable fixed point there.  f itself comes back when
+    # no nonzero entry is that small
     scale = np.max(np.abs(f))
     if scale == 0.0:
         return f
+    tiny = np.abs(f) < 1e-15 * scale
+    if not np.any(tiny & (f != 0.0)):
+        return f
     out = f.copy()
-    out[np.abs(out) < 1e-15 * scale] = 0.0
+    out[tiny] = 0.0
     return out
 
 
@@ -207,9 +211,11 @@ class _DirectForm:
         return jac
 
     def candidates(self, x):
-        # each trial also gets a snapped twin because cusp coordinates
-        # converge to exact zeros
-        return x, np.append(_snap_tiny(x[:-1]), x[-1])
+        # a trial with tiny entries also gets a snapped twin because cusp
+        # coordinates converge to exact zeros
+        f = x[:-1]
+        snapped = _snap_tiny(f)
+        return (x,) if snapped is f else (x, np.append(snapped, x[-1]))
 
     def finish(self, x, lam, p):
         f = _canonical_sign(plaplacian.normalized(self.g, x[:-1], p))
@@ -540,64 +546,52 @@ def _indicator_seeds(g: Graph, families, rng) -> list[np.ndarray]:
     return seeds
 
 
-def _best_selection(g: Graph, p: float, pool, hk_values):
-    """Pick the ascending n-subset of candidate pairs that best satisfies
-    the two-sided isoperimetric certificates; returns (pairs, score, total)."""
+def _best_selection(g: Graph, p: float, pool, hk):
+    """Every zero pair (one per component) plus the ascending nonzero pairs
+    that pass the most two-sided isoperimetric bounds, ties going to the
+    smallest eigenvalue tuple; zero pairs score alike, so go unscored."""
     import itertools
 
-    n = g.n
     t = tau(g)
     zero_pairs = [pr for pr in pool if pr.lam <= 1e-10]
+    free = g.n - len(zero_pairs)
     rest = sorted((pr for pr in pool if pr.lam > 1e-10), key=lambda pr: pr.lam)
-    rest = rest[:n - 1 + 8]  # cap the enumeration
+    rest = rest[:free + 8]  # cap the enumeration
     m_cache = {id(pr): nodal.strong_nodal_domains(g, pr.f).count for pr in rest}
 
-    def score(selection):
+    def score(combo):
         good = 0
-        for k, pr in enumerate(selection, 1):
-            tol = 1e-9 + 1e-6 * abs(pr.lam)
-            upper = 2.0 ** (p - 1.0) * hk_values[k - 1]
-            if pr.lam <= upper + tol:
-                good += 1
-            if k == 1:
-                good += 1
-                continue
-            m = m_cache[id(pr)]
-            lower = (2.0 / t) ** (p - 1.0) * (hk_values[m - 1] / p) ** p
-            if lower - tol <= pr.lam:
-                good += 1
+        for k, pr in enumerate(combo, len(zero_pairs) + 1):
+            tol = cheeger.bound_tol(pr.lam)
+            good += pr.lam <= cheeger.upper_bound(p, hk[k - 1][0]) + tol
+            h_m = hk[m_cache[id(pr)] - 1][0]
+            good += cheeger.lower_bound(p, t, h_m) - tol <= pr.lam
         return good
 
-    first = zero_pairs[0]
-    best = None
-    for combo in itertools.combinations(rest, n - 1):
-        sel = (first,) + combo
-        sc = score(sel)
-        key = (-sc, tuple(pr.lam for pr in sel))
-        if best is None or key < best[0]:
-            best = (key, sel, sc)
-    return list(best[1]), best[2], 2 * n
+    best = min(itertools.combinations(rest, free),
+               key=lambda c: (-score(c), tuple(pr.lam for pr in c)))
+    return zero_pairs + list(best)
 
 
 def variational_spectrum(
     g: Graph,
     p: float,
     steps: int = 16,
-    hk_values: Sequence[float] | None = None,
-    hk_families: Sequence | None = None,
+    hk: Sequence | None = None,
 ) -> Spectrum:
     """The variational eigenvalue sequence at the target p.
 
     The p = 2 spectrum is continued pairwise along a geometric grid and
     re-sorted.  When exact multiway constants are available (n within the
-    enumeration cap, or supplied via hk_values), every value is checked
-    against the certified upper bound 2^(p-1) h_k; a violation or a dead
-    branch triggers a repair pass that seeds additional eigenpairs from the
+    enumeration cap, or supplied as hk), every value is checked against the
+    certified upper bound 2^(p-1) h_k; a violation or a dead branch
+    triggers a repair pass that seeds additional eigenpairs from the
     optimal-cut indicator spans directly at the target p, after which the
     best certified ascending selection is reported and anything still
-    violating the bound stays flagged in the diagnostics.  hk_families may
-    carry the optimal families for k = 1..n that the repair pass seeds
-    from, as `cheeger.multiway_cheeger_all(g, g.n)` returns them.
+    violating the bound stays flagged in the diagnostics.  hk is the
+    (h_k, optimal family) list for k = 1..n, as
+    `cheeger.multiway_cheeger_all(g, g.n)` returns it; without it the
+    constants are enumerated once here.
     """
     if p <= 1:
         raise ValueError(f"variational spectrum requires p > 1, got {p}")
@@ -624,35 +618,29 @@ def variational_spectrum(
                                         "the continued branch is basis-dependent")
         pool.append((pair, diag))
 
-    if hk_values is None and g.n <= cheeger.EXACT_HK_CAP:
-        hk_values = [h for h, _ in cheeger.multiway_cheeger_all(g, g.n)]
+    if hk is None and g.n <= cheeger.EXACT_HK_CAP:
+        hk = cheeger.multiway_cheeger_all(g, g.n)
 
-    certified = hk_values is not None and g.n > 1
+    certified = hk is not None and g.n > 1
     if certified:
         def violations(pairs_sorted):
-            bad = []
-            for k, pr in enumerate(pairs_sorted[:g.n], 1):
-                upper = 2.0 ** (p - 1.0) * hk_values[k - 1]
-                if pr.lam > upper + 1e-9 + 1e-6 * abs(pr.lam):
-                    bad.append(k)
-            return bad
+            return [k for k, pr in enumerate(pairs_sorted[:g.n], 1)
+                    if pr.lam > (cheeger.upper_bound(p, hk[k - 1][0])
+                                 + cheeger.bound_tol(pr.lam))]
 
         rng = np.random.default_rng(12961)
-        families = hk_families
+        families = [fam for _, fam in hk[1:]]
         for _ in range(3):
             pairs_sorted = sorted((pr for pr, _ in pool), key=lambda x: x.lam)
             bad = violations(pairs_sorted)
             deficit = len(pool) < g.n
             if not bad and not deficit:
                 break
-            if families is None:
-                families = [fam for _, fam in
-                            cheeger.multiway_cheeger_all(g, g.n)]
             # seed from every family size: inserting one low eigenvalue
             # shifts all later indices, so the useful seeds are not confined
             # to the violated k
             added = 0
-            for f0 in _indicator_seeds(g, families[1:], rng):
+            for f0 in _indicator_seeds(g, families, rng):
                 cand = solve_from_guess(g, f0, p)
                 if cand is None or cand.lam <= 1e-10:
                     continue
@@ -669,17 +657,15 @@ def variational_spectrum(
             f"p = {p}; " + "; ".join(notes))
     if certified:
         diag_of = {id(pr): dg for pr, dg in pool}
-        selection, _, _ = _best_selection(g, p, [pr for pr, _ in pool],
-                                          hk_values)
+        selection = _best_selection(g, p, [pr for pr, _ in pool], hk)
         if len(pool) > g.n:
             notes.append(f"{len(pool) - g.n} extra eigenpairs found during "
                          f"repair; kept the best certified selection")
         results = [(pr, diag_of[id(pr)]) for pr in selection]
         results.sort(key=lambda tp: tp[0].lam)
         for k, (pair, diag) in enumerate(results, 1):
-            upper = 2.0 ** (p - 1.0) * hk_values[k - 1]
-            tol = 1e-9 + 1e-6 * abs(pair.lam)
-            if pair.lam > upper + tol:
+            upper = cheeger.upper_bound(p, hk[k - 1][0])
+            if pair.lam > upper + cheeger.bound_tol(pair.lam):
                 diag["branch_warning"] = (
                     f"lambda_{k} = {pair.lam:.12g} exceeds the certified "
                     f"upper bound {upper:.12g}: continuation left the "
@@ -707,7 +693,7 @@ def indicator_span_upper_bound(g: Graph, p: float, subsets) -> float:
     if p < 1:
         raise ValueError(f"exponent must satisfy p >= 1, got {p}")
     family = cheeger.validate_family(g, subsets)
-    return 2.0 ** (p - 1.0) * max(cheeger.cut_ratio(g, s) for s in family)
+    return cheeger.upper_bound(p, max(cheeger.cut_ratio(g, s) for s in family))
 
 
 # ---------------------------------------------------------------------------

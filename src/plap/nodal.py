@@ -3,7 +3,7 @@
 A strong nodal domain is a maximal connected component of {f > 0} or
 {f < 0}; a weak nodal domain is a maximal connected component of {f >= 0}
 or {f <= 0}.  Numeric eigenfunctions carry solver noise, so membership is
-decided against a zero tolerance (default 1e-9 * max|f|).
+decided against a zero tolerance of 1e-9 * max|f|.
 """
 
 from __future__ import annotations
@@ -35,14 +35,14 @@ class NodalDecomposition:
         return len(self.domains)
 
 
-def default_zero_tol(f: np.ndarray) -> float:
+def _zero_threshold(f: np.ndarray) -> float:
     m = float(np.max(np.abs(f))) if len(f) else 0.0
     return 1e-9 * m
 
 
-def _decompose(g: Graph, f, zero_tol, strict: bool) -> NodalDecomposition:
+def _decompose(g: Graph, f, strict: bool) -> NodalDecomposition:
     arr = plaplacian._as_vertex_function(g, f)
-    tol = default_zero_tol(arr) if zero_tol is None else float(zero_tol)
+    tol = _zero_threshold(arr)
     pos = arr > tol
     neg = arr < -tol
     zero = ~(pos | neg)
@@ -66,15 +66,15 @@ def _decompose(g: Graph, f, zero_tol, strict: bool) -> NodalDecomposition:
     )
 
 
-def strong_nodal_domains(g: Graph, f, zero_tol: float | None = None) -> NodalDecomposition:
-    return _decompose(g, f, zero_tol, strict=True)
+def strong_nodal_domains(g: Graph, f) -> NodalDecomposition:
+    return _decompose(g, f, strict=True)
 
 
-def weak_nodal_domains(g: Graph, f, zero_tol: float | None = None) -> NodalDecomposition:
-    return _decompose(g, f, zero_tol, strict=False)
+def weak_nodal_domains(g: Graph, f) -> NodalDecomposition:
+    return _decompose(g, f, strict=False)
 
 
-def generalized_zeros(g: Graph, f, zero_tol: float | None = None) -> list[tuple[int, int]]:
+def generalized_zeros(g: Graph, f) -> list[tuple[int, int]]:
     """Intervals (a, a+1] with f(a) != 0 and f(a) f(a+1) <= 0 on a path.
 
     Only defined when g is the canonically labeled path 1-2-...-n.
@@ -82,7 +82,7 @@ def generalized_zeros(g: Graph, f, zero_tol: float | None = None) -> list[tuple[
     if not is_canonical_path(g):
         raise ValueError("generalized zeros are defined on path graphs only")
     arr = plaplacian._as_vertex_function(g, f)
-    tol = default_zero_tol(arr) if zero_tol is None else float(zero_tol)
+    tol = _zero_threshold(arr)
     s = np.where(arr > tol, 1, np.where(arr < -tol, -1, 0))
     return [(a + 1, a + 2) for a in range(g.n - 1) if s[a] != 0 and s[a] * s[a + 1] <= 0]
 
@@ -93,7 +93,6 @@ def nodal_space_max_rq(
     kind: str = "strong",
     sample_count: int = 1000,
     seed: int = 0,
-    zero_tol: float | None = None,
     decomposition: NodalDecomposition | None = None,
 ) -> float:
     """Largest Rayleigh quotient found over the nodal space of an eigenpair.
@@ -115,7 +114,7 @@ def nodal_space_max_rq(
     if pair.residual > 1e-8 and pair.p > 1:
         raise ValueError(f"eigenpair residual {pair.residual:.3g} exceeds 1e-8")
     if decomposition is None:
-        dec = _decompose(g, pair.f, zero_tol, strict=(kind == "strong"))
+        dec = _decompose(g, pair.f, strict=(kind == "strong"))
     elif decomposition.kind != kind:
         raise ValueError(f"a {decomposition.kind} decomposition was passed "
                          f"for the {kind} nodal space")
@@ -170,11 +169,13 @@ class NodalReport:
         object.__setattr__(self, "all_pass", all(c.passed for c in self.checks))
 
 
-def multiplicity_groups(values, tol: float = DEFAULT_MULTIPLICITY_TOL) -> list[list[int]]:
-    """Group ascending eigenvalue indices whose relative gaps are below tol."""
+def multiplicity_groups(values) -> list[list[int]]:
+    """Group ascending eigenvalue indices whose relative gaps are at most
+    DEFAULT_MULTIPLICITY_TOL."""
     groups: list[list[int]] = []
     for i, v in enumerate(values):
-        if groups and v - values[groups[-1][-1]] <= tol * max(1.0, abs(v)):
+        if (groups and v - values[groups[-1][-1]]
+                <= DEFAULT_MULTIPLICITY_TOL * max(1.0, abs(v))):
             groups[-1].append(i)
         else:
             groups.append([i])
@@ -183,8 +184,6 @@ def multiplicity_groups(values, tol: float = DEFAULT_MULTIPLICITY_TOL) -> list[l
 
 def certify_nodal_bounds(
     spectrum: "Spectrum",
-    multiplicity_tol: float = DEFAULT_MULTIPLICITY_TOL,
-    zero_tol: float | None = None,
     decompositions: Sequence[tuple[NodalDecomposition, NodalDecomposition]]
     | None = None,
 ) -> NodalReport:
@@ -200,7 +199,7 @@ def certify_nodal_bounds(
     g = spectrum.graph
     p = spectrum.p
     lams = [pair.lam for pair in spectrum.pairs]
-    groups = multiplicity_groups(lams, multiplicity_tol)
+    groups = multiplicity_groups(lams)
     group_of = {}
     for gr in groups:
         for i in gr:
@@ -212,8 +211,8 @@ def certify_nodal_bounds(
         k = i + 1
         r = len(group_of[i])
         if decompositions is None:
-            strong = strong_nodal_domains(g, pair.f, zero_tol).count
-            weak = weak_nodal_domains(g, pair.f, zero_tol).count
+            strong = strong_nodal_domains(g, pair.f).count
+            weak = weak_nodal_domains(g, pair.f).count
         else:
             strong, weak = (dec.count for dec in decompositions[i])
         strong_bound = k + r - 1

@@ -222,9 +222,8 @@ def test_criterion_7_cheeger_certificates():
             elif gi < 5:
                 sp = path_spectrum(g.n, p)
             else:
-                sp = variational_spectrum(g, p,
-                                          hk_values=[h for h, _ in hk])
-            certs = certify_cheeger(g, sp, hk_values=[h for h, _ in hk])
+                sp = variational_spectrum(g, p, hk=hk)
+            certs = certify_cheeger(g, sp, hk=hk)
             bad = [c for c in certs if not c.passed]
             if bad:
                 failures.append((gi, p, bad))

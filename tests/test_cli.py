@@ -11,6 +11,7 @@ from .util import random_connected_graph
 PATH4 = "n 4\n1 2 1.0\n2 3 1.0\n3 4 1.0\n"
 PATH5 = "n 5\n1 2 1.0\n2 3 1.0\n3 4 1.0\n4 5 1.0\n"
 DISCONNECTED = "n 4\n1 2 1.0\n3 4 1.0\n"
+TWO_TRIANGLES = "n 6\n1 2 1.0\n2 3 1.0\n1 3 1.0\n4 5 1.0\n5 6 1.0\n4 6 1.0\n"
 
 
 @pytest.fixture
@@ -62,6 +63,30 @@ def test_solve_disconnected_warns_exit_zero(tmp_path, capsys):
     out = tmp_path / "out.json"
     assert main(["solve", str(gfile), "--p", "2", "--json", str(out)]) == 0
     assert "disconnected" in capsys.readouterr().err
+
+
+def test_disconnected_graph_beyond_p2(tmp_path):
+    gfile = tmp_path / "t.txt"
+    gfile.write_text(TWO_TRIANGLES)
+    out = tmp_path / "out.json"
+    assert main(["solve", str(gfile), "--p", "3", "--json", str(out)]) == 0
+    assert main(["certify", str(gfile), "--json", str(out)]) == 1
+    for run in _load(out)["runs"]:
+        # the constant on one triangle has two weak domains: an honest
+        # nodal failure at k = 1, the only one
+        failed = [c["k"] for c in run["nodal"]["checks"] if not c["pass"]]
+        assert failed == [1], run["p"]
+
+
+def test_certify_edgeless_graphs(tmp_path):
+    for n, code in ((1, 0), (2, 1)):
+        gfile = tmp_path / f"e{n}.txt"
+        gfile.write_text(f"n {n}\n")
+        out = tmp_path / f"e{n}.json"
+        assert main(["certify", str(gfile), "--p", "2",
+                     "--json", str(out)]) == code
+        assert all(c["pass"] and c["lower"] == 0.0
+                   for c in _load(out)["runs"][0]["cheeger"])
 
 
 def test_malformed_file_exit_2(tmp_path):
@@ -265,9 +290,7 @@ def test_power_inequality_gap_rounding(monkeypatch, gap, reported, passed):
     assert check["pass"] is passed
 
 
-def test_certify_repair_reuses_hk_families(tmp_path, monkeypatch):
-    # found by a seeded search: at p = 1.1 the continued spectrum of this
-    # graph sends the repair pass to seed from the optimal h_k families
+def _count_hk_and_repair_calls(monkeypatch):
     from plap import cheeger, eigensolver
     calls = {"hk": 0, "repair": 0}
 
@@ -281,10 +304,27 @@ def test_certify_repair_reuses_hk_families(tmp_path, monkeypatch):
 
     counted("multiway_cheeger_all", cheeger, "hk")
     counted("solve_from_guess", eigensolver, "repair")
+    return calls
+
+
+def test_certify_repair_reuses_hk_families(tmp_path, monkeypatch):
+    # found by a seeded search: at p = 1.1 the continued spectrum of this
+    # graph sends the repair pass to seed from the optimal h_k families
+    calls = _count_hk_and_repair_calls(monkeypatch)
     g = random_connected_graph(np.random.default_rng(24), 4)
     gfile = tmp_path / "g.txt"
     gfile.write_text(serialize_graph(g))
     assert main(["certify", str(gfile), "--p", "1.1",
                  "--json", str(tmp_path / "r.json")]) == 0
+    assert calls["repair"] > 0
+    assert calls["hk"] == 1
+
+
+def test_variational_spectrum_enumerates_hk_once(monkeypatch):
+    # the graph of the test above: without an hk list the library call
+    # enumerates once, and its repair pass seeds from that enumeration
+    from plap.eigensolver import variational_spectrum
+    calls = _count_hk_and_repair_calls(monkeypatch)
+    variational_spectrum(random_connected_graph(np.random.default_rng(24), 4), 1.1)
     assert calls["repair"] > 0
     assert calls["hk"] == 1

@@ -14,7 +14,12 @@ from plap import (
     variational_spectrum,
 )
 from plap import build_graph, certify_cheeger
-from plap.eigensolver import PATH_RESIDUAL_TOL, _same_pair, solve_from_guess
+from plap.eigensolver import (
+    PATH_RESIDUAL_TOL,
+    _DirectForm,
+    _same_pair,
+    solve_from_guess,
+)
 
 from .oracles import charpoly_roots, p2_path_eigenvalues, path_p2_charpoly
 from .util import random_connected_graph
@@ -130,6 +135,26 @@ def test_solve_from_guess_recovers_continued_pairs_in_both_forms():
             assert got is not None and _same_pair(got, pair), (p, seed.lam)
             assert got.lam == pytest.approx(pair.lam, abs=1e-9)
         assert solve_from_guess(g, np.zeros(g.n), p) is None
+
+
+def test_direct_form_twins_only_trials_with_tiny_entries():
+    form = _DirectForm(path_graph(3))
+    x = np.array([1.0, -0.5, 0.0, 2.0])  # (f, lam); an exact zero is not tiny
+    assert len(form.candidates(x)) == 1
+    x[1] = 1e-16
+    trial, twin = form.candidates(x)
+    assert trial is x and twin[1] == 0.0 and twin[-1] == 2.0
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_disconnected_graph_keeps_every_zero_pair(p):
+    # two disjoint triangles: one zero eigenvalue per component
+    edges = [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0),
+             (4, 5, 1.0), (5, 6, 1.0), (4, 6, 1.0)]
+    with pytest.warns(UserWarning, match="disconnected"):
+        sp = variational_spectrum(build_graph(6, edges), p)
+    assert len(sp.pairs) == 6
+    assert sp.lams[:2] == [0.0, 0.0] and min(sp.lams[2:]) > 0.0
 
 
 def test_variational_spectrum_p2_is_dense():
