@@ -6,7 +6,8 @@ spectra over a list of exponents and certifies the nodal-count bounds, the
 two-sided isoperimetric bounds, and the supporting inequalities).
 
 Exit codes: 0 all certified / success, 1 certificate failure, 2 usage or
-parse error, 3 solver non-convergence.
+parse error, 3 solver non-convergence or a pair whose residual exceeds the
+certificates' 1e-8 limit.
 
 Reports are deterministic for a fixed (input, parameters, seed): the JSON
 document carries no timing or host information (timings go to stderr).
@@ -75,7 +76,7 @@ def _load_vertex_function(path: str, n: int) -> np.ndarray:
 def _spectrum_for(g: Graph, p: float, steps: int, hk=None) -> Spectrum:
     if p == 2.0:
         return solve_p2_spectrum(g)
-    if is_unit_path(g):
+    if g.n > 1 and is_unit_path(g):
         # a unit path read with explicit unit mu lines is the same operator;
         # the spectrum belongs to the caller's graph
         return dataclasses.replace(path_spectrum(g.n, p), graph=g)
@@ -235,6 +236,12 @@ def _operator_checks(g: Graph, p: float, rng) -> dict:
 
 def _certify_one_p(g, p, steps, seed, tol_base, hk):
     sp = _spectrum_for(g, p, steps, hk=hk)
+    # the certificates refuse pairs above 1e-8; only the path solver's
+    # conditioning floor lets one through, and that is a solver miss
+    for k, pair in enumerate(sp.pairs, 1):
+        if pair.residual > 1e-8:
+            raise BracketError(f"p = {p}: pair k = {k} residual "
+                               f"{pair.residual:.3g} exceeds 1e-8")
     decs = [(nodal.strong_nodal_domains(g, pair.f),
              nodal.weak_nodal_domains(g, pair.f)) for pair in sp.pairs]
     nrep = nodal.certify_nodal_bounds(sp, decompositions=decs)

@@ -10,9 +10,9 @@ Three routes:
   direct form (f, lam) serves p >= 2 and the flux form (phi_p(f),
   phi_p(edge differences), lam) serves p < 2.  The form is chosen per grid
   step, and a halved step keeps the form of the step it splits;
-* a shooting solver on unit-weight paths that indexes eigenvalues by the
-  generalized-zero count of the shot solution, which is nondecreasing in
-  lambda, and bisects the boundary defect inside each count level set.
+* a shooting solver on unit-weight paths that counts the eigenvalues below
+  a trial lambda from one shot (generalized zeros plus the sign of the
+  boundary defect) and bisects that count down to adjacent floats.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ MIN_CONTINUATION_P = 1.05
 DENSE_RESIDUAL_TOL = 1e-10
 CONTINUATION_RESIDUAL_TOL = 1e-9
 PATH_RESIDUAL_TOL = 1e-10
-PATH_BISECTION_TOL = 1e-12
-PATH_BISECTION_MAX_ITER = 200
 
 
 class ContinuationError(RuntimeError):
@@ -672,8 +670,10 @@ def variational_spectrum(
                     f"variational branch")
                 notes.append(diag["branch_warning"])
     else:
-        notes.append("indicator-span certification skipped: exact multiway "
-                     "constants unavailable at this size")
+        # at n = 1 the constants exist and there is nothing to certify
+        if hk is None:
+            notes.append("indicator-span certification skipped: exact "
+                         "multiway constants unavailable at this size")
         results = sorted(pool, key=lambda tp: tp[0].lam)
 
     return Spectrum(graph=g, p=p,
@@ -717,8 +717,15 @@ def path_shoot(n: int, p: float, lam: float) -> ShootingTrace:
                          boundary_defect=float(defect))
 
 
-def _shoot_count(n, p, lam):
-    return kernels.path_shoot_core(n, p, lam)[2]
+def _below(n, p, lam):
+    """Number of unit-path eigenvalues strictly below lam, from one shot.
+
+    The zero count c of the shot puts lambda_1..lambda_c below lam, and
+    lambda_(c+1) joins once the defect turns against the sign of f(n).
+    The count is nondecreasing in lam; a nan defect adds nothing.
+    """
+    f, defect, zeros = kernels.path_shoot_core(n, p, lam)
+    return zeros + (defect * f[-1] < 0.0)
 
 
 def _shoot_defect(n, p, lam):
@@ -726,13 +733,14 @@ def _shoot_defect(n, p, lam):
 
 
 def path_spectrum(n: int, p: float) -> Spectrum:
-    """All n eigenpairs on the unit path, indexed by generalized-zero count.
+    """All n eigenpairs on the unit path, indexed by the count below lambda.
 
-    The zero count of the shot solution is a nondecreasing step function of
-    lambda whose jumps happen strictly between eigenvalues, so the k-th
-    eigenvalue is the unique defect root inside the count = k-1 level set.
-    A violation of that monotonicity aborts with a diagnostic rather than
-    silently mis-indexing.
+    ``_below`` counts the eigenvalues strictly below a trial lambda by the
+    generalized zeros of the shot and the sign of its boundary defect
+    (Sturm-count bisection).  Each lambda_k is bisected on ``_below >= k``
+    down to two adjacent floats, where the defect must change sign, and the
+    float with the smaller defect is kept.  A root whose zero count is not
+    k - 1 aborts with a diagnostic rather than silently mis-indexing.
     """
     if n < 2:
         raise ValueError(f"path spectrum needs n >= 2, got {n}")
@@ -742,111 +750,42 @@ def path_spectrum(n: int, p: float) -> Spectrum:
 
     lam_hi = 2.0 ** p * (1.0 + 1e-7) + 1e-6
     for _ in range(6):
-        if _shoot_count(n, p, lam_hi) >= n - 1:
+        if _below(n, p, lam_hi) >= n:
             break
         lam_hi *= 2.0
-    top = _shoot_count(n, p, lam_hi)
-    if top != n - 1:
+    top = _below(n, p, lam_hi)
+    if top != n:
         raise BracketError(
-            f"zero count at lambda = {lam_hi:.6g} is {top}, expected {n - 1}; "
-            f"count monotonicity assumption violated")
-
-    # locate the count jump locations by integer bisection
-    jumps = []
-    for j in range(1, n):
-        lo, hi = 0.0, lam_hi
-        it = 0
-        while hi - lo > 1e-13 * max(1.0, hi) and it < 200:
-            mid = 0.5 * (lo + hi)
-            c = _shoot_count(n, p, mid)
-            if c < 0 or c > n - 1:
-                raise BracketError(f"zero count {c} out of range at lambda = {mid!r}")
-            if c >= j:
-                hi = mid
-            else:
-                lo = mid
-            it += 1
-        jumps.append(hi)
-    if any(b < a for a, b in zip(jumps, jumps[1:])):
-        raise BracketError(f"count jump locations not sorted: {jumps}; "
-                           f"monotonicity assumption violated")
+            f"eigenvalue count below lambda = {lam_hi:.6g} is {top}, expected "
+            f"{n}; count monotonicity assumption violated")
 
     mu_total = float(np.sum(g.mu))
     pairs = [EigenPair(p=p, lam=0.0,
                        f=np.full(n, mu_total ** (-1.0 / p)),
                        residual=0.0, normalized=True)]
     diags = [{"zero_count": 0, "defect": 0.0}]
-    bounds = jumps + [lam_hi]
+    lo = 0.0
     for k in range(2, n + 1):
-        lo_edge, hi_edge = bounds[k - 2], bounds[k - 1]
-        width = hi_edge - lo_edge
-        a = lo_edge + 1e-7 * width
-        b = hi_edge - 1e-7 * width
-        for _ in range(40):
-            if _shoot_count(n, p, a) == k - 1:
-                break
-            a += 1e-6 * width
-        for _ in range(40):
-            if _shoot_count(n, p, b) == k - 1:
-                break
-            b -= 1e-6 * width
-        da, db = _shoot_defect(n, p, a), _shoot_defect(n, p, b)
-        if da == 0.0:
-            a_root = a
-        elif db == 0.0:
-            a_root = b
-        else:
-            if np.sign(da) == np.sign(db):
-                # scan the level set for a sign change
-                grid = np.linspace(a, b, 257)
-                vals = [_shoot_defect(n, p, x) for x in grid]
-                found = None
-                for x0, x1, v0, v1 in zip(grid, grid[1:], vals, vals[1:]):
-                    if np.sign(v0) != np.sign(v1):
-                        a, b, da, db = x0, x1, v0, v1
-                        found = True
-                        break
-                if not found:
-                    raise BracketError(
-                        f"no defect sign change for k = {k} in "
-                        f"[{a!r}, {b!r}] (defects {da!r}, {db!r})")
-            # the contract asks |interval| <= 1e-12; push to the float floor
-            # so the secant polish starts as close as possible
-            gap_floor = min(PATH_BISECTION_TOL, 1e-15 * max(1.0, hi_edge))
-            it = 0
-            while b - a > gap_floor and it < PATH_BISECTION_MAX_ITER:
-                mid = 0.5 * (a + b)
-                dm = _shoot_defect(n, p, mid)
-                if dm == 0.0:
-                    a = b = mid
-                    break
-                # dm and da are nonzero, and a nan defect has neither sign,
-                # as under np.sign; two np.sign calls cost a third of a shot
-                if (dm > 0.0 and da > 0.0) or (dm < 0.0 and da < 0.0):
-                    a, da = mid, dm
-                else:
-                    b, db = mid, dm
-                it += 1
-            a_root = 0.5 * (a + b)
-            # secant polish: steep defects leave a residual worth of slack
-            # in the bisected bracket
-            x0, f0 = a, da
-            x1, f1 = b, db
-            best_x, best_f = a_root, abs(_shoot_defect(n, p, a_root))
-            for _ in range(8):
-                if f1 == f0:
-                    break
-                x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
-                if not lo_edge <= x2 <= hi_edge:
-                    break
-                f2 = _shoot_defect(n, p, x2)
-                if abs(f2) < best_f:
-                    best_x, best_f = x2, abs(f2)
-                if f2 == 0.0:
-                    break
-                x0, f0, x1, f1 = x1, f1, x2, f2
-            a_root = best_x
+        # _below(lo) < k <= _below(hi): lambda_k lies in [lo, hi)
+        hi = lam_hi
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if _below(n, p, mid) >= k:
+                hi = mid
+            else:
+                lo = mid
+            mid = 0.5 * (lo + hi)
+        d_lo, d_hi = _shoot_defect(n, p, lo), _shoot_defect(n, p, hi)
+        if not d_lo * d_hi <= 0.0:
+            raise BracketError(
+                f"no defect sign change for k = {k} in [{lo!r}, {hi!r}] "
+                f"(defects {d_lo!r}, {d_hi!r})")
+        a_root = lo if abs(d_lo) <= abs(d_hi) else hi
         trace = path_shoot(n, p, a_root)
+        if not (np.all(np.isfinite(trace.f))
+                and np.isfinite(trace.boundary_defect)):
+            raise BracketError(
+                f"shot for k = {k} is not finite (lambda = {a_root!r})")
         if trace.zero_count != k - 1:
             raise BracketError(
                 f"eigenfunction for k = {k} has {trace.zero_count} generalized "

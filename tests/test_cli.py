@@ -150,13 +150,45 @@ def test_certify_serialized_unit_path(tmp_path):
     assert rep["all_pass"] is True
 
 
+def _unit_path_file(tmp_path, n):
+    gfile = tmp_path / f"p{n}.txt"
+    gfile.write_text(f"n {n}\n" + "".join(f"{i} {i + 1} 1.0\n" for i in range(1, n)))
+    return str(gfile)
+
+
 def test_certify_unit_path_11(tmp_path):
     # the k = 7, p = 1.1 shot ends 1.75e-8 off its boundary equation
-    gfile = tmp_path / "p11.txt"
-    gfile.write_text("n 11\n" + "".join(f"{i} {i + 1} 1.0\n" for i in range(1, 11)))
     out = tmp_path / "r.json"
+    assert main(["certify", _unit_path_file(tmp_path, 11), "--json", str(out)]) == 0
+    assert _load(out)["all_pass"] is True
+
+
+def test_certify_unit_path_7_near_p1(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["certify", _unit_path_file(tmp_path, 7), "--p", "1.05",
+                 "--json", str(out)]) == 0
+    assert _load(out)["all_pass"] is True
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_certify_conditioning_limited_pair_exits_three(tmp_path, capsys, n):
+    # the path solver accepts these pairs through its conditioning floor,
+    # but the certificates refuse residuals above 1e-8
+    assert main(["certify", _unit_path_file(tmp_path, n), "--p", "1.05"]) == 3
+    assert "exceeds 1e-8" in capsys.readouterr().err
+
+
+def test_one_vertex_graph(tmp_path):
+    gfile = tmp_path / "one.txt"
+    gfile.write_text("n 1\n")
+    out = tmp_path / "c.json"
     assert main(["certify", str(gfile), "--json", str(out)]) == 0
     assert _load(out)["all_pass"] is True
+    out = tmp_path / "s.json"
+    assert main(["solve", str(gfile), "--p", "3", "--json", str(out)]) == 0
+    rep = _load(out)
+    assert [row["lambda"] for row in rep["spectrum"]] == [0.0]
+    assert rep["notes"] == []
 
 
 def test_certify_one_laplacian_p3_degree(tmp_path):

@@ -16,6 +16,7 @@ from plap import (
 from plap import build_graph, certify_cheeger
 from plap.eigensolver import (
     PATH_RESIDUAL_TOL,
+    _below,
     _DirectForm,
     _same_pair,
     solve_from_guess,
@@ -236,6 +237,25 @@ def test_shoot_zero_count_nondecreasing():
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
+def test_below_counts_closed_form_eigenvalues_at_p2():
+    grid = np.linspace(0.0, 4.5, 901)
+    for n in range(2, 13):
+        eigs = np.array(p2_path_eigenvalues(n))
+        for lam in grid:
+            if np.min(np.abs(eigs - lam)) <= 1e-9:
+                continue
+            assert _below(n, 2.0, float(lam)) == int(np.sum(eigs < lam)), (n, lam)
+
+
+@pytest.mark.parametrize("p", [1.05, 3.0])
+def test_below_nondecreasing(p):
+    grid = np.linspace(0.0, 2.0 ** p + 1.0, 3001)
+    for n in range(2, 16):
+        counts = [_below(n, p, float(lam)) for lam in grid]
+        assert all(b >= a for a, b in zip(counts, counts[1:])), n
+        assert counts[0] == 0 and counts[-1] == n, n
+
+
 def test_path_spectrum_matches_dense_at_p2():
     for n in range(3, 11):
         ps = path_spectrum(n, 2.0)
@@ -268,6 +288,25 @@ def test_path_spectrum_mirrors_ill_conditioned_pairs():
         assert all(pair.residual <= PATH_RESIDUAL_TOL for pair in sp.pairs)
         pair = sp.pairs[k - 1]
         assert eigen_residual(path_graph(n), pair.f, pair.lam, 1.1) <= PATH_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("n, p", [(7, 1.05), (8, 1.05), (10, 1.05),
+                                  (11, 1.05), (13, 1.05), (7, 1.08),
+                                  (10, 1.08), (13, 1.08)])
+def test_path_spectrum_near_p1(n, p):
+    # each of these ended in "no defect sign change" under bisection of the
+    # defect inside count level sets
+    sp = path_spectrum(n, p)
+    assert len(sp.pairs) == n
+    assert all(pair.residual <= 1e-9 for pair in sp.pairs)
+    assert [d["zero_count"] for d in sp.diagnostics] == list(range(n))
+    assert all(b > a for a, b in zip(sp.lams, sp.lams[1:]))
+
+
+def test_path_spectrum_non_finite_shot_raises():
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BracketError):
+            path_spectrum(200, 1.1)
 
 
 def test_path_spectrum_validation():
