@@ -4,16 +4,22 @@ h_k is the smallest achievable value, over families of k pairwise-disjoint
 nonempty vertex subsets, of the largest cut ratio c(A) = w(boundary)/mu(A)
 in the family.  Subsets are not required to cover the vertex set.  Exact
 values are computed by enumeration over subset masks (a 2^n cut table plus a
-3^n min-max packing recursion), capped at n <= 14; beyond the cap a greedy
-spectral heuristic is available and clearly labeled non-exact.
+min-max packing recursion over about 3^n / 2 (mask, submask) pairs per
+layer), capped at n <= 14; beyond the cap a greedy spectral heuristic is
+available and clearly labeled non-exact.
 
-The recursion is the vectorized `kernels.family_minmax_dp`: each mask
-splits into high bits and L = min(n, 8) low bits, and one (high mask, high
-submask) pair is a maximum and a `minimum.reduceat` over a 3^L-entry
-low-bit table.  Every layer for k = 1..n takes about 0.04 s at
-n = 12, 0.16 s at n = 13 and 0.47 s at n = 14 on a shared 2-core x86-64 VM;
-`python3 perfbench/run.py` times it inside the whole pipeline.  The optimal
-family is read back by filtering all submasks of the remaining mask at once.
+The recursion is the vectorized `kernels.family_minmax_dp`.  It first finds
+the best family of j subsets whose union is exactly each mask, choosing only
+the subset that holds the mask's lowest vertex, so every family is visited
+once; one subset-min pass over the table then gives the best family inside
+each mask.  Each mask splits into high bits and L = min(n, 9) low bits, and
+one (high mask, high submask) pair is a maximum and a `minimum.reduceat`
+over a (3^L - 1) / 2-entry low-bit table.  Every layer for k = 1..n takes
+about 0.011 s at n = 12, 0.035 s at n = 13 and 0.19 s at n = 14 on a shared
+2-core x86-64 VM; `python3 perfbench/run.py` times it inside the whole
+pipeline.  The optimal family is read back by filtering all submasks of the
+remaining mask at once and taking the smallest by a base-3 rank table whose
+integer order is the order of sorted vertex tuples.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ if TYPE_CHECKING:
     from .eigensolver import Spectrum
 
 EXACT_HK_CAP = 14
+RESIDUAL_LIMIT = 1e-8  # the certificates refuse pairs whose residual exceeds it
 
 
 class ExactCapExceeded(ValueError):
@@ -74,8 +81,19 @@ def _mask_to_subset(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def _subset_key(mask: int) -> tuple[int, ...]:
-    return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
+def _subset_rank(n: int) -> np.ndarray:
+    """Integer rank of every mask of n bits in the order of sorted vertex tuples.
+
+    One base-3 digit per vertex, vertex 1 most significant: 1 if the vertex
+    is in the set, 2 if it is not but a later vertex is, 0 once the set has
+    ended.  Comparing ranks compares the sorted vertex tuples.
+    """
+    masks = np.arange(1 << n, dtype=np.int64)
+    rank = np.zeros(1 << n, dtype=np.int64)
+    for i in range(n):
+        digit = np.where((masks >> i) & 1, 1, np.where(masks >> (i + 1), 2, 0))
+        rank += digit * 3 ** (n - 1 - i)
+    return rank
 
 
 def _nonempty_submasks(mask: int) -> np.ndarray:
@@ -87,18 +105,20 @@ def _nonempty_submasks(mask: int) -> np.ndarray:
     return subs[1:]
 
 
-def _reconstruct_family(ratio: np.ndarray, dp: np.ndarray, k: int, n: int) -> list[int]:
-    """Lexicographically smallest optimal family (masks), given the dp table."""
+def _reconstruct_family(ratio: np.ndarray, dp: np.ndarray, k: int, n: int,
+                        rank: np.ndarray) -> list[int]:
+    """Lexicographically smallest optimal family (masks), given the dp table
+    and the `_subset_rank(n)` table."""
     target = dp[k, (1 << n) - 1]
     mask = (1 << n) - 1
     chosen: list[int] = []
     for j in range(k, 0, -1):
         subs = _nonempty_submasks(mask)
-        fits = (ratio[subs] <= target) & (dp[j - 1, mask ^ subs] <= target)
-        pick = min(subs[fits].tolist(), key=_subset_key)
+        fits = subs[(ratio[subs] <= target) & (dp[j - 1, mask ^ subs] <= target)]
+        pick = int(fits[np.argmin(rank[fits])])
         chosen.append(pick)
         mask ^= pick
-    chosen.sort(key=_subset_key)
+    chosen.sort(key=rank.__getitem__)
     return chosen
 
 
@@ -116,9 +136,10 @@ def multiway_cheeger_all(g: Graph, kmax: int | None = None):
             f"exact enumeration capped at n <= {EXACT_HK_CAP}, got n = {g.n}")
     ratio = _ratio_table(g)
     dp = kernels.family_minmax_dp(ratio, kmax)
+    rank = _subset_rank(g.n)
     out = []
     for k in range(1, kmax + 1):
-        masks = _reconstruct_family(ratio, dp, k, g.n)
+        masks = _reconstruct_family(ratio, dp, k, g.n, rank)
         out.append((float(dp[k, (1 << g.n) - 1]),
                     tuple(_mask_to_subset(m) for m in masks)))
     return out
@@ -252,7 +273,7 @@ def certify_cheeger(
     if p <= 1:
         raise ValueError("the two-sided bound is certified for p > 1 only")
     for pair in spectrum.pairs:
-        if pair.residual > 1e-8:
+        if pair.residual > RESIDUAL_LIMIT:
             raise ValueError(f"pair residual {pair.residual:.3g} exceeds 1e-8")
     if hk is None:
         hk = multiway_cheeger_all(g, g.n)

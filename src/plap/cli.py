@@ -239,7 +239,7 @@ def _certify_one_p(g, p, steps, seed, tol_base, hk):
     # the certificates refuse pairs above 1e-8; only the path solver's
     # conditioning floor lets one through, and that is a solver miss
     for k, pair in enumerate(sp.pairs, 1):
-        if pair.residual > 1e-8:
+        if pair.residual > cheeger.RESIDUAL_LIMIT:
             raise BracketError(f"p = {p}: pair k = {k} residual "
                                f"{pair.residual:.3g} exceeds 1e-8")
     decs = [(nodal.strong_nodal_domains(g, pair.f),

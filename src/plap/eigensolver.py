@@ -832,5 +832,13 @@ def path_spectrum(n: int, p: float) -> Spectrum:
     lams = [pair.lam for pair in pairs]
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise BracketError(f"path eigenvalues not strictly increasing: {lams}")
+    above = [f"k = {k} residual {pair.residual:.3g}"
+             for k, pair in enumerate(pairs, 1)
+             if pair.residual > cheeger.RESIDUAL_LIMIT]
+    notes = ()
+    if above:
+        notes = ("conditioning-limited path pairs above the certificates' "
+                 f"{cheeger.RESIDUAL_LIMIT:g} residual limit: "
+                 + ", ".join(above),)
     return Spectrum(graph=g, p=p, pairs=tuple(pairs), method="path_shooting",
-                    diagnostics=tuple(diags))
+                    diagnostics=tuple(diags), notes=notes)

@@ -106,55 +106,108 @@ def subset_tables(n, eu, ev, ew, mu):
 # the largest ratio[s].  ratio[s] is the cut ratio of subset s against the
 # whole graph, so dp[k, full] is the k-way isoperimetric constant.
 
-# Each mask splits into its high bits and its low L = min(n, 8) bits.  The
-# (mask, submask) pairs of the low bits form a fixed table of 3^L entries
-# grouped by mask, so one (high mask, high submask) pair costs one gather, one
-# maximum and one reduceat over that table, and every temporary stays at 3^L
-# elements.  Only min and max are taken, so the table is bit-identical to a
-# plain submask walk (`tests/oracles.family_dp_loop`).
+# e[j, mask] is the best family of j subsets whose union is exactly mask:
+#   e[0] = [0, inf, ...],
+#   e[j][mask] = min over s <= mask with lowbit(mask) in s of
+#                max(ratio[s], e[j-1][mask ^ s]).
+# Fixing the subset that holds the lowest vertex visits every family once
+# instead of once per member, about 3^n / 2 (mask, submask) pairs per layer.
+# dp[j] is then the minimum of e[j] over submasks: one np.minimum per bit
+# over the whole table (a subset-min zeta transform).
+#
+# Each mask splits into its high bits and its low L = min(n, 9) bits.  For a
+# nonzero low part the lowest vertex is low, and the (lo, ls) pairs with
+# lowbit(lo) in ls form a fixed table of (3^L - 1) / 2 entries grouped by lo;
+# one (high mask, high submask) pair costs one gather, one maximum and one
+# reduceat over it.  For a zero low part the lowest vertex is high, and the
+# few high submasks holding it are walked as scalars.  Only min and max are
+# taken, so the table is bit-identical to a plain submask walk
+# (`tests/oracles.family_dp_loop`); ratio[0] is never read.
 
-LOW_BITS = 8
+LOW_BITS = 9
 
 
 def _low_submask_pairs(low):
-    """Every (mask, submask) pair of `low` bits, grouped by ascending mask.
+    """The (lo, ls) pairs of `low` bits with lo != 0 and lowbit(lo) in ls.
 
-    Returns the submasks, their complements within the mask, and the start
-    of each mask's group (every group holds at least the empty submask).
+    Returns the submasks ls, their complements lo ^ ls, and the start of each
+    lo group for lo = 1 .. 2^low - 1.  Group lo holds lowbit(lo) plus each of
+    the 2^(popcount(lo) - 1) submasks of its other bits, dealt from the
+    group index one bit at a time, so no sort and no 2^low x 2^low temporary
+    is needed.
     """
-    width = 1 << low
-    ids = np.arange(width)
-    mask, sub = np.nonzero((ids[None, :] & ~ids[:, None]) == 0)
-    return sub, mask ^ sub, np.searchsorted(mask, ids)
+    lo = np.arange(1, 1 << low)
+    first = lo & -lo
+    others = lo ^ first
+    sizes = np.ones_like(lo)
+    for i in range(low):
+        sizes <<= (others >> i) & 1
+    starts = np.cumsum(sizes) - sizes
+    lo = np.repeat(lo, sizes)
+    others = np.repeat(others, sizes)
+    index = np.arange(lo.shape[0]) - np.repeat(starts, sizes)
+    ls = np.repeat(first, sizes)
+    for i in range(low):
+        bit = (others >> i) & 1
+        ls |= (index & bit) << i
+        index >>= bit
+    return ls, lo ^ ls, starts
 
 
 def family_minmax_dp(ratio, kmax):
     size = ratio.shape[0]
     low = min(size.bit_length() - 1, LOW_BITS)
     sub, rest, starts = _low_submask_pairs(low)
-    # the low-bit table holds the empty submask, which is no family member
-    r = ratio.copy()
-    r[0] = np.inf
-    r = r.reshape(-1, 1 << low)
-    dp = np.full((kmax + 1, size), np.inf)
-    dp[0, :] = 0.0
-    ratio_part = np.empty(sub.shape[0])
+    r = ratio.reshape(-1, 1 << low)
+    n_hi = r.shape[0]
+    part = r[:, sub]
+    r_col0 = r[:, 0].tolist()
+    e = np.full((kmax + 1, size), np.inf)
+    e[0, 0] = 0.0
     vals = np.empty(sub.shape[0])
     for j in range(1, kmax + 1):
-        prev = dp[j - 1].reshape(r.shape)
-        cur = dp[j].reshape(r.shape)
-        for hi in range(r.shape[0]):
-            out = cur[hi]
+        prev = e[j - 1].reshape(r.shape)
+        cur = e[j].reshape(r.shape)
+        # e[j-1] is inf on masks of fewer than j - 1 bits, and e[0] off mask 0;
+        # a step over such a row only gives inf
+        live = [h == 0 if j == 1 else h.bit_count() + low >= j - 1
+                for h in range(n_hi)]
+        prev_col0 = prev[:, 0].tolist()
+        for hi in range(n_hi):
+            if hi.bit_count() + low < j:
+                continue
+            out = cur[hi, 1:]
             hs = hi
             while True:
-                np.take(r[hs], sub, out=ratio_part)
-                np.take(prev[hi ^ hs], rest, out=vals)
-                np.maximum(ratio_part, vals, out=vals)
-                np.minimum(out, np.minimum.reduceat(vals, starts), out=out)
+                if live[hi ^ hs]:
+                    np.take(prev[hi ^ hs], rest, out=vals)
+                    np.maximum(part[hs], vals, out=vals)
+                    np.minimum(out, np.minimum.reduceat(vals, starts), out=out)
                 if hs == 0:
                     break
                 hs = (hs - 1) & hi
-    return dp
+            if hi == 0 or hi.bit_count() < j:
+                continue
+            # low part empty: the subset holding lowbit(hi) has no low bits
+            first = hi & -hi
+            others = hi ^ first
+            best = np.inf
+            t = others
+            while True:
+                a = r_col0[first | t]
+                b = prev_col0[others ^ t]
+                v = a if a > b else b
+                if v < best:
+                    best = v
+                if t == 0:
+                    break
+                t = (t - 1) & others
+            cur[hi, 0] = best
+    # dp[j, mask] = min of e[j] over the submasks of mask
+    for i in range(size.bit_length() - 1):
+        view = e.reshape(kmax + 1, -1, 2, 1 << i)
+        np.minimum(view[:, :, 1], view[:, :, 0], out=view[:, :, 1])
+    return e
 
 
 def warmup() -> None:

@@ -169,6 +169,11 @@ def shoot_array(n, p, lam):
     return f, defect, zeros
 
 
+def subset_key(mask):
+    """The sorted vertex tuple of a mask (vertices counted from 1)."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
+
+
 def reconstruct_family_loop(ratio, dp, k, n):
     """Lexicographically smallest optimal family (masks) by a submask walk.
 
@@ -176,9 +181,6 @@ def reconstruct_family_loop(ratio, dp, k, n):
     submask of the remaining mask, keep those that fit under dp[k, full],
     and take the one whose sorted vertex tuple is smallest.
     """
-    def key(mask):
-        return tuple(i + 1 for i in range(n) if (mask >> i) & 1)
-
     target = dp[k, (1 << n) - 1]
     mask = (1 << n) - 1
     chosen = []
@@ -189,10 +191,10 @@ def reconstruct_family_loop(ratio, dp, k, n):
             if ratio[s] <= target and dp[j - 1, mask ^ s] <= target:
                 subs.append(s)
             s = (s - 1) & mask
-        pick = min(subs, key=key)
+        pick = min(subs, key=subset_key)
         chosen.append(pick)
         mask ^= pick
-    chosen.sort(key=key)
+    chosen.sort(key=subset_key)
     return chosen
 
 

@@ -18,7 +18,7 @@ from plap import (
 from plap import cheeger, kernels
 from plap.cheeger import ExactCapExceeded, multiway_cheeger_greedy, validate_family
 
-from .oracles import naive_multiway, reconstruct_family_loop
+from .oracles import naive_multiway, reconstruct_family_loop, subset_key
 from .util import random_connected_graph, random_vertex_function
 
 
@@ -90,12 +90,40 @@ def test_reconstruction_matches_submask_walk():
         w = random_connected_graph(rng, n, mu_mode="unit")
         edges = [(int(u) + 1, int(v) + 1, 1.0) for u, v in zip(w.edges_u, w.edges_v)]
         graphs.append(build_graph(n, edges))
+    # unit weights under the degree measure or a two-valued explicit one
+    # leave many optimal families tied
+    rng = np.random.default_rng(43)
+    for n in (5, 6, 7, 8, 9):
+        for mu_mode in ("degree", "explicit"):
+            w = random_connected_graph(rng, n, mu_mode="unit")
+            edges = [(int(u) + 1, int(v) + 1, 1.0) for u, v in zip(w.edges_u, w.edges_v)]
+            mu = rng.choice([1.0, 2.0], n) if mu_mode == "explicit" else None
+            graphs.append(build_graph(n, edges, mu=mu, mu_mode=mu_mode))
     for g in graphs:
         ratio = cheeger._ratio_table(g)
         dp = kernels.family_minmax_dp(ratio, g.n)
+        rank = cheeger._subset_rank(g.n)
         for k in range(1, g.n + 1):
-            assert (cheeger._reconstruct_family(ratio, dp, k, g.n)
-                    == reconstruct_family_loop(ratio, dp, k, g.n)), (g.n, k)
+            assert (cheeger._reconstruct_family(ratio, dp, k, g.n, rank)
+                    == reconstruct_family_loop(ratio, dp, k, g.n)), (g.n, g.mu_mode, k)
+
+
+def test_subset_rank_orders_like_sorted_vertex_tuples():
+    for n in range(1, 11):
+        rank = cheeger._subset_rank(n)
+        masks = list(range(1, 1 << n))
+        assert (sorted(masks, key=rank.__getitem__)
+                == sorted(masks, key=subset_key)), n
+
+
+def test_multiway_prefix_matches_full_enumeration():
+    # kmax < n (plap cheeger --k) stops the recursion early
+    rng = np.random.default_rng(47)
+    for n in range(3, 11):
+        g = random_connected_graph(rng, n)
+        full = multiway_cheeger_all(g, g.n)
+        for k in range(1, n + 1):
+            assert multiway_cheeger_all(g, k) == full[:k], (n, k)
 
 
 def test_multiway_cap_and_greedy():

@@ -45,6 +45,27 @@ def test_solve_path_uses_shooting(path4, tmp_path):
     assert all(row["residual"] <= 1e-9 for row in rep["spectrum"])
 
 
+def test_solve_notes_path_pairs_above_certificate_limit(tmp_path):
+    # near p = 1 the path solver accepts pairs down to its conditioning
+    # floor; solve reports them, with a note that certify would refuse them
+    gfile = tmp_path / "path40.txt"
+    gfile.write_text(serialize_graph(path_graph(40)))
+    out = tmp_path / "out.json"
+    assert main(["solve", str(gfile), "--p", "1.1", "--json", str(out)]) == 0
+    rep = _load(out)
+    above = [row for row in rep["spectrum"] if row["residual"] > 1e-8]
+    assert above
+    assert len(rep["notes"]) == 1
+    note = rep["notes"][0]
+    assert "conditioning-limited" in note and "1e-08" in note
+    for row in above:
+        assert f"k = {row['k']} residual {row['residual']:.3g}" in note
+    for n in range(4, 13):
+        gfile.write_text(serialize_graph(path_graph(n)))
+        assert main(["solve", str(gfile), "--p", "1.1", "--json", str(out)]) == 0
+        assert _load(out)["notes"] == []
+
+
 def test_solve_general_graph_uses_continuation(tmp_path):
     rng = np.random.default_rng(1)
     g = random_connected_graph(rng, 5, mu_mode="explicit")

@@ -18,17 +18,36 @@ def test_subset_tables_small_hand_check():
     assert list(mass) == [0.0, 1.0, 3.0, 4.0]
 
 
-def test_family_dp_matches_loop():
+def test_family_dp_matches_loop(monkeypatch):
+    # LOW_BITS = 2 and 3 send most masks through the high-part steps and the
+    # zero-low-part column, which n <= 9 never reaches at the default
     rng = np.random.default_rng(11)
-    for n in range(1, 11):
+    for n in range(1, 12):
         # one decimal gives many ties; ratio[0] is never read, since the
         # empty set is no family member
         ratio = np.round(rng.uniform(0.0, 3.0, 1 << n), 1)
         ratio[rng.random(1 << n) < 0.1] = np.inf
         ratio[0] = 0.0
-        for kmax in sorted({1, n}):
-            assert np.array_equal(kernels.family_minmax_dp(ratio, kmax),
-                                  family_dp_loop(ratio, kmax)), (n, kmax)
+        want = family_dp_loop(ratio, n)
+        for low_bits in (kernels.LOW_BITS, 2, 3):
+            monkeypatch.setattr(kernels, "LOW_BITS", low_bits)
+            for kmax in sorted({1, n // 2, n} - {0}):
+                assert np.array_equal(kernels.family_minmax_dp(ratio, kmax),
+                                      want[:kmax + 1]), (n, low_bits, kmax)
+            monkeypatch.undo()
+
+
+def test_low_submask_pairs_hold_lowest_bit():
+    for low in range(1, kernels.LOW_BITS + 1):
+        sub, rest, starts = kernels._low_submask_pairs(low)
+        assert sub.shape[0] == (3 ** low - 1) // 2
+        lo = sub | rest
+        assert np.all((sub & rest) == 0)
+        assert np.all(sub & lo & -lo)
+        # grouped by lo = 1 .. 2^low - 1, each group every such submask once
+        assert starts[0] == 0 and np.array_equal(lo[starts], np.arange(1, 1 << low))
+        assert np.all(np.diff(lo) >= 0)
+        assert len(set(zip(lo.tolist(), sub.tolist()))) == sub.shape[0]
 
 
 def _same_shot(got, want):
