@@ -191,6 +191,24 @@ def _cmd_cheeger(args) -> int:
 # ---------------------------------------------------------------------------
 # certify
 
+def _power_groups(ps):
+    """`np.unique(np.round(ps, 2))` and `np.searchsorted` of ps in it.
+
+    np.round(ps, 2) is rint(100 ps) / 100, so the integer key rint(100 ps)
+    finds each draw's own group by a table lookup, with no sort; the
+    searchsorted index is that group's, or the next one's where the group
+    lies below the draw.
+    """
+    key = np.rint(ps * 100).astype(np.intp)
+    present = np.zeros(int(key.max()) + 1, dtype=bool)
+    present[key] = True
+    groups = np.flatnonzero(present) / 100
+    near = (np.cumsum(present) - 1)[key]
+    del key
+    near += groups[near] < ps
+    return groups, near
+
+
 def _kernel_inequality_check(rng, draws=20000) -> dict:
     """Random suite for the two-term power inequality behind the nodal bounds.
 
@@ -203,11 +221,10 @@ def _kernel_inequality_check(rng, draws=20000) -> dict:
     b = rng.standard_normal(draws) * 3
     x = np.abs(rng.standard_normal(draws)) * 2
     y = -np.abs(rng.standard_normal(draws)) * 2
-    groups = np.unique(np.round(ps, 2))
+    groups, near = _power_groups(ps)
     # a draw joins every group p with |draw - p| < 0.005; only the nearest
     # group on either side can qualify, so a draw joins at most two (below
     # the first group, index -1 names the last one, which is too far away)
-    near = np.searchsorted(groups, ps)
     sides = (groups[near - 1], groups[np.minimum(near, groups.size - 1)])
     joined = [np.abs(ps - side) < 0.005 for side in sides]
     draw = np.concatenate([np.flatnonzero(j) for j in joined])
@@ -312,7 +329,10 @@ def _one_laplacian_section(g: Graph, h2: float | None) -> tuple[dict, bool]:
         # eigenvalue's patterns, report the one with the most strong domains
         rep = max(lowest, key=strong_count)
         fvals = rep.pattern.example_function()
-        cert = one_laplacian.verify_1lap_eigenpair(g, fvals, rep.lo)
+        # the selection LP itself, not verify_1lap_eigenpair: the enumeration
+        # covers disconnected graphs, and so does the LP
+        mu, edges = one_laplacian._rational_graph(g)
+        cert = one_laplacian._selection_lp(mu, edges, g.n, fvals, rep.lo)
         example_ok = cert.feasible and one_laplacian.check_certificate(
             g, fvals, rep.lo, cert)
         strong = nodal.strong_nodal_domains(g, [float(x) for x in fvals])

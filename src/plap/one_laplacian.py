@@ -15,9 +15,12 @@ feasible lambda set is a single point: summing the vertex equations over a
 level set L cancels the antisymmetric z of the edges inside L, so a level of
 sign sigma gives w(L -> lower levels) - w(L -> higher levels) =
 lambda sigma mu(L), and every ordering but the all-zero one has a nonzero
-level.  That lambda is computed exactly from these sums, and only orderings
-whose levels agree on it are decided by one feasibility LP at that lambda.
-Records keep the interval form [lo, hi]; lo == hi always.
+level.  That lambda is computed exactly from these sums.  At it the free
+selections (z inside a level, s on the zero level) split into one flow
+problem per level, which Gale's supply-demand theorem decides by one
+integer inequality per subset of the level; no LP is solved.  The exact
+simplex serves only the verifier.  Records keep the interval form [lo, hi];
+lo == hi always.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .graph import Graph, is_connected
-from .simplex import LPResult, lp_solve
+from .simplex import lp_solve
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -94,6 +97,17 @@ def _rational_graph(g: Graph):
     edges = [(int(u), int(v), to_fraction(w))
              for u, v, w in zip(g.edges_u, g.edges_v, g.edges_w)]
     return mu, edges
+
+
+def _integer_graph(g: Graph):
+    """mu and the edges with every measure and weight times the lcm of their
+    denominators, as ints; one positive factor on all of them leaves every
+    pinned lambda and every cut test as it is."""
+    mu, edges = _rational_graph(g)
+    scale = math.lcm(*(x.denominator for x in mu),
+                     *(w.denominator for _, _, w in edges))
+    return ([int(x * scale) for x in mu],
+            [(u, v, int(w * scale)) for u, v, w in edges])
 
 
 def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
@@ -276,9 +290,16 @@ def _ordered_partitions(n: int):
     return out
 
 
-def _flip(levels: tuple[int, ...], m: int, zero_pos: int):
-    flipped = tuple(m - 1 - lev for lev in levels)
-    return flipped, 2 * m - zero_pos
+def _vertex_net(levels: tuple[int, ...], edges) -> list:
+    """net[u] = w(u -> lower levels) - w(u -> higher levels)."""
+    net = [0] * len(levels)
+    for a, b, w in edges:
+        la, lb = levels[a], levels[b]
+        if la != lb:
+            flow = w if la > lb else -w
+            net[a] += flow
+            net[b] -= flow
+    return net
 
 
 def _level_sums(levels: tuple[int, ...], m: int, mu, edges):
@@ -286,14 +307,9 @@ def _level_sums(levels: tuple[int, ...], m: int, mu, edges):
     and mass[i] = mu(L_i)."""
     net = [0] * m
     mass = [0] * m
-    for u, x in enumerate(mu):
-        mass[levels[u]] += x
-    for a, b, w in edges:
-        la, lb = levels[a], levels[b]
-        if la != lb:
-            flow = w if la > lb else -w
-            net[la] += flow
-            net[lb] -= flow
+    for lev, x, flow in zip(levels, mu, _vertex_net(levels, edges)):
+        net[lev] += flow
+        mass[lev] += x
     return net, mass
 
 
@@ -316,6 +332,41 @@ def _pinned_lambda(net, mass, pat: OrderPattern) -> Fraction | None:
     return Fraction(top, bottom)
 
 
+def _levels_feasible(pat: OrderPattern, lam: Fraction, mu, edges) -> bool:
+    """Whether a pattern's free selections meet its vertex equations at lambda.
+
+    The free selections are z on the edges inside a level and s on the zero
+    level, so the selection LP splits into one flow problem per level L: z in
+    [-1, 1] on L's internal edges with sum_v w(uv) z(uv) = b_u at each u in L,
+    where b_u = lambda sigma mu_u - net_u and net_u = w(u -> lower levels) -
+    w(u -> higher levels); on the zero level b_u may be anything within
+    lambda mu_u of -net_u.  By Gale's supply-demand theorem (1957), with the
+    box form of the cut function's base polytope, such a z exists iff
+    |c(S)| <= w(S, L - S) + r(S) for every nonempty S in L, where c is the
+    centre and r the radius of b's range (r = 0 off the zero level).  S = L
+    is the level-sum condition of `_pinned_lambda`.  Every quantity is taken
+    times lambda's denominator, so integer mu and w keep the test in ints.
+    """
+    top, bottom = lam.numerator, lam.denominator
+    levels = pat.levels
+    net = _vertex_net(levels, edges)
+    for i in range(pat.m):
+        members = [u for u, lev in enumerate(levels) if lev == i]
+        sigma = pat.level_sign(i)
+        centre = [sigma * top * mu[u] - bottom * net[u] for u in members]
+        radius = [0 if sigma else top * mu[u] for u in members]
+        bit = {u: 1 << j for j, u in enumerate(members)}
+        inner = [(bit[a] | bit[b], bottom * w) for a, b, w in edges
+                 if levels[a] == i == levels[b]]
+        for subset in range(1, 1 << len(members)):
+            cut = sum(c for ends, c in inner if subset & ends not in (0, ends))
+            picked = [j for j in range(len(members)) if subset >> j & 1]
+            if abs(sum(centre[j] for j in picked)) > cut + sum(
+                    radius[j] for j in picked):
+                return False
+    return True
+
+
 def enumerate_1lap_eigenvalues(g: Graph) -> list[EigenvalueRecord]:
     """All p = 1 eigenvalues of a tiny graph with representative patterns.
 
@@ -325,25 +376,22 @@ def enumerate_1lap_eigenvalues(g: Graph) -> list[EigenvalueRecord]:
     if g.n > ENUMERATION_CAP:
         raise ValueError(
             f"exhaustive enumeration capped at n <= {ENUMERATION_CAP}, got {g.n}")
-    mu, edges = _rational_graph(g)
-    # level sums on integers: every measure and weight times the lcm of their
-    # denominators, which leaves each pinned ratio as it is
-    scale = math.lcm(*(x.denominator for x in mu),
-                     *(w.denominator for _, _, w in edges))
-    int_mu = [int(x * scale) for x in mu]
-    int_edges = [(u, v, int(w * scale)) for u, v, w in edges]
+    mu, edges = _integer_graph(g)
     records = []
     for levels, m in _ordered_partitions(g.n):
-        net, mass = _level_sums(levels, m, int_mu, int_edges)
-        for zero_pos in range(2 * m + 1):
+        flipped = tuple(m - 1 - lev for lev in levels)
+        if levels > flipped:
+            continue  # the sign-flipped ordering covers all of its patterns
+        # f -> -f maps zero_pos to 2m - zero_pos; on an ordering that is its
+        # own flip, that pairs the patterns up within it
+        last = m if levels == flipped else 2 * m
+        net, mass = _level_sums(levels, m, mu, edges)
+        for zero_pos in range(last + 1):
             if m == 1 and zero_pos == 1:
                 continue  # f identically zero
-            if (levels, zero_pos) > _flip(levels, m, zero_pos):
-                continue  # the sign-flipped twin covers this pattern
             pat = OrderPattern(levels=levels, m=m, zero_pos=zero_pos)
             lam = _pinned_lambda(net, mass, pat)
-            if lam is not None and _selection_lp(
-                    mu, edges, g.n, pat.example_function(), lam).feasible:
+            if lam is not None and _levels_feasible(pat, lam, mu, edges):
                 records.append(EigenvalueRecord(lo=lam, hi=lam, pattern=pat))
     records.sort(key=lambda r: (r.lo, r.hi))
     return records

@@ -2,7 +2,10 @@
 
 Solves min c.x subject to A x = b, x >= 0 with Fraction arithmetic and
 Bland's anti-cycling rule.  Sized for the small feasibility systems of the
-set-valued p = 1 eigenproblem (tens of variables), not general LP work.
+set-valued p = 1 eigenproblem (tens of variables), not general LP work: it
+decides and witnesses the selections of `one_laplacian`'s verifier, and the
+tests use it as the independent oracle of the enumeration, which itself
+solves no LP.
 """
 
 from __future__ import annotations

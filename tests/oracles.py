@@ -13,7 +13,6 @@ from plap import rayleigh_quotient
 from plap.one_laplacian import (
     EigenvalueRecord,
     OrderPattern,
-    _flip,
     _ordered_partitions,
     _rational_graph,
 )
@@ -275,6 +274,12 @@ def pattern_lambda_range_lp(mu, edges, n, pat):
     return res_min.value, -res_max.value
 
 
+def flip_pattern(levels, m, zero_pos):
+    """The ordering and zero position of -f for a pattern of f."""
+    flipped = tuple(m - 1 - lev for lev in levels)
+    return flipped, 2 * m - zero_pos
+
+
 def enumerate_1lap_lp(g):
     """enumerate_1lap_eigenvalues with every pattern decided by two full LPs.
 
@@ -287,7 +292,7 @@ def enumerate_1lap_lp(g):
         for zero_pos in range(2 * m + 1):
             if m == 1 and zero_pos == 1:
                 continue
-            if (levels, zero_pos) > _flip(levels, m, zero_pos):
+            if (levels, zero_pos) > flip_pattern(levels, m, zero_pos):
                 continue
             pat = OrderPattern(levels=levels, m=m, zero_pos=zero_pos)
             rng = pattern_lambda_range_lp(mu, edges, g.n, pat)

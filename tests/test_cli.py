@@ -235,6 +235,23 @@ def test_certify_one_laplacian_cap(tmp_path):
     assert main(["certify", str(gfile), "--p", "2", "--one-laplacian"]) == 2
 
 
+def test_certify_one_laplacian_disconnected_writes_report(tmp_path):
+    # the enumeration runs on disconnected graphs, and the example's check
+    # must too: the report is written and the exit code follows the checks
+    gfile = tmp_path / "d.txt"
+    gfile.write_text(DISCONNECTED)
+    out = tmp_path / "r.json"
+    code = main(["certify", str(gfile), "--p", "2", "--one-laplacian",
+                 "--json", str(out)])
+    rep = _load(out)
+    ol = rep["one_laplacian"]
+    assert ol["nonconstant_eigenvalues"] == [["0", "0"], ["1", "1"]]
+    assert ol["example"]["lambda"] == "0"
+    assert ol["example"]["feasible"] is True
+    assert {c["name"]: c["pass"] for c in rep["checks"]}["one_laplacian"]
+    assert code == (0 if rep["all_pass"] else 1)
+
+
 def test_certify_csv(tmp_path):
     gfile = tmp_path / "p4.txt"
     gfile.write_text(PATH4)
@@ -327,6 +344,16 @@ def test_power_inequality_gap_reported_as_zero():
         check = cli._kernel_inequality_check(np.random.default_rng(seed))
         assert repr(check["max_normalized_gap"]) == "0.0", seed
         assert check["pass"] is True
+
+
+def test_power_groups_match_unique_and_searchsorted():
+    import plap.cli as cli
+    for seed in range(200):
+        ps = np.random.default_rng(seed).uniform(1.0, 4.0, 20000)
+        groups, near = cli._power_groups(ps)
+        expect = np.unique(np.round(ps, 2))
+        assert groups.tobytes() == expect.tobytes(), seed
+        assert np.array_equal(near, np.searchsorted(expect, ps)), seed
 
 
 @pytest.mark.parametrize("gap, reported, passed", [

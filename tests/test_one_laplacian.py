@@ -11,8 +11,17 @@ from plap import (
     path_graph,
     verify_1lap_eigenpair,
 )
+from plap import one_laplacian
 from plap.one_laplacian import (
+    OrderPattern,
     SignSet,
+    _integer_graph,
+    _level_sums,
+    _levels_feasible,
+    _ordered_partitions,
+    _pinned_lambda,
+    _rational_graph,
+    _selection_lp,
     check_certificate,
     to_fraction,
 )
@@ -203,3 +212,50 @@ def test_enumerate_at_cap_reverifies():
     h2 = multiway_cheeger(g, 2)[0]
     assert any(float(lo) - 1e-12 <= h2 <= float(hi) + 1e-12
                for lo, hi in merged_eigenvalues(records))
+
+
+def _cut_test_graphs():
+    rng = np.random.default_rng(5)
+    graphs = [random_connected_graph(rng, n, mode)
+              for n in range(2, 6) for mode in MU_MODES]
+    # unit weights tie many level sums, so more patterns reach the cut test
+    graphs += [make(n) for n in range(3, 6) for make in (path_graph, _cycle, _complete)]
+    graphs.append(build_graph(5, [(1, 2, 1.0), (2, 3, 0.5), (4, 5, 2.0)]))
+    return graphs
+
+
+def test_cut_test_matches_selection_lp():
+    # every pattern whose level sums pin a lambda, both twins of each sign
+    # flip, decided by the per-level cut test and by the selection LP
+    outcomes = set()
+    for g in _cut_test_graphs():
+        mu, edges = _rational_graph(g)
+        int_mu, int_edges = _integer_graph(g)
+        for levels, m in _ordered_partitions(g.n):
+            net, mass = _level_sums(levels, m, int_mu, int_edges)
+            for zero_pos in range(2 * m + 1):
+                if m == 1 and zero_pos == 1:
+                    continue
+                pat = OrderPattern(levels=levels, m=m, zero_pos=zero_pos)
+                lam = _pinned_lambda(net, mass, pat)
+                if lam is None:
+                    continue
+                cut = _levels_feasible(pat, lam, int_mu, int_edges)
+                lp = _selection_lp(mu, edges, g.n, pat.example_function(),
+                                   lam).feasible
+                assert cut == lp, (g.edges_u, g.edges_v, pat, lam)
+                outcomes.add(cut)
+    # pinned patterns the cut test rejects fail on a proper subset of a level
+    assert outcomes == {False, True}
+
+
+def test_enumerate_solves_no_lp(monkeypatch):
+    def no_lp(*args):
+        raise AssertionError("enumeration called the simplex")
+
+    monkeypatch.setattr(one_laplacian, "lp_solve", no_lp)
+    rng = np.random.default_rng(3)
+    for g in (path_graph(5, "degree"), _complete(5),
+              random_connected_graph(rng, 6, "explicit"),
+              build_graph(4, [(1, 2, 1.0), (3, 4, 1.0)])):
+        assert enumerate_1lap_eigenvalues(g)
