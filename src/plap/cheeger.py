@@ -36,7 +36,6 @@ if TYPE_CHECKING:
     from .eigensolver import Spectrum
 
 EXACT_HK_CAP = 14
-RESIDUAL_LIMIT = 1e-8  # the certificates refuse pairs whose residual exceeds it
 
 
 class ExactCapExceeded(ValueError):
@@ -273,7 +272,7 @@ def certify_cheeger(
     if p <= 1:
         raise ValueError("the two-sided bound is certified for p > 1 only")
     for pair in spectrum.pairs:
-        if pair.residual > RESIDUAL_LIMIT:
+        if pair.residual > plaplacian.RESIDUAL_LIMIT:
             raise ValueError(f"pair residual {pair.residual:.3g} exceeds 1e-8")
     if hk is None:
         hk = multiway_cheeger_all(g, g.n)

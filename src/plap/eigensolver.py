@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +32,8 @@ MIN_CONTINUATION_P = 1.05
 DENSE_RESIDUAL_TOL = 1e-10
 CONTINUATION_RESIDUAL_TOL = 1e-9
 PATH_RESIDUAL_TOL = 1e-10
+NEWTON_TOL = 1e-12      # max-norm residual at which `_newton` stops
+NEWTON_MAX_ITER = 200
 
 
 class ContinuationError(RuntimeError):
@@ -306,7 +308,7 @@ class _FluxForm:
 
 
 @_quiet
-def _newton(form, x, p, tol=1e-12, max_iter=200):
+def _newton(form, x, p):
     """Damped Newton on the form's augmented system at fixed p.
 
     Returns (x, iterations); raises _NewtonFailure with one of the form's
@@ -315,8 +317,8 @@ def _newton(form, x, p, tol=1e-12, max_iter=200):
     res = form.residual(x, p)
     nrm2 = float(np.linalg.norm(res))
     iters = 0
-    for _ in range(max_iter):
-        if np.max(np.abs(res)) <= tol:
+    for _ in range(NEWTON_MAX_ITER):
+        if np.max(np.abs(res)) <= NEWTON_TOL:
             return x, iters
         jac = form.jacobian(x, p)
         try:
@@ -341,13 +343,13 @@ def _newton(form, x, p, tol=1e-12, max_iter=200):
                 break
             alpha *= 0.5
             if alpha < 2.0 ** -40:
-                # stiff instances bottom out above tol; accept the floor
-                # when it is already far below the solver contract
-                if np.max(np.abs(res)) <= 100 * tol:
+                # stiff instances bottom out above the tolerance; accept the
+                # floor when it is already far below the solver contract
+                if np.max(np.abs(res)) <= 100 * NEWTON_TOL:
                     return x, iters
                 raise _NewtonFailure(form.failures[1])
         iters += 1
-    if np.max(np.abs(res)) <= 100 * tol:
+    if np.max(np.abs(res)) <= 100 * NEWTON_TOL:
         return x, iters
     raise _NewtonFailure(form.failures[2])
 
@@ -382,7 +384,7 @@ def _fold_restarts(g: Graph, f: np.ndarray):
 
 
 def _continue_with_diag(g, seed, p_target, steps=16):
-    if seed.residual > 1e-8:
+    if seed.residual > plaplacian.RESIDUAL_LIMIT:
         raise ValueError(f"seed residual {seed.residual:.3g} exceeds 1e-8")
     if p_target <= 1.0:
         raise ValueError(f"continuation target must satisfy p > 1, got {p_target}")
@@ -834,11 +836,11 @@ def path_spectrum(n: int, p: float) -> Spectrum:
         raise BracketError(f"path eigenvalues not strictly increasing: {lams}")
     above = [f"k = {k} residual {pair.residual:.3g}"
              for k, pair in enumerate(pairs, 1)
-             if pair.residual > cheeger.RESIDUAL_LIMIT]
+             if pair.residual > plaplacian.RESIDUAL_LIMIT]
     notes = ()
     if above:
         notes = ("conditioning-limited path pairs above the certificates' "
-                 f"{cheeger.RESIDUAL_LIMIT:g} residual limit: "
+                 f"{plaplacian.RESIDUAL_LIMIT:g} residual limit: "
                  + ", ".join(above),)
     return Spectrum(graph=g, p=p, pairs=tuple(pairs), method="path_shooting",
                     diagnostics=tuple(diags), notes=notes)

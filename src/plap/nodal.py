@@ -111,7 +111,7 @@ def nodal_space_max_rq(
     """
     if kind not in ("strong", "weak"):
         raise ValueError(f"kind must be 'strong' or 'weak', got {kind!r}")
-    if pair.residual > 1e-8 and pair.p > 1:
+    if pair.residual > plaplacian.RESIDUAL_LIMIT and pair.p > 1:
         raise ValueError(f"eigenpair residual {pair.residual:.3g} exceeds 1e-8")
     if decomposition is None:
         dec = _decompose(g, pair.f, strict=(kind == "strong"))

@@ -7,20 +7,22 @@ vertex.  Feasibility at the bounds z = +-1 is measure zero, so everything
 here runs in exact rational arithmetic: floats are converted to their exact
 binary values, non-finite inputs are rejected.
 
-Besides verifying a declared eigenpair, the module enumerates the full
-eigenvalue set of tiny graphs (n <= 6) by case analysis over weak orderings
-of the vertex values with a designated zero level; each ordering fixes all
-Sign sets, leaving a linear feasibility problem in (z, s, lambda).  Its
-feasible lambda set is a single point: summing the vertex equations over a
-level set L cancels the antisymmetric z of the edges inside L, so a level of
-sign sigma gives w(L -> lower levels) - w(L -> higher levels) =
-lambda sigma mu(L), and every ordering but the all-zero one has a nonzero
-level.  That lambda is computed exactly from these sums.  At it the free
-selections (z inside a level, s on the zero level) split into one flow
-problem per level, which Gale's supply-demand theorem decides by one
-integer inequality per subset of the level; no LP is solved.  The exact
-simplex serves only the verifier.  Records keep the interval form [lo, hi];
-lo == hi always.
+Besides verifying a declared eigenpair on any graph, connected or not, the
+module enumerates the full eigenvalue set of tiny graphs (n <= 6) by case
+analysis over weak orderings of the vertex values with a designated zero
+level; each ordering fixes all Sign sets, leaving a linear feasibility
+problem in (z, s, lambda).  Its feasible lambda set is a single point:
+summing the vertex equations over a level set L cancels the antisymmetric z
+of the edges inside L, so a level of sign sigma gives
+w(L -> lower levels) - w(L -> higher levels) = lambda sigma mu(L), and
+every ordering but the all-zero one has a nonzero level.  That lambda is
+computed exactly from these sums.  At it the free selections (z inside a
+level, s on the zero level) split into one flow problem per level, which
+Gale's supply-demand theorem decides by one integer inequality per subset
+of the level; no LP is solved.  When some level sum is nonzero, lambda > 0
+and every level off zero takes the sign of its sum, which leaves at most
+three zero positions per ordering.  The exact simplex serves only the
+verifier.  Records keep the interval form [lo, hi]; lo == hi always.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .graph import Graph, is_connected
+from .graph import Graph
 from .simplex import lp_solve
 
 ZERO = Fraction(0)
@@ -115,10 +117,9 @@ def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
 
     Selections are fixed wherever signs are determined and left as bounded
     LP variables on edges with f(u) = f(v) and vertices with f(u) = 0; the
-    per-vertex equalities are then decided by exact phase-1 simplex.
+    per-vertex equalities are then decided by exact phase-1 simplex.  The
+    LP is exact on any graph, so g need not be connected.
     """
-    if not is_connected(g):
-        raise ValueError("verification requires a connected graph")
     mu, edges = _rational_graph(g)
     fvals = [to_fraction(x) for x in f]
     if len(fvals) != g.n:
@@ -131,7 +132,8 @@ def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
 def _selection_lp(mu, edges, n, fvals, lam: Fraction) -> OneLapCertificate:
     """Exact selection LP for (lambda, f) on rational graph data.
 
-    No connectivity check: the enumeration also runs on disconnected graphs.
+    The inputs are taken as checked: `verify_1lap_eigenpair` converts and
+    validates them, and the tests call this directly on enumerated patterns.
     """
     free_z = [i for i, (u, v, _) in enumerate(edges) if fvals[u] == fvals[v]]
     fixed_z = {i: (ONE if fvals[u] > fvals[v] else -ONE)
@@ -386,7 +388,15 @@ def enumerate_1lap_eigenvalues(g: Graph) -> list[EigenvalueRecord]:
         # own flip, that pairs the patterns up within it
         last = m if levels == flipped else 2 * m
         net, mass = _level_sums(levels, m, mu, edges)
-        for zero_pos in range(last + 1):
+        if any(net):
+            # lambda > 0 and every level off zero takes its net's sign, so zero
+            # sits just after the a leading negative nets: at the gap after
+            # them, or at the level on either side of that gap
+            a = next(i for i, x in enumerate(net) if x >= 0)
+            positions = range(max(2 * a - 1, 0), min(2 * a + 1, last) + 1)
+        else:
+            positions = range(last + 1)
+        for zero_pos in positions:
             if m == 1 and zero_pos == 1:
                 continue  # f identically zero
             pat = OrderPattern(levels=levels, m=m, zero_pos=zero_pos)

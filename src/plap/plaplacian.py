@@ -14,6 +14,8 @@ import numpy as np
 from . import kernels
 from .graph import Graph
 
+RESIDUAL_LIMIT = 1e-8  # the certificates refuse pairs whose residual exceeds it
+
 
 @dataclass(frozen=True)
 class EigenPair:

@@ -13,7 +13,11 @@ from plap import rayleigh_quotient
 from plap.one_laplacian import (
     EigenvalueRecord,
     OrderPattern,
+    _integer_graph,
+    _level_sums,
+    _levels_feasible,
     _ordered_partitions,
+    _pinned_lambda,
     _rational_graph,
 )
 from plap.simplex import lp_solve
@@ -298,6 +302,29 @@ def enumerate_1lap_lp(g):
             rng = pattern_lambda_range_lp(mu, edges, g.n, pat)
             if rng is not None:
                 records.append(EigenvalueRecord(lo=rng[0], hi=rng[1], pattern=pat))
+    records.sort(key=lambda r: (r.lo, r.hi))
+    return records
+
+
+def enumerate_1lap_every_position(g):
+    """enumerate_1lap_eigenvalues with every zero position of every ordering
+    offered to the module's own pinned-lambda and cut tests.
+
+    Only the choice of zero positions is independent of the code under test.
+    """
+    mu, edges = _integer_graph(g)
+    records = []
+    for levels, m in _ordered_partitions(g.n):
+        net, mass = _level_sums(levels, m, mu, edges)
+        for zero_pos in range(2 * m + 1):
+            if m == 1 and zero_pos == 1:
+                continue
+            if (levels, zero_pos) > flip_pattern(levels, m, zero_pos):
+                continue
+            pat = OrderPattern(levels=levels, m=m, zero_pos=zero_pos)
+            lam = _pinned_lambda(net, mass, pat)
+            if lam is not None and _levels_feasible(pat, lam, mu, edges):
+                records.append(EigenvalueRecord(lo=lam, hi=lam, pattern=pat))
     records.sort(key=lambda r: (r.lo, r.hi))
     return records
 

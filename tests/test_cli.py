@@ -228,6 +228,20 @@ def test_certify_one_laplacian_p3_degree(tmp_path):
     assert ol["example"]["weak_domains"] == 3
 
 
+def test_certify_one_laplacian_example_goes_through_verifier(tmp_path,
+                                                            monkeypatch):
+    from plap import one_laplacian
+    calls = []
+    verify = one_laplacian.verify_1lap_eigenpair
+    monkeypatch.setattr(one_laplacian, "verify_1lap_eigenpair",
+                        lambda *a: calls.append(a) or verify(*a))
+    gfile = tmp_path / "p3.txt"
+    gfile.write_text("n 3\n1 2 1.0\n2 3 1.0\n")
+    assert main(["certify", str(gfile), "--mu", "degree", "--p", "2",
+                 "--one-laplacian", "--json", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+
+
 def test_certify_one_laplacian_cap(tmp_path):
     gfile = tmp_path / "p7.txt"
     gfile.write_text(serialize_graph(parse_graph(
@@ -344,16 +358,6 @@ def test_power_inequality_gap_reported_as_zero():
         check = cli._kernel_inequality_check(np.random.default_rng(seed))
         assert repr(check["max_normalized_gap"]) == "0.0", seed
         assert check["pass"] is True
-
-
-def test_power_groups_match_unique_and_searchsorted():
-    import plap.cli as cli
-    for seed in range(200):
-        ps = np.random.default_rng(seed).uniform(1.0, 4.0, 20000)
-        groups, near = cli._power_groups(ps)
-        expect = np.unique(np.round(ps, 2))
-        assert groups.tobytes() == expect.tobytes(), seed
-        assert np.array_equal(near, np.searchsorted(expect, ps)), seed
 
 
 @pytest.mark.parametrize("gap, reported, passed", [

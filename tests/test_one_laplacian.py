@@ -27,7 +27,7 @@ from plap.one_laplacian import (
 )
 from plap.simplex import lp_solve
 
-from .oracles import enumerate_1lap_lp
+from .oracles import enumerate_1lap_every_position, enumerate_1lap_lp
 from .util import MU_MODES, random_connected_graph
 
 F = Fraction
@@ -111,13 +111,17 @@ def test_verify_constant_zero():
     assert check_certificate(g, [1] * 5, 0, cert)
 
 
-def test_verify_rejects_zero_function_and_disconnected():
+def test_verify_rejects_zero_function_and_decides_disconnected():
     g = path_graph(3)
     with pytest.raises(ValueError, match="zero function"):
         verify_1lap_eigenpair(g, [0, 0, 0], 1)
+    # two disjoint edges: the selection LP is exact on each component
     disconnected = build_graph(4, [(1, 2, 1.0), (3, 4, 1.0)])
-    with pytest.raises(ValueError, match="connected"):
-        verify_1lap_eigenpair(disconnected, [1, -1, 1, -1], 1)
+    f = [1, -1, 1, -1]
+    cert = verify_1lap_eigenpair(disconnected, f, 1)
+    assert cert.feasible
+    assert check_certificate(disconnected, f, 1, cert)
+    assert not verify_1lap_eigenpair(disconnected, f, F(1, 2)).feasible
 
 
 def test_verify_interior_zero_eigenfunction():
@@ -199,6 +203,16 @@ def test_enumerate_matches_two_lp_reference():
         records = enumerate_1lap_eigenvalues(g)
         assert records == enumerate_1lap_lp(g)
         assert all(r.lo == r.hi for r in records)
+
+
+def test_enumerate_offers_each_ordering_its_possible_zero_positions():
+    # when a level net is nonzero, only the zero positions next to the
+    # leading negative nets can pin a lambda; the records must not change
+    rng = np.random.default_rng(8)
+    graphs = [random_connected_graph(rng, 6, mode) for mode in MU_MODES]
+    graphs.append(build_graph(6, [(1, 2, 1.0), (3, 4, 0.5), (4, 5, 2.0)]))
+    for g in graphs:
+        assert enumerate_1lap_eigenvalues(g) == enumerate_1lap_every_position(g)
 
 
 def test_enumerate_at_cap_reverifies():
