@@ -324,7 +324,7 @@ def _one_laplacian_section(g: Graph, h2: float | None) -> tuple[dict, bool]:
         "h2_is_eigenvalue": bool(h2_member),
         "example": example,
     }
-    return section, bool(h2_member and example_ok)
+    return section, bool(example_ok and (h2 is None or h2_member))
 
 
 def _cmd_certify(args) -> int:
@@ -443,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="additive certificate tolerance base")
     p_cert.add_argument("--one-laplacian", action="store_true",
                         help="also enumerate and verify the exact p = 1 "
-                             "eigenvalues (n <= 6)")
+                             f"eigenvalues (n <= {one_laplacian.ENUMERATION_CAP})")
     p_cert.add_argument("--csv", metavar="PATH",
                         help="per-pair table (p, k, lambda, residual, counts)")
     p_cert.set_defaults(func=_cmd_certify)

@@ -91,12 +91,23 @@ def _march(n, pm1, lam):
 # Subset tables for the multiway cut-ratio enumeration (n <= 14).
 # cut[mask]  = total weight of edges leaving the subset encoded by mask
 # mass[mask] = mu measure of the subset
+# Masks go SUBSET_BLOCK at a time, so the (masks, edges) difference matrix
+# stays small; each row is summed as it would be in one whole-table pass.
+
+SUBSET_BLOCK = 1 << 10
+
 
 def subset_tables(n, eu, ev, ew, mu):
-    masks = np.arange(1 << n, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
-    mass = bits @ mu
-    cut = (np.abs(bits[:, eu] - bits[:, ev]) * ew).sum(axis=1)
+    size = 1 << n
+    cut = np.empty(size)
+    mass = np.empty(size)
+    shifts = np.arange(n)
+    for start in range(0, size, SUBSET_BLOCK):
+        stop = min(start + SUBSET_BLOCK, size)
+        masks = np.arange(start, stop, dtype=np.int64)
+        bits = ((masks[:, None] >> shifts[None, :]) & 1).astype(np.float64)
+        mass[start:stop] = bits @ mu
+        cut[start:stop] = (np.abs(bits[:, eu] - bits[:, ev]) * ew).sum(axis=1)
     return cut, mass
 
 

@@ -8,21 +8,28 @@ here runs in exact rational arithmetic: floats are converted to their exact
 binary values, non-finite inputs are rejected.
 
 Besides verifying a declared eigenpair on any graph, connected or not, the
-module enumerates the full eigenvalue set of tiny graphs (n <= 6) by case
-analysis over weak orderings of the vertex values with a designated zero
-level; each ordering fixes all Sign sets, leaving a linear feasibility
-problem in (z, s, lambda).  Its feasible lambda set is a single point:
-summing the vertex equations over a level set L cancels the antisymmetric z
-of the edges inside L, so a level of sign sigma gives
-w(L -> lower levels) - w(L -> higher levels) = lambda sigma mu(L), and
-every ordering but the all-zero one has a nonzero level.  That lambda is
-computed exactly from these sums.  At it the free selections (z inside a
-level, s on the zero level) split into one flow problem per level, which
-Gale's supply-demand theorem decides by one integer inequality per subset
-of the level; no LP is solved.  When some level sum is nonzero, lambda > 0
-and every level off zero takes the sign of its sum, which leaves at most
-three zero positions per ordering.  The exact simplex serves only the
-verifier.  Records keep the interval form [lo, hi]; lo == hi always.
+module enumerates the full eigenvalue set of tiny graphs (n <= 8,
+ENUMERATION_CAP) by case analysis over weak orderings of the vertex values
+with a designated zero level; each ordering fixes all Sign sets, leaving a
+linear feasibility problem in (z, s, lambda).  Its feasible lambda set is a
+single point: summing the vertex equations over a level set L cancels the
+antisymmetric z of the edges inside L, so a level of sign sigma gives
+w(L -> lower levels) - w(L -> higher levels) = lambda sigma mu(L), and every
+ordering but the all-zero one has a nonzero level.  That lambda is computed
+exactly from these sums.  At it the free selections (z inside a level, s on
+the zero level) split into one flow problem per level, which Gale's
+supply-demand theorem decides by one integer inequality per subset of the
+level; no LP is solved.  When some level sum is nonzero, lambda > 0 and
+every level off zero takes the sign of its sum, which leaves at most three
+zero positions per ordering.
+
+The enumeration screens, then decides.  One numpy table holds every weak
+ordering; a block at a time, int64 level sums and float ratios drop the
+(ordering, zero position) pairs that cannot pin a lambda, with a margin no
+exact tie can cross.  Only the pairs left go, in order, to the exact
+Python-int pinning and cut tests, so the records are those of the plain
+loop over all orderings.  The exact simplex serves only the verifier.
+Records keep the interval form [lo, hi]; lo == hi always.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .graph import Graph
 from .simplex import lp_solve
 
@@ -39,7 +48,12 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 TWO = Fraction(2)
 
-ENUMERATION_CAP = 6
+ENUMERATION_CAP = 8
+
+# Orderings per block of the level-sum screen; bounds its arrays at n = 8.
+SCREEN_BLOCK = 1 << 13
+# Relative slack of the screen's float comparisons: 8 machine epsilons.
+SCREEN_MARGIN = 2.0 ** -49
 
 
 @dataclass(frozen=True)
@@ -267,29 +281,29 @@ class EigenvalueRecord:
     pattern: OrderPattern
 
 
-def _ordered_partitions(n: int):
-    """All assignments of vertices 0..n-1 to ordered ranked blocks."""
-    out: list[tuple[tuple[int, ...], int]] = []
+def _weak_orderings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every weak ordering of vertices 0..n-1 as rows of levels, with m.
 
-    def rec(u: int, blocks: list[list[int]]):
-        if u == n:
-            levels = [0] * n
-            for rank, blk in enumerate(blocks):
-                for v in blk:
-                    levels[v] = rank
-            out.append((tuple(levels), len(blocks)))
-            return
-        for blk in blocks:
-            blk.append(u)
-            rec(u + 1, blocks)
-            blk.pop()
-        for pos in range(len(blocks) + 1):
-            blocks.insert(pos, [u])
-            rec(u + 1, blocks)
-            del blocks[pos]
-
-    rec(0, [])
-    return out
+    Vertex u either joins one of the current m blocks (choice c < m) or opens
+    a new block at rank c - m, shifting the blocks at or above it up one;
+    each row expands into its 2m + 1 children in choice order, so the rows
+    come out depth first, as from the recursion that makes those choices
+    (`tests/oracles.ordered_partitions`).
+    """
+    levels = np.zeros((1, 0), dtype=np.int8)
+    m = np.zeros(1, dtype=np.int8)
+    for _ in range(n):
+        kids = 2 * m.astype(np.int64) + 1
+        choice = np.arange(kids.sum()) - np.repeat(np.cumsum(kids) - kids, kids)
+        levels = np.repeat(levels, kids, axis=0)
+        m = np.repeat(m, kids)
+        rank = choice - m
+        new = rank >= 0
+        levels += new[:, None] & (levels >= rank[:, None])
+        levels = np.column_stack(
+            (levels, np.where(new, rank, choice).astype(np.int8)))
+        m += new
+    return levels, m
 
 
 def _vertex_net(levels: tuple[int, ...], edges) -> list:
@@ -369,37 +383,109 @@ def _levels_feasible(pat: OrderPattern, lam: Fraction, mu, edges) -> bool:
     return True
 
 
+def _screen(levels, m, last, mu, edges):
+    """The (row, zero_pos) pairs of a block of orderings that their level sums
+    leave open, in row order and then zero_pos order.
+
+    Each ordering offers the zero positions of the rule in
+    `enumerate_1lap_eigenvalues`.  A pair is dropped only if the exact
+    `_pinned_lambda` must return None for it: a signed level whose net has
+    the wrong sign (an exact int test), or float ratios r_i = |net_i| /
+    mass_i that miss a common lambda by more than SCREEN_MARGIN.  The nets
+    and masses are ints below 2^62, so each converts to float64 within a
+    relative u = 2^-53 and each r_i is within (1 + u)^3 of its exact value.
+    Where the exact test pins lambda, every signed r_i is within 3u (plus
+    O(u^2)) of lambda, and so is their largest, r_max: their spread is at most
+    about 6u r_max and the zero level's ratio at most about (1 + 6u) r_max,
+    while SCREEN_MARGIN = 16u, and the threshold r_max (1 + 16u) loses at
+    most one more rounding.  No exact tie is dropped; near ties pass to the
+    exact test.
+    """
+    rows, n = levels.shape
+    vnet = np.zeros((rows, n), dtype=np.int64)
+    for a, b, w in edges:
+        flow = np.sign(levels[:, a] - levels[:, b]).astype(np.int64) * w
+        vnet[:, a] += flow
+        vnet[:, b] -= flow
+    net = np.zeros((rows, n), dtype=np.int64)
+    mass = np.zeros((rows, n), dtype=np.int64)
+    row = np.arange(rows)
+    for u in range(n):
+        net[row, levels[:, u]] += vnet[:, u]
+        mass[row, levels[:, u]] += mu[u]
+    ratio = np.divide(np.abs(net), mass, out=np.zeros((rows, n)),
+                      where=mass > 0)
+
+    # when a net is nonzero, lambda > 0 and every level off zero takes its
+    # net's sign, so zero sits just after the a leading negative nets: at the
+    # gap after them, or at the level on either side of that gap
+    nonzero = net.any(axis=1)
+    a = np.argmax(net >= 0, axis=1)
+    lo = np.where(nonzero, np.maximum(2 * a - 1, 0), 0)
+    hi = np.where(nonzero, np.minimum(2 * a + 1, last), last)
+    hi = np.where(m == 1, 0, hi)  # zero_pos 1 of one level is f = 0
+    count = np.maximum(hi - lo + 1, 0)
+    cand = np.repeat(row, count)
+    zero_pos = (np.arange(cand.shape[0])
+                + np.repeat(lo - (np.cumsum(count) - count), count))
+
+    sigma = np.sign(2 * np.arange(n) + 1 - zero_pos[:, None]).astype(np.int8)
+    signed = (sigma != 0) & (np.arange(n) < m[cand, None])
+    ratio = ratio[cand]
+    r_max = np.where(signed, ratio, 0.0).max(axis=1)
+    r_min = np.where(signed, ratio, np.inf).min(axis=1)
+    r_zero = np.where(sigma == 0, ratio, 0.0).max(axis=1)
+    slack = r_max * SCREEN_MARGIN
+    keep = ~(sigma * np.sign(net).astype(np.int8)[cand] < 0).any(axis=1)
+    keep &= r_max - r_min <= slack
+    keep &= r_zero <= r_max + slack
+    return cand[keep], zero_pos[keep]
+
+
 def enumerate_1lap_eigenvalues(g: Graph) -> list[EigenvalueRecord]:
     """All p = 1 eigenvalues of a tiny graph with representative patterns.
 
     Weak orderings are enumerated up to the global sign flip f -> -f; the
     all-zero pattern is skipped.  Every record's interval is exact.
+
+    The orderings are screened a block at a time by `_screen`, and only the
+    pairs it leaves open are decided exactly, in ordering order and then
+    zero_pos order, by `_pinned_lambda` and `_levels_feasible` on Python
+    ints.  The screen's sums are int64: when the scaled total weight or
+    measure reaches 2^62 it is given no edges and unit measures, so every
+    net is 0 and it offers every zero position and drops none.
     """
     if g.n > ENUMERATION_CAP:
         raise ValueError(
             f"exhaustive enumeration capped at n <= {ENUMERATION_CAP}, got {g.n}")
     mu, edges = _integer_graph(g)
+    screen_mu, screen_edges = mu, edges
+    if max(sum(mu), sum(w for _, _, w in edges)) >= 1 << 62:
+        screen_mu, screen_edges = [1] * g.n, []
+    table, ms = _weak_orderings(g.n)
+    # skip an ordering greater than its flip, which covers all of its
+    # patterns; f -> -f maps zero_pos to 2m - zero_pos, so on an ordering that
+    # is its own flip that pairs the patterns up within it
+    flipped = ms[:, None] - 1 - table
+    differ = table != flipped
+    first = differ.argmax(axis=1)
+    rows = np.arange(table.shape[0])
+    keep = table[rows, first] <= flipped[rows, first]
+    last = np.where(differ.any(axis=1), 2 * ms, ms)
+    table, ms, last = table[keep], ms[keep], last[keep]
+
     records = []
-    for levels, m in _ordered_partitions(g.n):
-        flipped = tuple(m - 1 - lev for lev in levels)
-        if levels > flipped:
-            continue  # the sign-flipped ordering covers all of its patterns
-        # f -> -f maps zero_pos to 2m - zero_pos; on an ordering that is its
-        # own flip, that pairs the patterns up within it
-        last = m if levels == flipped else 2 * m
-        net, mass = _level_sums(levels, m, mu, edges)
-        if any(net):
-            # lambda > 0 and every level off zero takes its net's sign, so zero
-            # sits just after the a leading negative nets: at the gap after
-            # them, or at the level on either side of that gap
-            a = next(i for i, x in enumerate(net) if x >= 0)
-            positions = range(max(2 * a - 1, 0), min(2 * a + 1, last) + 1)
-        else:
-            positions = range(last + 1)
-        for zero_pos in positions:
-            if m == 1 and zero_pos == 1:
-                continue  # f identically zero
-            pat = OrderPattern(levels=levels, m=m, zero_pos=zero_pos)
+    for start in range(0, table.shape[0], SCREEN_BLOCK):
+        block = slice(start, start + SCREEN_BLOCK)
+        cand, zero_pos = _screen(table[block], ms[block], last[block],
+                                 screen_mu, screen_edges)
+        prev = -1
+        for row, pos in zip((cand + start).tolist(), zero_pos.tolist()):
+            if row != prev:
+                prev = row
+                levels, m = tuple(table[row].tolist()), int(ms[row])
+                net, mass = _level_sums(levels, m, mu, edges)
+            pat = OrderPattern(levels=levels, m=m, zero_pos=pos)
             lam = _pinned_lambda(net, mass, pat)
             if lam is not None and _levels_feasible(pat, lam, mu, edges):
                 records.append(EigenvalueRecord(lo=lam, hi=lam, pattern=pat))

@@ -16,7 +16,6 @@ from plap.one_laplacian import (
     _integer_graph,
     _level_sums,
     _levels_feasible,
-    _ordered_partitions,
     _pinned_lambda,
     _rational_graph,
 )
@@ -72,6 +71,16 @@ def cut_ratio_direct(g, members):
         if members[u] != members[v]:
             boundary += w
     return boundary / float(np.sum(g.mu[members]))
+
+
+def subset_tables_dense(n, eu, ev, ew, mu):
+    """kernels.subset_tables in one pass over the whole (2^n, m) difference
+    matrix."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(np.float64)
+    mass = bits @ mu
+    cut = (np.abs(bits[:, eu] - bits[:, ev]) * ew).sum(axis=1)
+    return cut, mass
 
 
 def naive_multiway(g, kmax):
@@ -201,6 +210,35 @@ def reconstruct_family_loop(ratio, dp, k, n):
     return chosen
 
 
+def ordered_partitions(n):
+    """All weak orderings of vertices 0..n-1 as (levels, m), depth first.
+
+    Vertex u joins each current block in rank order, then opens a new block
+    at each rank 0..m; levels[v] is the rank of v's block.
+    """
+    out = []
+
+    def rec(u, blocks):
+        if u == n:
+            levels = [0] * n
+            for rank, blk in enumerate(blocks):
+                for v in blk:
+                    levels[v] = rank
+            out.append((tuple(levels), len(blocks)))
+            return
+        for blk in blocks:
+            blk.append(u)
+            rec(u + 1, blocks)
+            blk.pop()
+        for pos in range(len(blocks) + 1):
+            blocks.insert(pos, [u])
+            rec(u + 1, blocks)
+            del blocks[pos]
+
+    rec(0, [])
+    return out
+
+
 def pattern_lambda_range_lp(mu, edges, n, pat):
     """Feasible lambda interval of one order pattern by two full LPs, or None.
 
@@ -287,12 +325,12 @@ def flip_pattern(levels, m, zero_pos):
 def enumerate_1lap_lp(g):
     """enumerate_1lap_eigenvalues with every pattern decided by two full LPs.
 
-    The weak orderings come from the module's own generator; only the
-    per-pattern decision is independent of the code under test.
+    The weak orderings come from the recursion above, and every pattern is
+    offered, so nothing here shares code with the enumerator's screen.
     """
     mu, edges = _rational_graph(g)
     records = []
-    for levels, m in _ordered_partitions(g.n):
+    for levels, m in ordered_partitions(g.n):
         for zero_pos in range(2 * m + 1):
             if m == 1 and zero_pos == 1:
                 continue
@@ -310,11 +348,12 @@ def enumerate_1lap_every_position(g):
     """enumerate_1lap_eigenvalues with every zero position of every ordering
     offered to the module's own pinned-lambda and cut tests.
 
-    Only the choice of zero positions is independent of the code under test.
+    The orderings and zero positions are independent of the code under test,
+    and no pattern goes through its level-sum screen.
     """
     mu, edges = _integer_graph(g)
     records = []
-    for levels, m in _ordered_partitions(g.n):
+    for levels, m in ordered_partitions(g.n):
         net, mass = _level_sums(levels, m, mu, edges)
         for zero_pos in range(2 * m + 1):
             if m == 1 and zero_pos == 1:

@@ -5,6 +5,7 @@ import pytest
 
 from plap import parse_graph, path_graph, serialize_graph
 from plap.cli import main
+from plap.one_laplacian import ENUMERATION_CAP
 
 from .util import random_connected_graph
 
@@ -243,10 +244,34 @@ def test_certify_one_laplacian_example_goes_through_verifier(tmp_path,
 
 
 def test_certify_one_laplacian_cap(tmp_path):
-    gfile = tmp_path / "p7.txt"
-    gfile.write_text(serialize_graph(parse_graph(
-        "n 7\n" + "".join(f"{i} {i+1} 1.0\n" for i in range(1, 7)), "unit")))
+    gfile = tmp_path / "path.txt"
+    gfile.write_text(serialize_graph(path_graph(ENUMERATION_CAP + 1)))
     assert main(["certify", str(gfile), "--p", "2", "--one-laplacian"]) == 2
+
+
+def test_certify_one_laplacian_path8(tmp_path):
+    gfile = tmp_path / "p8.txt"
+    gfile.write_text(serialize_graph(path_graph(8)))
+    out = tmp_path / "r.json"
+    assert main(["certify", str(gfile), "--p", "2", "--one-laplacian",
+                 "--json", str(out)]) == 0
+    rep = _load(out)
+    assert {c["name"]: c["pass"] for c in rep["checks"]}["one_laplacian"]
+    assert rep["one_laplacian"]["h2_is_eigenvalue"] is True
+
+
+def test_certify_one_laplacian_one_vertex(tmp_path):
+    # no h_2 on one vertex: the section passes on its example alone
+    gfile = tmp_path / "one.txt"
+    gfile.write_text("n 1\n")
+    out = tmp_path / "r.json"
+    assert main(["certify", str(gfile), "--p", "2", "--one-laplacian",
+                 "--json", str(out)]) == 0
+    rep = _load(out)
+    ol = rep["one_laplacian"]
+    assert ol["h2"] is None and ol["h2_is_eigenvalue"] is False
+    assert ol["eigenvalues"] == [["0", "0"]] and ol["example"] is None
+    assert {c["name"]: c["pass"] for c in rep["checks"]}["one_laplacian"]
 
 
 def test_certify_one_laplacian_disconnected_writes_report(tmp_path):

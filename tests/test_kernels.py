@@ -4,7 +4,7 @@ import numpy as np
 
 from plap import kernels
 
-from .oracles import family_dp_loop, shoot_array
+from .oracles import family_dp_loop, shoot_array, subset_tables_dense
 
 
 def test_subset_tables_small_hand_check():
@@ -16,6 +16,24 @@ def test_subset_tables_small_hand_check():
     cut, mass = kernels.subset_tables(2, eu, ev, ew, mu)
     assert list(cut) == [0.0, 2.0, 2.0, 0.0]
     assert list(mass) == [0.0, 1.0, 3.0, 4.0]
+
+
+def test_subset_tables_blocks_match_one_pass():
+    # several blocks at n >= 11; the rows must be summed as in one pass
+    rng = np.random.default_rng(4)
+    shapes = [(n, int(rng.integers(0, n * (n - 1) // 2 + 1)))
+              for n in range(1, 15)]
+    shapes.append((14, 91))
+    for n, m in shapes:
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        pick = rng.permutation(len(pairs))[:m]
+        eu = np.array([pairs[i][0] for i in pick], dtype=np.int64)
+        ev = np.array([pairs[i][1] for i in pick], dtype=np.int64)
+        ew = rng.uniform(0.1, 3.0, m)
+        mu = rng.uniform(0.1, 3.0, n)
+        for got, want in zip(kernels.subset_tables(n, eu, ev, ew, mu),
+                             subset_tables_dense(n, eu, ev, ew, mu)):
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_family_dp_matches_loop(monkeypatch):

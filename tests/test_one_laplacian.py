@@ -18,16 +18,21 @@ from plap.one_laplacian import (
     _integer_graph,
     _level_sums,
     _levels_feasible,
-    _ordered_partitions,
     _pinned_lambda,
     _rational_graph,
+    _screen,
     _selection_lp,
+    _weak_orderings,
     check_certificate,
     to_fraction,
 )
 from plap.simplex import lp_solve
 
-from .oracles import enumerate_1lap_every_position, enumerate_1lap_lp
+from .oracles import (
+    enumerate_1lap_every_position,
+    enumerate_1lap_lp,
+    ordered_partitions,
+)
 from .util import MU_MODES, random_connected_graph
 
 F = Fraction
@@ -179,7 +184,7 @@ def test_enumerate_certificates_reverify():
 
 
 def test_enumerate_cap():
-    g = path_graph(7)
+    g = path_graph(one_laplacian.ENUMERATION_CAP + 1)
     with pytest.raises(ValueError, match="capped"):
         enumerate_1lap_eigenvalues(g)
 
@@ -207,10 +212,12 @@ def test_enumerate_matches_two_lp_reference():
 
 def test_enumerate_offers_each_ordering_its_possible_zero_positions():
     # when a level net is nonzero, only the zero positions next to the
-    # leading negative nets can pin a lambda; the records must not change
+    # leading negative nets can pin a lambda, and the level-sum screen drops
+    # only patterns that pin none; the records must not change
     rng = np.random.default_rng(8)
     graphs = [random_connected_graph(rng, 6, mode) for mode in MU_MODES]
     graphs.append(build_graph(6, [(1, 2, 1.0), (3, 4, 0.5), (4, 5, 2.0)]))
+    graphs += [random_connected_graph(rng, 7, "degree"), path_graph(7)]
     for g in graphs:
         assert enumerate_1lap_eigenvalues(g) == enumerate_1lap_every_position(g)
 
@@ -245,7 +252,7 @@ def test_cut_test_matches_selection_lp():
     for g in _cut_test_graphs():
         mu, edges = _rational_graph(g)
         int_mu, int_edges = _integer_graph(g)
-        for levels, m in _ordered_partitions(g.n):
+        for levels, m in ordered_partitions(g.n):
             net, mass = _level_sums(levels, m, int_mu, int_edges)
             for zero_pos in range(2 * m + 1):
                 if m == 1 and zero_pos == 1:
@@ -273,3 +280,47 @@ def test_enumerate_solves_no_lp(monkeypatch):
               random_connected_graph(rng, 6, "explicit"),
               build_graph(4, [(1, 2, 1.0), (3, 4, 1.0)])):
         assert enumerate_1lap_eigenvalues(g)
+
+
+# ---------------------------------------------------------------------------
+# the level-sum screen
+
+def test_weak_orderings_match_recursion():
+    for n in range(1, 8):
+        levels, m = _weak_orderings(n)
+        assert list(zip(map(tuple, levels.tolist()), m.tolist())) == \
+            ordered_partitions(n)
+
+
+def test_screen_leaves_near_tie_to_exact_test():
+    # the two end levels of f = (-1, 0, 1) on this path have nets -1 and
+    # 1 + 2^-52 on unit masses, so their ratios are one float64 step apart;
+    # the screen must keep the pattern and the exact test must reject it
+    heavy = 1.0 + 2.0 ** -52
+    g = build_graph(3, [(1, 2, 1.0), (2, 3, heavy)], mu=[1.0, 1.0, 1.0],
+                    mu_mode="explicit")
+    mu, edges = _integer_graph(g)
+    levels, m = (0, 1, 2), 3
+    net, mass = _level_sums(levels, m, mu, edges)
+    assert net[0] != -net[2] and float(-net[0]) / mass[0] == pytest.approx(
+        float(net[2]) / mass[2], rel=1e-15)
+    pat = OrderPattern(levels=levels, m=m, zero_pos=3)
+    assert _pinned_lambda(net, mass, pat) is None
+    table, ms = _weak_orderings(3)
+    row = table.tolist().index(list(levels))
+    cand, zero_pos = _screen(table, ms, 2 * ms, mu, edges)
+    assert (row, 3) in zip(cand.tolist(), zero_pos.tolist())
+    records = enumerate_1lap_eigenvalues(g)
+    assert records == enumerate_1lap_every_position(g)
+    assert all(r.pattern != pat for r in records)
+
+
+def test_screen_passes_everything_past_int64():
+    # weights and measures whose common scale takes the integer sums far
+    # past 2^62; the screen must drop nothing and the records stay exact
+    g = build_graph(5, [(1, 2, 1e-300), (2, 3, 1e300), (3, 4, 1.0),
+                        (4, 5, 0.3), (1, 5, 2.0)],
+                    mu=[1e-300, 1e300, 1.0, 2.0, 0.7], mu_mode="explicit")
+    mu, edges = _integer_graph(g)
+    assert sum(mu) > 1 << 62
+    assert enumerate_1lap_eigenvalues(g) == enumerate_1lap_every_position(g)
