@@ -25,11 +25,10 @@ from typing import Sequence
 import numpy as np
 
 from . import cheeger, kernels, nodal, plaplacian
-from .graph import Graph, components, is_connected, path_graph, tau
+from .graph import Graph, components, is_connected, path_graph
 from .plaplacian import EigenPair
 
 MIN_CONTINUATION_P = 1.05
-DENSE_RESIDUAL_TOL = 1e-10
 CONTINUATION_RESIDUAL_TOL = 1e-9
 PATH_RESIDUAL_TOL = 1e-10
 NEWTON_TOL = 1e-12      # max-norm residual at which `_newton` stops
@@ -520,7 +519,11 @@ def _same_pair(a: EigenPair, b: EigenPair) -> bool:
 
 
 def _indicator_seeds(g: Graph, families, rng) -> list[np.ndarray]:
-    """Candidate start functions built on optimal disjoint-subset families."""
+    """Candidate start functions built on optimal disjoint-subset families.
+
+    The last subset of a small family keeps one sign: `solve_from_guess` is
+    odd in its start, so the negated patterns would return the same pairs.
+    """
     seeds = []
     for fam in families:
         idx = [np.fromiter((v - 1 for v in a), dtype=np.int64) for a in fam]
@@ -530,7 +533,7 @@ def _indicator_seeds(g: Graph, families, rng) -> list[np.ndarray]:
         else:
             patterns = [
                 tuple(1.0 if (m >> j) & 1 else -1.0 for j in range(k))
-                for m in range(1 << k)
+                for m in range(1 << (k - 1))
             ]
         for pat in patterns:
             f0 = np.zeros(g.n)
@@ -546,31 +549,14 @@ def _indicator_seeds(g: Graph, families, rng) -> list[np.ndarray]:
     return seeds
 
 
-def _best_selection(g: Graph, p: float, pool, hk):
-    """Every zero pair (one per component) plus the ascending nonzero pairs
-    that pass the most two-sided isoperimetric bounds, ties going to the
-    smallest eigenvalue tuple; zero pairs score alike, so go unscored."""
-    import itertools
-
-    t = tau(g)
-    zero_pairs = [pr for pr in pool if pr.lam <= 1e-10]
-    free = g.n - len(zero_pairs)
-    rest = sorted((pr for pr in pool if pr.lam > 1e-10), key=lambda pr: pr.lam)
-    rest = rest[:free + 8]  # cap the enumeration
-    m_cache = {id(pr): nodal.strong_nodal_domains(g, pr.f).count for pr in rest}
-
-    def score(combo):
-        good = 0
-        for k, pr in enumerate(combo, len(zero_pairs) + 1):
-            tol = cheeger.bound_tol(pr.lam)
-            good += pr.lam <= cheeger.upper_bound(p, hk[k - 1][0]) + tol
-            h_m = hk[m_cache[id(pr)] - 1][0]
-            good += cheeger.lower_bound(p, t, h_m) - tol <= pr.lam
-        return good
-
-    best = min(itertools.combinations(rest, free),
-               key=lambda c: (-score(c), tuple(pr.lam for pr in c)))
-    return zero_pairs + list(best)
+def _upper_violations(p: float, hk, pairs) -> list[tuple[int, float]]:
+    """(k, 2^(p-1) h_k) for every lambda_k of the ascending pairs above it."""
+    found = []
+    for k, pr in enumerate(pairs, 1):
+        upper = cheeger.upper_bound(p, hk[k - 1][0])
+        if pr.lam > upper + cheeger.bound_tol(pr.lam):
+            found.append((k, upper))
+    return found
 
 
 def variational_spectrum(
@@ -586,9 +572,11 @@ def variational_spectrum(
     enumeration cap, or supplied as hk), every value is checked against the
     certified upper bound 2^(p-1) h_k; a violation or a dead branch
     triggers a repair pass that seeds additional eigenpairs from the
-    optimal-cut indicator spans directly at the target p, after which the
-    best certified ascending selection is reported and anything still
-    violating the bound stays flagged in the diagnostics.  hk is the
+    optimal-cut indicator spans directly at the target p.  The n lowest
+    pairs are reported; that is the best certified selection, since the
+    lower bound of the paper holds for every eigenpair and the upper bound
+    2^(p-1) h_k only gets harder to meet as lambda_k grows.  Anything still
+    violating the upper bound stays flagged in the diagnostics.  hk is the
     (h_k, optimal family) list for k = 1..n, as
     `cheeger.multiway_cheeger_all(g, g.n)` returns it; without it the
     constants are enumerated once here.
@@ -598,11 +586,8 @@ def variational_spectrum(
     base = solve_p2_spectrum(g)
     if p == 2.0:
         return base
-    groups = nodal.multiplicity_groups(base.lams)
-    mult = {}
-    for grp in groups:
-        for i in grp:
-            mult[i] = len(grp)
+    mult = {i: len(grp) for grp in nodal.multiplicity_groups(base.lams)
+            for i in grp}
     notes = []
     pool: list[tuple[EigenPair, dict]] = []
     for i, seed in enumerate(base.pairs):
@@ -623,18 +608,11 @@ def variational_spectrum(
 
     certified = hk is not None and g.n > 1
     if certified:
-        def violations(pairs_sorted):
-            return [k for k, pr in enumerate(pairs_sorted[:g.n], 1)
-                    if pr.lam > (cheeger.upper_bound(p, hk[k - 1][0])
-                                 + cheeger.bound_tol(pr.lam))]
-
         rng = np.random.default_rng(12961)
         families = [fam for _, fam in hk[1:]]
         for _ in range(3):
-            pairs_sorted = sorted((pr for pr, _ in pool), key=lambda x: x.lam)
-            bad = violations(pairs_sorted)
-            deficit = len(pool) < g.n
-            if not bad and not deficit:
+            lowest = sorted((pr for pr, _ in pool), key=lambda x: x.lam)[:g.n]
+            if len(lowest) == g.n and not _upper_violations(p, hk, lowest):
                 break
             # seed from every family size: inserting one low eigenvalue
             # shifts all later indices, so the useful seeds are not confined
@@ -655,28 +633,22 @@ def variational_spectrum(
         raise ContinuationError(
             f"only {len(pool)} of {g.n} eigenpairs could be computed at "
             f"p = {p}; " + "; ".join(notes))
+    results = sorted(pool, key=lambda tp: tp[0].lam)[:g.n]
+    if len(pool) > g.n:
+        notes.append(f"{len(pool) - g.n} extra eigenpairs found during "
+                     f"repair; kept the best certified selection")
     if certified:
-        diag_of = {id(pr): dg for pr, dg in pool}
-        selection = _best_selection(g, p, [pr for pr, _ in pool], hk)
-        if len(pool) > g.n:
-            notes.append(f"{len(pool) - g.n} extra eigenpairs found during "
-                         f"repair; kept the best certified selection")
-        results = [(pr, diag_of[id(pr)]) for pr in selection]
-        results.sort(key=lambda tp: tp[0].lam)
-        for k, (pair, diag) in enumerate(results, 1):
-            upper = cheeger.upper_bound(p, hk[k - 1][0])
-            if pair.lam > upper + cheeger.bound_tol(pair.lam):
-                diag["branch_warning"] = (
-                    f"lambda_{k} = {pair.lam:.12g} exceeds the certified "
-                    f"upper bound {upper:.12g}: continuation left the "
-                    f"variational branch")
-                notes.append(diag["branch_warning"])
-    else:
+        for k, upper in _upper_violations(p, hk, [pr for pr, _ in results]):
+            pair, diag = results[k - 1]
+            diag["branch_warning"] = (
+                f"lambda_{k} = {pair.lam:.12g} exceeds the certified "
+                f"upper bound {upper:.12g}: continuation left the "
+                f"variational branch")
+            notes.append(diag["branch_warning"])
+    elif hk is None:
         # at n = 1 the constants exist and there is nothing to certify
-        if hk is None:
-            notes.append("indicator-span certification skipped: exact "
-                         "multiway constants unavailable at this size")
-        results = sorted(pool, key=lambda tp: tp[0].lam)
+        notes.append("indicator-span certification skipped: exact "
+                     "multiway constants unavailable at this size")
 
     return Spectrum(graph=g, p=p,
                     pairs=tuple(pair for pair, _ in results),
@@ -750,11 +722,8 @@ def path_spectrum(n: int, p: float) -> Spectrum:
         raise ValueError(f"path spectrum requires p > 1, got {p}")
     g = path_graph(n, "unit")
 
+    # lambda_max <= 2^(p-1) tau = 2^p on a unit path
     lam_hi = 2.0 ** p * (1.0 + 1e-7) + 1e-6
-    for _ in range(6):
-        if _below(n, p, lam_hi) >= n:
-            break
-        lam_hi *= 2.0
     top = _below(n, p, lam_hi)
     if top != n:
         raise BracketError(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from plap import parse_graph, path_graph, serialize_graph
+from plap.cheeger import EXACT_HK_CAP
 from plap.cli import main
 from plap.one_laplacian import ENUMERATION_CAP
 
@@ -129,6 +130,26 @@ def test_cheeger_command(path4, tmp_path):
 
 def test_cheeger_k_out_of_range(path4):
     assert main(["cheeger", path4, "--k", "5"]) == 2
+
+
+def test_cheeger_past_cap_needs_approx(tmp_path, capsys):
+    n = EXACT_HK_CAP + 1
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(serialize_graph(
+        random_connected_graph(np.random.default_rng(15), n)))
+    assert main(["cheeger", str(gfile), "--k", "3"]) == 2
+    assert f"exact enumeration cap {EXACT_HK_CAP}" in capsys.readouterr().err
+    out = tmp_path / "h.json"
+    assert main(["cheeger", str(gfile), "--k", "3", "--approx",
+                 "--json", str(out)]) == 0
+    rep = _load(out)
+    assert rep["parameters"]["exact"] is False
+    assert rep["h"][0] == 0.0
+    assert rep["families"][0] == [list(range(1, n + 1))]
+    assert [len(fam) for fam in rep["families"]] == [1, 2, 3]
+    for fam in rep["families"]:
+        members = [v for subset in fam for v in subset]
+        assert len(members) == len(set(members))
 
 
 def test_cheeger_sweep(path4, tmp_path):

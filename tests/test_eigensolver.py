@@ -13,7 +13,7 @@ from plap import (
     solve_p2_spectrum,
     variational_spectrum,
 )
-from plap import build_graph, certify_cheeger
+from plap import build_graph, certify_cheeger, multiway_cheeger_all
 from plap.eigensolver import (
     PATH_RESIDUAL_TOL,
     _below,
@@ -145,6 +145,67 @@ def test_direct_form_twins_only_trials_with_tiny_entries():
     x[1] = 1e-16
     trial, twin = form.candidates(x)
     assert trial is x and twin[1] == 0.0 and twin[-1] == 2.0
+
+
+def _sign_seeds(g):
+    """The indicator sign patterns of the repair pass, last subset negative."""
+    for _, fam in multiway_cheeger_all(g, g.n)[1:]:
+        for m in range(1 << (len(fam) - 1)):
+            f0 = np.zeros(g.n)
+            for j, subset in enumerate(fam):
+                f0[[v - 1 for v in subset]] = 1.0 if (m >> j) & 1 else -1.0
+            yield f0
+
+
+@pytest.mark.parametrize("seed, n, mu_mode", [
+    (24, 4, None), (0, 3, "degree"), (7, 4, "explicit")])
+def test_solve_from_guess_is_odd_in_its_start(seed, n, mu_mode):
+    # the repair pass starts each sign pattern once because of this
+    g = random_connected_graph(np.random.default_rng(seed), n, mu_mode)
+    for f0 in _sign_seeds(g):
+        for p in (1.1, 1.5, 3.0):
+            a, b = solve_from_guess(g, f0, p), solve_from_guess(g, -f0, p)
+            if a is None or b is None:
+                assert a is None and b is None
+                continue
+            assert (a.lam, a.residual) == (b.lam, b.residual)
+            assert a.f.tobytes() == b.f.tobytes()
+
+
+def test_repair_reports_the_lowest_pairs_from_distinct_starts(monkeypatch):
+    from plap import eigensolver
+    g = random_connected_graph(np.random.default_rng(24), 4)
+    continued, starts, found = [], [], []
+    cont, solve = eigensolver._continue_with_diag, eigensolver.solve_from_guess
+
+    def continue_recorded(*args):
+        out = cont(*args)
+        continued.append(out[0])
+        return out
+
+    def solve_recorded(g, f0, p):
+        starts.append(f0.copy())
+        found.append(solve(g, f0, p))
+        return found[-1]
+
+    monkeypatch.setattr(eigensolver, "_continue_with_diag", continue_recorded)
+    monkeypatch.setattr(eigensolver, "solve_from_guess", solve_recorded)
+    sp = variational_spectrum(g, 1.1)
+    for i, f0 in enumerate(starts):
+        assert not any(np.array_equal(f0, -t) for t in starts[:i]), i
+    assert sp.lams == pytest.approx(
+        [0.0, 2.302299302072836, 2.811835482942288, 2.845443892768848],
+        rel=1e-12)
+    assert sp.notes == ("6 extra eigenpairs found during repair; "
+                        "kept the best certified selection",)
+    pool = list(continued)
+    for pair in found:
+        if (pair is not None and pair.lam > 1e-10
+                and not any(_same_pair(pair, pr) for pr in pool)):
+            pool.append(pair)
+    assert len(pool) == g.n + 6
+    lowest = sorted(pool, key=lambda pr: pr.lam)[:g.n]
+    assert all(a is b for a, b in zip(sp.pairs, lowest))
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -101,6 +102,22 @@ def test_verify_p3_lambda_one_feasible():
     assert cert.z == {(1, 2): F(1), (2, 3): F(-1)}
     assert cert.s == {1: F(1), 2: F(-1), 3: F(1)}
     assert check_certificate(g, [1, -1, 1], 1, cert)
+
+
+def test_check_certificate_rejects_each_broken_condition():
+    g = path_graph(3, "degree")
+    f = [1, -1, 1]
+    cert = verify_1lap_eigenpair(g, f, 1)
+    assert check_certificate(g, f, 1, cert)
+    assert not check_certificate(g, f, 1, replace(cert, feasible=False))
+    # f(1) - f(2) = 2 > 0, so z(1, 2) must be +1
+    bad_z = replace(cert, z={**cert.z, (1, 2): F(-1)})
+    assert not check_certificate(g, f, 1, bad_z)
+    # f(1) = 1 > 0, so s(1) must be +1
+    bad_s = replace(cert, s={**cert.s, 1: F(1, 2)})
+    assert not check_certificate(g, f, 1, bad_s)
+    # the signs still fit, but the balance at each vertex needs lambda = 1
+    assert not check_certificate(g, f, F(1, 2), cert)
 
 
 def test_verify_p3_half_infeasible():
