@@ -610,6 +610,10 @@ def variational_spectrum(
     if certified:
         rng = np.random.default_rng(12961)
         families = [fam for _, fam in hk[1:]]
+        # solve_from_guess is deterministic and odd in its start, and the
+        # pool only grows, so a start met before, or its negation, adds
+        # nothing; adding 0.0 folds -0.0 to +0.0 in the bytes
+        started: set[bytes] = set()
         for _ in range(3):
             lowest = sorted((pr for pr, _ in pool), key=lambda x: x.lam)[:g.n]
             if len(lowest) == g.n and not _upper_violations(p, hk, lowest):
@@ -619,6 +623,11 @@ def variational_spectrum(
             # to the violated k
             added = 0
             for f0 in _indicator_seeds(g, families, rng):
+                key = (f0 + 0.0).tobytes()
+                if key in started:
+                    continue
+                started.add(key)
+                started.add((0.0 - f0).tobytes())
                 cand = solve_from_guess(g, f0, p)
                 if cand is None or cand.lam <= 1e-10:
                     continue

@@ -6,6 +6,8 @@ so a tracer can count calls by replacing the attribute.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -128,12 +130,17 @@ def subset_tables(n, eu, ev, ew, mu):
 #
 # Each mask splits into its high bits and its low L = min(n, 9) bits.  For a
 # nonzero low part the lowest vertex is low, and the (lo, ls) pairs with
-# lowbit(lo) in ls form a fixed table of (3^L - 1) / 2 entries grouped by lo;
-# one (high mask, high submask) pair costs one gather, one maximum and one
-# reduceat over it.  For a zero low part the lowest vertex is high, and the
-# few high submasks holding it are walked as scalars.  Only min and max are
-# taken, so the table is bit-identical to a plain submask walk
-# (`tests/oracles.family_dp_loop`); ratio[0] is never read.
+# lowbit(lo) in ls form a fixed table of (3^L - 1) / 2 entries grouped by lo.
+# A step (hi, hs) of layer j reads e[j-1] at (hi ^ hs, lo ^ ls), which is
+# finite only if that mask holds at least j - 1 bits, since a family of
+# j - 1 disjoint nonempty subsets needs j - 1 vertices.  So the step runs
+# over the pairs with popcount(lo ^ ls) >= c = j - 1 - popcount(hi ^ hs)
+# only (`_low_tables`), and none at all once c >= L.  The steps of one high
+# mask that share c are gathered, maximized and minimized into one buffer,
+# and one reduceat over the lo groups ends them.  For a zero low part the
+# lowest vertex is high, and the few high submasks holding it are walked as
+# scalars.  Only min and max are taken, so the table is bit-identical to a
+# plain submask walk (`tests/oracles.family_dp_loop`); ratio[0] is never read.
 
 LOW_BITS = 9
 
@@ -165,38 +172,84 @@ def _low_submask_pairs(low):
     return ls, lo ^ ls, starts
 
 
+@functools.lru_cache(maxsize=1)
+def _low_tables(low):
+    """`_low_submask_pairs(low)` split by threshold, for c = 0 .. low - 1.
+
+    Table c is (ls, lo ^ ls, group starts, group lo) over the pairs with
+    popcount(lo ^ ls) >= c, still grouped by ascending lo; a group is kept
+    iff popcount(lo) > c, since ls holds lowbit(lo).  Built on first use and
+    kept for the last `low` only: about 0.55 MB at low = 9.
+    """
+    sub, rest, _ = _low_submask_pairs(low)
+    lo = sub | rest
+    bits = np.zeros_like(rest)
+    for i in range(low):
+        bits += (rest >> i) & 1
+    tables = []
+    for c in range(low):
+        keep = bits >= c
+        group_lo = lo[keep]
+        starts = np.flatnonzero(np.diff(group_lo, prepend=0))
+        tables.append((sub[keep], rest[keep], starts, group_lo[starts]))
+    return tables
+
+
 def family_minmax_dp(ratio, kmax):
     size = ratio.shape[0]
     low = min(size.bit_length() - 1, LOW_BITS)
-    sub, rest, starts = _low_submask_pairs(low)
+    tables = _low_tables(low)
     r = ratio.reshape(-1, 1 << low)
     n_hi = r.shape[0]
-    part = r[:, sub]
     r_col0 = r[:, 0].tolist()
     e = np.full((kmax + 1, size), np.inf)
     e[0, 0] = 0.0
-    vals = np.empty(sub.shape[0])
-    for j in range(1, kmax + 1):
+    # one subset: e[1][mask] = max(ratio[mask], e[0][0])
+    np.maximum(ratio[1:], 0.0, out=e[1, 1:])
+    # leftovers[hi][b]: the high parts d = hi ^ hs of b bits that a step
+    # (hi, hs) leaves over
+    leftovers = []
+    for hi in range(n_hi):
+        by_bits = [[] for _ in range(hi.bit_count() + 1)]
+        d = hi
+        while True:
+            by_bits[d.bit_count()].append(d)
+            if d == 0:
+                break
+            d = (d - 1) & hi
+        leftovers.append(by_bits)
+    m = tables[0][0].shape[0]
+    va, vb, acc = np.empty(m), np.empty(m), np.empty(m)
+    for j in range(2, kmax + 1):
         prev = e[j - 1].reshape(r.shape)
         cur = e[j].reshape(r.shape)
-        # e[j-1] is inf on masks of fewer than j - 1 bits, and e[0] off mask 0;
-        # a step over such a row only gives inf
-        live = [h == 0 if j == 1 else h.bit_count() + low >= j - 1
-                for h in range(n_hi)]
         prev_col0 = prev[:, 0].tolist()
         for hi in range(n_hi):
             if hi.bit_count() + low < j:
                 continue
-            out = cur[hi, 1:]
-            hs = hi
-            while True:
-                if live[hi ^ hs]:
-                    np.take(prev[hi ^ hs], rest, out=vals)
-                    np.maximum(part[hs], vals, out=vals)
-                    np.minimum(out, np.minimum.reduceat(vals, starts), out=out)
-                if hs == 0:
-                    break
-                hs = (hs - 1) & hi
+            row = cur[hi]
+            for b_hi, ds in enumerate(leftovers[hi]):
+                c = j - 1 - b_hi
+                if c >= low:
+                    continue
+                sub, rest, starts, los = tables[max(c, 0)]
+                m = sub.shape[0]
+                a, b, best = va[:m], vb[:m], acc[:m]
+                # mode="clip" skips the buffered copy that take makes for
+                # out= in its default mode; every index is in range
+                for i, d in enumerate(ds):
+                    r[hi ^ d].take(sub, out=a, mode="clip")
+                    prev[d].take(rest, out=b, mode="clip")
+                    if i == 0:
+                        np.maximum(a, b, out=best)
+                    else:
+                        np.maximum(a, b, out=b)
+                        np.minimum(best, b, out=best)
+                red = np.minimum.reduceat(best, starts)
+                if c <= 0:  # table 0 has a group for every lo = 1 .. 2^L - 1
+                    np.minimum(row[1:], red, out=row[1:])
+                else:
+                    row[los] = np.minimum(row[los], red)
             if hi == 0 or hi.bit_count() < j:
                 continue
             # low part empty: the subset holding lowbit(hi) has no low bits

@@ -19,7 +19,7 @@ from plap import cheeger, kernels
 from plap.cheeger import ExactCapExceeded, multiway_cheeger_greedy, validate_family
 
 from .oracles import naive_multiway, reconstruct_family_loop, subset_key
-from .util import random_connected_graph, random_vertex_function
+from .util import MU_MODES, random_connected_graph, random_vertex_function
 
 
 def test_cut_ratio_values():
@@ -99,6 +99,13 @@ def test_reconstruction_matches_submask_walk():
             edges = [(int(u) + 1, int(v) + 1, 1.0) for u, v in zip(w.edges_u, w.edges_v)]
             mu = rng.choice([1.0, 2.0], n) if mu_mode == "explicit" else None
             graphs.append(build_graph(n, edges, mu=mu, mu_mode=mu_mode))
+    # n = 12 splits every mask into high and low bits (L = 9)
+    rng = np.random.default_rng(53)
+    for mu_mode in MU_MODES:
+        w = random_connected_graph(rng, 12, mu_mode="unit")
+        edges = [(int(u) + 1, int(v) + 1, 1.0) for u, v in zip(w.edges_u, w.edges_v)]
+        mu = rng.choice([1.0, 2.0], 12) if mu_mode == "explicit" else None
+        graphs.append(build_graph(12, edges, mu=mu, mu_mode=mu_mode))
     for g in graphs:
         ratio = cheeger._ratio_table(g)
         dp = kernels.family_minmax_dp(ratio, g.n)
@@ -106,6 +113,53 @@ def test_reconstruction_matches_submask_walk():
         for k in range(1, g.n + 1):
             assert (cheeger._reconstruct_family(ratio, dp, k, g.n, rank)
                     == reconstruct_family_loop(ratio, dp, k, g.n)), (g.n, g.mu_mode, k)
+
+
+# (h_k, optimal family as vertex masks) for k = 1..n, recorded from the
+# unpruned recursion and submask-walk reconstruction
+RECORDED_N12 = [
+    (0.0, [4095]),
+    (0.2727272727272727, [869, 3226]),
+    (0.5, [1159, 2104, 832]),
+    (0.6, [2181, 1026, 56, 832]),
+    (0.6666666666666666, [1027, 2308, 40, 144, 576]),
+    (0.7777777777777778, [3, 68, 40, 144, 768, 3072]),
+    (1.0, [1, 2, 4, 8, 16, 32, 64]),
+    (1.0, [1, 2, 4, 8, 16, 32, 64, 128]),
+    (1.0, [1, 2, 4, 8, 16, 32, 64, 128, 256]),
+    (1.0, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]),
+    (1.0, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]),
+    (1.0, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048]),
+]
+RECORDED_N13 = [
+    (0.0, [8191]),
+    (0.38162379454475365, [3839, 4352]),
+    (0.6619084346031294, [2687, 1152, 4352]),
+    (1.0128061543204696, [43, 3668, 128, 4352]),
+    (1.3228309205135242, [59, 3652, 128, 256, 4096]),
+    (1.7147799979781102, [33, 1566, 2112, 128, 256, 4096]),
+    (1.9051336977862776, [1, 2078, 1568, 64, 128, 256, 4096]),
+    (2.184943368834815, [1, 10, 2068, 1568, 64, 128, 256, 4096]),
+    (2.718333343302889, [1, 10, 2068, 544, 64, 128, 256, 1024, 4096]),
+    (3.250352776418677, [1, 10, 516, 2064, 32, 64, 128, 256, 1024, 4096]),
+    (3.8387878630463734, [1, 2, 20, 8, 32, 64, 128, 256, 1536, 2048, 4096]),
+    (4.606923122139677, [1, 2, 4, 8, 48, 64, 128, 256, 512, 1024, 2048, 4096]),
+    (5.460887139201354, [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]),
+]
+
+
+def test_multiway_matches_recorded_values_past_the_loop_oracle():
+    # `family_dp_loop` takes seconds at these sizes; ties on the unit-weight
+    # graph under the degree measure exercise the tie-break
+    w = random_connected_graph(np.random.default_rng(61), 12, mu_mode="unit")
+    edges = [(int(u) + 1, int(v) + 1, 1.0) for u, v in zip(w.edges_u, w.edges_v)]
+    cases = [(build_graph(12, edges, mu_mode="degree"), RECORDED_N12),
+             (random_connected_graph(np.random.default_rng(67), 13, mu_mode="explicit"),
+              RECORDED_N13)]
+    for g, recorded in cases:
+        want = [(h, tuple(cheeger._mask_to_subset(m) for m in masks))
+                for h, masks in recorded]
+        assert multiway_cheeger_all(g) == want, g.n
 
 
 def test_subset_rank_orders_like_sorted_vertex_tuples():

@@ -68,6 +68,24 @@ def test_low_submask_pairs_hold_lowest_bit():
         assert len(set(zip(lo.tolist(), sub.tolist()))) == sub.shape[0]
 
 
+def test_low_tables_split_pairs_by_threshold():
+    for low in range(1, kernels.LOW_BITS + 1):
+        sub, rest, _ = kernels._low_submask_pairs(low)
+        bits = np.array([int(r).bit_count() for r in rest])
+        tables = kernels._low_tables(low)
+        assert len(tables) == low and bits.max() == low - 1
+        for c, (t_sub, t_rest, t_starts, t_lo) in enumerate(tables):
+            # the pairs with popcount(lo ^ ls) >= c, in their grouped order
+            keep = bits >= c
+            assert np.array_equal(t_sub, sub[keep]), (low, c)
+            assert np.array_equal(t_rest, rest[keep]), (low, c)
+            # one nonempty group per lo, ascending
+            lo = t_sub | t_rest
+            assert t_starts[0] == 0 and np.all(np.diff(t_starts) > 0)
+            assert np.array_equal(t_lo, lo[t_starts]) and np.all(np.diff(t_lo) > 0)
+            assert np.array_equal(np.repeat(t_lo, np.diff(t_starts, append=lo.shape[0])), lo)
+
+
 def _same_shot(got, want):
     f, defect, zeros = got
     f_ref, defect_ref, zeros_ref = want
