@@ -37,7 +37,6 @@ from .graph import (
     Graph,
     GraphParseError,
     graph_digest,
-    is_connected,
     is_unit_path,
     parse_graph,
 )
@@ -331,9 +330,6 @@ def _cmd_certify(args) -> int:
     g = _load_graph(args.graph, args.mu)
     p_list = args.p if args.p else list(DEFAULT_CERTIFY_P)
     rng = np.random.default_rng(args.seed)
-    if not is_connected(g):
-        print("warning: graph is disconnected; certificates may be vacuous",
-              file=sys.stderr)
     if args.one_laplacian and g.n > one_laplacian.ENUMERATION_CAP:
         print(f"error: --one-laplacian requires n <= "
               f"{one_laplacian.ENUMERATION_CAP}, got n = {g.n}", file=sys.stderr)
@@ -405,6 +401,13 @@ def _cmd_certify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _steps(text: str) -> int:
+    steps = int(text)
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {steps}")
+    return steps
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plap",
@@ -428,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="compute one spectrum")
     common(p_solve)
     p_solve.add_argument("--p", type=float, default=2.0, help="exponent p > 1")
-    p_solve.add_argument("--steps", type=int, default=16,
+    p_solve.add_argument("--steps", type=_steps, default=16,
                          help="continuation grid steps from p = 2")
     p_solve.add_argument("--csv", metavar="PATH", help="spectrum table as CSV")
     p_solve.set_defaults(func=_cmd_solve)
@@ -438,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_cert)
     p_cert.add_argument("--p", type=float, action="append",
                         help="exponent (repeatable; default 1.1 1.5 2 3)")
-    p_cert.add_argument("--steps", type=int, default=16)
+    p_cert.add_argument("--steps", type=_steps, default=16)
     p_cert.add_argument("--tol", type=float, default=1e-9,
                         help="additive certificate tolerance base")
     p_cert.add_argument("--one-laplacian", action="store_true",
@@ -463,20 +466,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = args.func(args)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-        return code
+        return args.func(args)
     except GraphParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
+        # a missing or unreadable graph, or a report path that cannot be
+        # written: a usage error, not a certificate failure
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ContinuationError, BracketError) as exc:
@@ -485,6 +483,17 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run(args)
+    # one line per distinct notice, however many exponents raised it
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -88,6 +88,15 @@ def test_solve_disconnected_warns_exit_zero(tmp_path, capsys):
     assert "disconnected" in capsys.readouterr().err
 
 
+def test_certify_disconnected_warns_once(tmp_path, capsys):
+    # every exponent's dense p = 2 solve raises the same notice
+    gfile = tmp_path / "d.txt"
+    gfile.write_text(DISCONNECTED)
+    main(["certify", str(gfile), "--json", str(tmp_path / "out.json")])
+    err = capsys.readouterr().err.splitlines()
+    assert sum("disconnected" in line for line in err) == 1
+
+
 def test_disconnected_graph_beyond_p2(tmp_path):
     gfile = tmp_path / "t.txt"
     gfile.write_text(TWO_TRIANGLES)
@@ -117,6 +126,27 @@ def test_malformed_file_exit_2(tmp_path):
     bad.write_text("n 3\n1 1 1.0\n")
     assert main(["solve", str(bad), "--p", "2"]) == 2
     assert main(["solve", str(tmp_path / "missing.txt"), "--p", "2"]) == 2
+
+
+def test_unusable_paths_exit_2(path4, tmp_path, capsys):
+    assert main(["certify", str(tmp_path)]) == 2
+    assert main(["solve", path4, "--json", str(tmp_path)]) == 2
+    assert main(["solve", path4, "--json", str(tmp_path / "out.json"),
+                 "--csv", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(line.startswith("error: ") for line in err)
+
+
+@pytest.mark.parametrize("command", ["solve", "certify"])
+@pytest.mark.parametrize("text", [PATH4, "n 3\n1 2 1.0\n2 3 1.0\n1 3 1.0\n"],
+                         ids=["path", "triangle"])
+def test_steps_below_one_is_a_usage_error(command, text, tmp_path, capsys):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(gfile), "--p", "3", "--steps", "0"])
+    assert exc.value.code == 2
+    assert "--steps: must be >= 1, got 0" in capsys.readouterr().err
 
 
 def test_cheeger_command(path4, tmp_path):

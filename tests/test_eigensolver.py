@@ -13,11 +13,15 @@ from plap import (
     solve_p2_spectrum,
     variational_spectrum,
 )
-from plap import build_graph, certify_cheeger, multiway_cheeger_all
+from plap import (
+    build_graph,
+    certify_cheeger,
+    certify_nodal_bounds,
+    multiway_cheeger_all,
+)
 from plap.eigensolver import (
     PATH_RESIDUAL_TOL,
     _below,
-    _DirectForm,
     _same_pair,
     solve_from_guess,
 )
@@ -138,13 +142,24 @@ def test_solve_from_guess_recovers_continued_pairs_in_both_forms():
         assert solve_from_guess(g, np.zeros(g.n), p) is None
 
 
-def test_direct_form_twins_only_trials_with_tiny_entries():
-    form = _DirectForm(path_graph(3))
-    x = np.array([1.0, -0.5, 0.0, 2.0])  # (f, lam); an exact zero is not tiny
-    assert len(form.candidates(x)) == 1
-    x[1] = 1e-16
-    trial, twin = form.candidates(x)
-    assert trial is x and twin[1] == 0.0 and twin[-1] == 2.0
+@pytest.mark.parametrize("seed, n, lams", [
+    (0, 5, [0.0, 0.3864091364313761, 1.0, 2.8959615120748836, 4.0]),
+    (20, 5, [0.0, 0.33571847977479885, 1.0, 3.249316873004937,
+             3.6467337018581643]),
+    (36, 4, [0.0, 1.0, 1.0, 4.0]),
+    (78, 6, [0.0, 0.18294835711985535, 1.0, 1.0, 3.221009767784676,
+             3.999999999999999]),
+])
+def test_p3_spectra_with_exact_zero_entries(seed, n, lams):
+    # degree-measure graphs whose p = 3 Newton iterates carry entries below
+    # 1e-15 of the largest, on the cusp of the power kernel.  The nodal
+    # counts inside the lambda = 1 groups depend on the basis and are not
+    # pinned
+    g = random_connected_graph(np.random.default_rng(seed), n)
+    sp = variational_spectrum(g, 3.0)
+    assert sp.lams == pytest.approx(lams, rel=1e-12, abs=0.0)
+    assert certify_nodal_bounds(sp).all_pass
+    assert all(c.passed for c in certify_cheeger(g, sp))
 
 
 def _sign_seeds(g):
