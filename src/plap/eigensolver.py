@@ -10,7 +10,9 @@ Three routes:
   direct form (f, lam) serves p >= 2 and the flux form (phi_p(f),
   phi_p(edge differences), lam) serves p < 2.  The form is chosen per grid
   step, and a halved step keeps the form of the step it splits.  Each
-  Armijo backtrack of Newton tries the one point x + alpha * step.  When a
+  Armijo backtrack of Newton tries the one point x + alpha * step, and a
+  finished direct-form pair has its unresolved cusp entries set to exact
+  zeros when the residual stays within tolerance.  When a
   branch dies or a value breaks its upper bound, a single repair pass
   solves once from each distinct indicator-span start at the target p;
 * a shooting solver on unit-weight paths that counts the eigenvalues below
@@ -197,8 +199,19 @@ class _DirectForm:
         return jac
 
     def finish(self, x, lam, p):
-        f = _canonical_sign(plaplacian.normalized(self.g, x[:-1], p))
-        return f, plaplacian.eigen_residual(self.g, f, lam, p)
+        f = plaplacian.normalized(self.g, x[:-1], p)
+        res = plaplacian.eigen_residual(self.g, f, lam, p)
+        # an entry whose neighbours are all near zero moves the residual by
+        # about |e|^(p-1), so Newton stops with it anywhere below
+        # NEWTON_TOL^(1/(p-1)) and nodal counts would turn on that noise; the
+        # exact zero is kept when it meets the tolerance as well
+        tiny = np.abs(f) <= NEWTON_TOL ** (1.0 / (p - 1.0)) * np.max(np.abs(f))
+        if np.any(tiny & (f != 0.0)):
+            snapped = np.where(tiny, 0.0, f)
+            res_snapped = plaplacian.eigen_residual(self.g, snapped, lam, p)
+            if res_snapped <= max(res, NEWTON_TOL):
+                f, res = snapped, res_snapped
+        return _canonical_sign(f), res
 
 
 # The flux form, for 1 < p < 2.
@@ -302,8 +315,8 @@ def _newton(form, x, p):
             if not np.all(np.isfinite(step)):
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
-            # singular Jacobians; without this fallback 4 of 184 measured
-            # spectra change (CHANGES.md)
+            # singular Jacobians at folds; without this fallback some solves
+            # pick other pairs (the ablation in CHANGES.md)
             step = np.linalg.lstsq(jac, -res, rcond=None)[0]
             if not np.all(np.isfinite(step)):
                 raise _NewtonFailure(form.failures[0])
@@ -319,8 +332,8 @@ def _newton(form, x, p):
             alpha *= 0.5
             if alpha < 2.0 ** -40:
                 # stiff instances bottom out above the tolerance; accept the
-                # floor when it is already far below the solver contract
-                # (without the floor 2 of 184 measured spectra change)
+                # floor when it is already far below the solver contract;
+                # without it stiff steps fail and some spectra lose a pair
                 if np.max(np.abs(res)) <= 100 * NEWTON_TOL:
                     return x, iters
                 raise _NewtonFailure(form.failures[1])
@@ -397,8 +410,8 @@ def _continue_with_diag(g, seed, p_target, steps=16):
             # a stall usually means the branch crossed a kink of the power
             # kernel; try restarting on the far side before shrinking steps.
             # The flux form rebuilds f with the q of p_from; trials are
-            # normalised at p_to.  Without these restarts 47 of 184 measured
-            # spectra change and 3 solves fail (CHANGES.md)
+            # normalised at p_to.  Without these restarts branches stall or
+            # jump at folds, and solves change, fail or slow down (CHANGES.md)
             for trial in _fold_restarts(g, form.vertex(x, p_from)):
                 try:
                     t = form.pose(plaplacian.normalized(g, trial, p_to), lam, p_to)
