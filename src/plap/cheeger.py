@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from . import kernels, nodal, plaplacian
+from . import kernels, plaplacian
 from .graph import Graph, subset_indices, tau
 
 if TYPE_CHECKING:
@@ -47,6 +47,7 @@ if TYPE_CHECKING:
 # 6.3 and 12.6 MB (fresh process, seeded random graphs, 2-core x86-64 VM).
 # The cap stays at 14 until whole `certify` calls are timed past it.
 EXACT_HK_CAP = 14
+BOUND_TOL_BASE = 1e-9  # the additive part of `bound_tol`
 
 
 class ExactCapExceeded(ValueError):
@@ -232,9 +233,9 @@ def lower_bound(p: float, t: float, h_m: float) -> float:
     return (2.0 / t) ** (p - 1.0) * (h_m / p) ** p
 
 
-def bound_tol(lam: float, tol_base: float = 1e-9) -> float:
-    """Pass tolerance of either side of the bound: tol_base + 1e-6 |lambda|."""
-    return tol_base + 1e-6 * abs(lam)
+def bound_tol(lam: float) -> float:
+    """Pass tolerance of either side of the bound: 1e-9 + 1e-6 |lambda|."""
+    return BOUND_TOL_BASE + 1e-6 * abs(lam)
 
 
 @dataclass(frozen=True)
@@ -257,40 +258,34 @@ class CheegerCertificate:
         return self.lower_ok and self.upper_ok
 
 
-def certify_cheeger(
-    g: Graph,
-    spectrum: "Spectrum",
-    hk: Sequence | None = None,
-    tol_base: float = 1e-9,
-    strong_counts: Sequence[int] | None = None,
-) -> list[CheegerCertificate]:
+def certify_cheeger(spectrum: "Spectrum",
+                    hk: Sequence | None = None) -> list[CheegerCertificate]:
     """Evaluate the two-sided isoperimetric bound for every pair in a spectrum.
 
-    Pass tolerance is `bound_tol` on each side.  hk may carry the list that
-    `multiway_cheeger_all(g, g.n)` returns, to avoid re-enumeration, and
-    strong_counts each pair's precomputed strong nodal count m.
+    Pass tolerance is `bound_tol` on each side, and m is each pair's strong
+    count from `spectrum.decompositions`.  hk may carry the list that
+    `multiway_cheeger_all(g, g.n)` returns, to avoid re-enumeration.
     """
-    if spectrum.graph is not g and spectrum.graph != g:
-        raise ValueError("spectrum was computed on a different graph")
+    g = spectrum.graph
     p = spectrum.p
     if p <= 1:
         raise ValueError("the two-sided bound is certified for p > 1 only")
     for pair in spectrum.pairs:
         if pair.residual > plaplacian.RESIDUAL_LIMIT:
-            raise ValueError(f"pair residual {pair.residual:.3g} exceeds 1e-8")
+            raise ValueError(f"pair residual {pair.residual:.3g} exceeds "
+                             f"{plaplacian.RESIDUAL_LIMIT:g}")
     if hk is None:
         hk = multiway_cheeger_all(g, g.n)
     t = tau(g)
     certs = []
     for i, pair in enumerate(spectrum.pairs):
         k = i + 1
-        m = (nodal.strong_nodal_domains(g, pair.f).count
-             if strong_counts is None else strong_counts[i])
+        m = spectrum.decompositions[i][0].count
         h_k = float(hk[k - 1][0])
         h_m = float(hk[m - 1][0])
         lower = lower_bound(p, t, h_m)
         upper = upper_bound(p, h_k)
-        tol = bound_tol(pair.lam, tol_base)
+        tol = bound_tol(pair.lam)
         certs.append(CheegerCertificate(
             p=p, k=k, lam=float(pair.lam), m=m, h_k=h_k, h_m=h_m, tau=t,
             lower=lower, upper=upper,

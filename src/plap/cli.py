@@ -7,7 +7,7 @@ two-sided isoperimetric bounds, and the supporting inequalities).
 
 Exit codes: 0 all certified / success, 1 certificate failure, 2 usage or
 parse error, 3 solver non-convergence or a pair whose residual exceeds the
-certificates' 1e-8 limit.
+certificates' 1e-9 limit (`plaplacian.RESIDUAL_LIMIT`).
 
 Reports are deterministic for a fixed (input, parameters, seed): the JSON
 document carries no timing or host information (timings go to stderr).
@@ -222,22 +222,19 @@ def _operator_checks(g: Graph, p: float, rng) -> dict:
             "pass": bool(sum_zero and scale_inv)}
 
 
-def _certify_one_p(g, p, steps, seed, tol_base, hk):
+def _certify_one_p(g, p, steps, seed, hk):
     sp = _spectrum_for(g, p, steps, hk=hk)
-    # the certificates refuse pairs above 1e-8; only the path solver's
-    # conditioning floor lets one through, and that is a solver miss
+    # the certificates refuse pairs above the residual limit; only the path
+    # solver's conditioning floor lets one through, and that is a solver miss
     for k, pair in enumerate(sp.pairs, 1):
         if pair.residual > plaplacian.RESIDUAL_LIMIT:
             raise BracketError(f"p = {p}: pair k = {k} residual "
-                               f"{pair.residual:.3g} exceeds 1e-8")
-    decs = [(nodal.strong_nodal_domains(g, pair.f),
-             nodal.weak_nodal_domains(g, pair.f)) for pair in sp.pairs]
-    nrep = nodal.certify_nodal_bounds(sp, decompositions=decs)
-    certs = cheeger.certify_cheeger(
-        g, sp, hk=hk, tol_base=tol_base,
-        strong_counts=[strong.count for strong, _ in decs])
+                               f"{pair.residual:.3g} exceeds "
+                               f"{plaplacian.RESIDUAL_LIMIT:g}")
+    nrep = nodal.certify_nodal_bounds(sp)
+    certs = cheeger.certify_cheeger(sp, hk=hk)
     span_checks = []
-    for i, (pair, (strong, weak)) in enumerate(zip(sp.pairs, decs)):
+    for i, (pair, (strong, weak)) in enumerate(zip(sp.pairs, sp.decompositions)):
         strong_rq = nodal.nodal_space_max_rq(g, pair, kind="strong",
                                              seed=seed + i, decomposition=strong)
         # with no zero vertex the weak domains are the strong ones, and the
@@ -275,7 +272,6 @@ def _certify_one_p(g, p, steps, seed, tol_base, hk):
     }
     ok = (nrep.all_pass and all(c.passed for c in certs)
           and all(e["strong"]["pass"] and e["weak"]["pass"] for e in span_checks)
-          and all(pair.residual <= 1e-9 for pair in sp.pairs)
           and op_check["pass"])
     return run, ok
 
@@ -326,6 +322,23 @@ def _one_laplacian_section(g: Graph, h2: float | None) -> tuple[dict, bool]:
     return section, bool(example_ok and (h2 is None or h2_member))
 
 
+def _failure_lines(run: dict):
+    """One line per failed sub-check of one exponent's run."""
+    at = f"p={run['p']:g}"
+    for c in run["nodal"]["checks"]:
+        if not c["pass"]:
+            yield f"nodal {at} k={c['k']}: {c}"
+    for c in run["cheeger"]:
+        if not c["pass"]:
+            yield f"cheeger {at} k={c['k']}: {c}"
+    for e in run["nodal_space"]:
+        for kind in ("strong", "weak"):
+            if not e[kind]["pass"]:
+                yield f"nodal_space {at} k={e['k']} {kind}: {e[kind]}"
+    if not run["operator_checks"]["pass"]:
+        yield f"operator_checks {at}: {run['operator_checks']}"
+
+
 def _cmd_certify(args) -> int:
     g = _load_graph(args.graph, args.mu)
     p_list = args.p if args.p else list(DEFAULT_CERTIFY_P)
@@ -343,7 +356,7 @@ def _cmd_certify(args) -> int:
     checks.append({"name": "power_inequality_suite", "pass": kernel_check["pass"]})
     for p in p_list:
         t1 = time.perf_counter()
-        run, ok = _certify_one_p(g, p, args.steps, args.seed, args.tol, hk)
+        run, ok = _certify_one_p(g, p, args.steps, args.seed, hk)
         runs.append(run)
         checks.append({"name": f"certificates[p={p:g}]", "pass": bool(ok)})
         print(f"certify: p = {p:g} done in {time.perf_counter() - t1:.3f}s",
@@ -362,7 +375,7 @@ def _cmd_certify(args) -> int:
             "p_list": [float(p) for p in p_list],
             "steps": args.steps,
             "seed": args.seed,
-            "tol": args.tol,
+            "tol": cheeger.BOUND_TOL_BASE,
             "one_laplacian": bool(args.one_laplacian),
         },
         "kernel_inequality": kernel_check,
@@ -389,12 +402,8 @@ def _cmd_certify(args) -> int:
             if not c["pass"]:
                 print(f"FAILED: {c['name']}", file=sys.stderr)
         for run in runs:
-            for c in run["nodal"]["checks"]:
-                if not c["pass"]:
-                    print(f"  nodal p={run['p']:g}: {c}", file=sys.stderr)
-            for c in run["cheeger"]:
-                if not c["pass"]:
-                    print(f"  cheeger p={run['p']:g}: {c}", file=sys.stderr)
+            for line in _failure_lines(run):
+                print(f"  {line}", file=sys.stderr)
         return EXIT_CERT_FAILURE
     return EXIT_OK
 
@@ -423,13 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
                         default=None,
                         help="vertex measure mode (default: explicit when mu "
                              "lines are present, else unit)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for sampled checks (recorded in the report)")
         sp.add_argument("--json", metavar="PATH",
                         help="write the JSON report here instead of stdout")
 
     p_solve = sub.add_parser("solve", help="compute one spectrum")
     common(p_solve)
+    p_solve.add_argument("--seed", type=int, default=0,
+                         help="recorded in the report")
     p_solve.add_argument("--p", type=float, default=2.0, help="exponent p > 1")
     p_solve.add_argument("--steps", type=_steps, default=16,
                          help="continuation grid steps from p = 2")
@@ -439,11 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify",
                             help="solve and certify every bound per instance")
     common(p_cert)
+    p_cert.add_argument("--seed", type=int, default=0,
+                        help="seed for sampled checks (recorded in the report)")
     p_cert.add_argument("--p", type=float, action="append",
                         help="exponent (repeatable; default 1.1 1.5 2 3)")
     p_cert.add_argument("--steps", type=_steps, default=16)
-    p_cert.add_argument("--tol", type=float, default=1e-9,
-                        help="additive certificate tolerance base")
     p_cert.add_argument("--one-laplacian", action="store_true",
                         help="also enumerate and verify the exact p = 1 "
                              f"eigenvalues (n <= {one_laplacian.ENUMERATION_CAP})")

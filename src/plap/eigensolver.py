@@ -34,7 +34,6 @@ from .graph import Graph, components, is_connected, path_graph
 from .plaplacian import EigenPair
 
 MIN_CONTINUATION_P = 1.05
-CONTINUATION_RESIDUAL_TOL = 1e-9
 PATH_RESIDUAL_TOL = 1e-10
 NEWTON_TOL = 1e-12      # max-norm residual at which `_newton` stops
 NEWTON_MAX_ITER = 200
@@ -82,6 +81,14 @@ class Spectrum:
     @property
     def lams(self) -> list[float]:
         return [pair.lam for pair in self.pairs]
+
+    @functools.cached_property
+    def decompositions(self) -> tuple[tuple[nodal.NodalDecomposition, ...], ...]:
+        """The (strong, weak) nodal decomposition of each pair, in pair order,
+        computed on first use; every certificate reads them from here."""
+        return tuple((nodal.strong_nodal_domains(self.graph, pair.f),
+                      nodal.weak_nodal_domains(self.graph, pair.f))
+                     for pair in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -133,8 +140,7 @@ def solve_p2_spectrum(g: Graph) -> Spectrum:
     for k in range(n):
         f = _canonical_sign(inv_sqrt * vecs[:, k])
         res = plaplacian.eigen_residual(g, f, float(vals[k]), 2.0)
-        pairs.append(EigenPair(p=2.0, lam=float(vals[k]), f=f,
-                               residual=res, normalized=True))
+        pairs.append(EigenPair(p=2.0, lam=float(vals[k]), f=f, residual=res))
     return Spectrum(graph=g, p=2.0, pairs=tuple(pairs), method="dense_p2",
                     diagnostics=tuple({} for _ in pairs))
 
@@ -374,7 +380,8 @@ def _fold_restarts(g: Graph, f: np.ndarray):
 
 def _continue_with_diag(g, seed, p_target, steps=16):
     if seed.residual > plaplacian.RESIDUAL_LIMIT:
-        raise ValueError(f"seed residual {seed.residual:.3g} exceeds 1e-8")
+        raise ValueError(f"seed residual {seed.residual:.3g} exceeds "
+                         f"{plaplacian.RESIDUAL_LIMIT:g}")
     if p_target <= 1.0:
         raise ValueError(f"continuation target must satisfy p > 1, got {p_target}")
     if p_target < MIN_CONTINUATION_P:
@@ -396,7 +403,7 @@ def _continue_with_diag(g, seed, p_target, steps=16):
         f = plaplacian.normalized(g, f, p_target)
         res = plaplacian.eigen_residual(g, f, 0.0, p_target)
         pair = EigenPair(p=p_target, lam=0.0, f=_canonical_sign(f),
-                         residual=res, normalized=True)
+                         residual=res)
         return pair, diag
 
     def advance(form, x, p_from, p_to, depth):
@@ -458,12 +465,11 @@ def _continue_with_diag(g, seed, p_target, steps=16):
         # entry differences can quantize below float resolution near p = 1,
         # making the direct defect evaluation pessimistic; record it anyway
         diag["direct_defect"] = plaplacian.eigen_residual(g, f, lam, p_target)
-    if res > CONTINUATION_RESIDUAL_TOL:
+    if res > plaplacian.RESIDUAL_LIMIT:
         raise ContinuationError(
             f"continued pair residual {res:.3g} exceeds "
-            f"{CONTINUATION_RESIDUAL_TOL}")
-    return EigenPair(p=p_target, lam=lam, f=f, residual=res,
-                     normalized=True), diag
+            f"{plaplacian.RESIDUAL_LIMIT:g}")
+    return EigenPair(p=p_target, lam=lam, f=f, residual=res), diag
 
 
 def continue_in_p(g: Graph, seed: EigenPair, p_target: float, steps: int = 16) -> EigenPair:
@@ -496,10 +502,9 @@ def solve_from_guess(g: Graph, f0: np.ndarray, p: float) -> EigenPair | None:
     # unlike continuation, the residual is taken before lam is clamped at 0
     lam = x[-1]
     f, res = form.finish(x, lam, p)
-    if res > CONTINUATION_RESIDUAL_TOL or not np.isfinite(lam) or lam < -1e-12:
+    if res > plaplacian.RESIDUAL_LIMIT or not np.isfinite(lam) or lam < -1e-12:
         return None
-    return EigenPair(p=p, lam=max(float(lam), 0.0), f=f, residual=res,
-                     normalized=True)
+    return EigenPair(p=p, lam=max(float(lam), 0.0), f=f, residual=res)
 
 
 def _same_pair(a: EigenPair, b: EigenPair) -> bool:
@@ -723,8 +728,7 @@ def path_spectrum(n: int, p: float) -> Spectrum:
 
     mu_total = float(np.sum(g.mu))
     pairs = [EigenPair(p=p, lam=0.0,
-                       f=np.full(n, mu_total ** (-1.0 / p)),
-                       residual=0.0, normalized=True)]
+                       f=np.full(n, mu_total ** (-1.0 / p)), residual=0.0)]
     diags = [{"zero_count": 0, "defect": 0.0}]
     lo = 0.0
     for k in range(2, n + 1):
@@ -786,8 +790,7 @@ def path_spectrum(n: int, p: float) -> Spectrum:
             raise BracketError(
                 f"path pair k = {k} residual {res:.3g} exceeds "
                 f"{accept:.3g}; defect = {trace.boundary_defect!r}")
-        pairs.append(EigenPair(p=p, lam=a_root, f=f, residual=res,
-                               normalized=True))
+        pairs.append(EigenPair(p=p, lam=a_root, f=f, residual=res))
         diags.append({"zero_count": trace.zero_count,
                       "defect": trace.boundary_defect,
                       "direct_defect": plaplacian.eigen_residual(g, f, a_root, p)})

@@ -9,7 +9,7 @@ decided against a zero tolerance of 1e-9 * max|f|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -112,7 +112,8 @@ def nodal_space_max_rq(
     if kind not in ("strong", "weak"):
         raise ValueError(f"kind must be 'strong' or 'weak', got {kind!r}")
     if pair.residual > plaplacian.RESIDUAL_LIMIT and pair.p > 1:
-        raise ValueError(f"eigenpair residual {pair.residual:.3g} exceeds 1e-8")
+        raise ValueError(f"eigenpair residual {pair.residual:.3g} exceeds "
+                         f"{plaplacian.RESIDUAL_LIMIT:g}")
     if decomposition is None:
         dec = _decompose(g, pair.f, strict=(kind == "strong"))
     elif decomposition.kind != kind:
@@ -182,19 +183,14 @@ def multiplicity_groups(values) -> list[list[int]]:
     return groups
 
 
-def certify_nodal_bounds(
-    spectrum: "Spectrum",
-    decompositions: Sequence[tuple[NodalDecomposition, NodalDecomposition]]
-    | None = None,
-) -> NodalReport:
+def certify_nodal_bounds(spectrum: "Spectrum") -> NodalReport:
     """Check every pair's nodal counts against the variational-index bounds.
 
     For the k-th pair with multiplicity r: at most k + r - 1 strong domains;
     at most k weak domains for p > 1 (k + r - 1 when p = 1); and any pair in
     the second eigenvalue's group must have exactly 2 weak domains when p > 1
     on a connected graph.  Failures are report entries, not exceptions.
-    decompositions may carry each pair's precomputed (strong, weak)
-    decompositions, in pair order.
+    The counts are read from `spectrum.decompositions`.
     """
     g = spectrum.graph
     p = spectrum.p
@@ -210,11 +206,7 @@ def certify_nodal_bounds(
     for i, pair in enumerate(spectrum.pairs):
         k = i + 1
         r = len(group_of[i])
-        if decompositions is None:
-            strong = strong_nodal_domains(g, pair.f).count
-            weak = weak_nodal_domains(g, pair.f).count
-        else:
-            strong, weak = (dec.count for dec in decompositions[i])
+        strong, weak = (dec.count for dec in spectrum.decompositions[i])
         strong_bound = k + r - 1
         weak_bound = k if p > 1 else k + r - 1
         exact2 = p > 1 and connected and i in lambda2_group

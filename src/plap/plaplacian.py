@@ -14,7 +14,7 @@ import numpy as np
 from . import kernels
 from .graph import Graph
 
-RESIDUAL_LIMIT = 1e-8  # the certificates refuse pairs whose residual exceeds it
+RESIDUAL_LIMIT = 1e-9  # the certificates refuse pairs whose residual exceeds it
 
 
 @dataclass(frozen=True)
@@ -22,14 +22,12 @@ class EigenPair:
     """A candidate eigenpair (p, lambda, f) with residual metadata.
 
     residual is the max-norm defect of the eigen-equation after normalizing
-    f to unit weighted p-norm; normalized records whether f itself carries
-    unit norm.
+    f to unit weighted p-norm.
     """
     p: float
     lam: float
     f: np.ndarray
     residual: float
-    normalized: bool
 
     def __post_init__(self):
         self.f.setflags(write=False)

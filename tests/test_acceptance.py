@@ -186,10 +186,9 @@ def test_criterion_6_one_laplacian_p3():
     assert strong_nodal_domains(g, ff).count == 3
     assert weak_nodal_domains(g, ff).count == 3
     pairs = (
-        EigenPair(p=1.0, lam=0.0, f=np.ones(3), residual=0.0, normalized=False),
-        EigenPair(p=1.0, lam=1.0, f=ff, residual=0.0, normalized=False),
-        EigenPair(p=1.0, lam=1.0, f=np.array([1.0, 0.0, -1.0]), residual=0.0,
-                  normalized=False),
+        EigenPair(p=1.0, lam=0.0, f=np.ones(3), residual=0.0),
+        EigenPair(p=1.0, lam=1.0, f=ff, residual=0.0),
+        EigenPair(p=1.0, lam=1.0, f=np.array([1.0, 0.0, -1.0]), residual=0.0),
     )
     report = certify_nodal_bounds(
         Spectrum(graph=g, p=1.0, pairs=pairs, method="exact_p1"))
@@ -223,7 +222,7 @@ def test_criterion_7_cheeger_certificates():
                 sp = path_spectrum(g.n, p)
             else:
                 sp = variational_spectrum(g, p, hk=hk)
-            certs = certify_cheeger(g, sp, hk=hk)
+            certs = certify_cheeger(sp, hk=hk)
             bad = [c for c in certs if not c.passed]
             if bad:
                 failures.append((gi, p, bad))

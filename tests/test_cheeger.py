@@ -231,7 +231,7 @@ def test_sweep_rejects_zero():
 
 def test_certify_cheeger_p4_p2_numbers():
     g = path_graph(4)
-    certs = certify_cheeger(g, solve_p2_spectrum(g))
+    certs = certify_cheeger(solve_p2_spectrum(g))
     assert [c.passed for c in certs] == [True] * 4
     k2 = certs[1]
     assert k2.m == 2
@@ -248,13 +248,12 @@ def test_certify_cheeger_requires_good_residuals():
     sp = solve_p2_spectrum(g)
     from plap import EigenPair
     from plap.eigensolver import Spectrum
-    bad = EigenPair(p=2.0, lam=sp.lams[1], f=sp.pairs[1].f, residual=1.0,
-                    normalized=True)
+    bad = EigenPair(p=2.0, lam=sp.lams[1], f=sp.pairs[1].f, residual=1.0)
     broken = Spectrum(graph=g, p=2.0,
                       pairs=(sp.pairs[0], bad, sp.pairs[2], sp.pairs[3]),
                       method="dense_p2")
     with pytest.raises(ValueError, match="residual"):
-        certify_cheeger(g, broken)
+        certify_cheeger(broken)
 
 
 def test_certify_cheeger_tightens_toward_p_one():
@@ -262,7 +261,7 @@ def test_certify_cheeger_tightens_toward_p_one():
     gaps = {}
     for p in (1.1, 3.0):
         sp = variational_spectrum(g, p)
-        cert = certify_cheeger(g, sp)[1]
+        cert = certify_cheeger(sp)[1]
         assert cert.passed
         gaps[p] = (cert.upper - cert.lam) / cert.lam
     assert gaps[1.1] < gaps[3.0]
@@ -271,5 +270,5 @@ def test_certify_cheeger_tightens_toward_p_one():
 def test_tau_enters_bound():
     g = path_graph(4, "degree")
     assert tau(g) == pytest.approx(1.0)
-    certs = certify_cheeger(g, solve_p2_spectrum(g))
+    certs = certify_cheeger(solve_p2_spectrum(g))
     assert all(c.tau == pytest.approx(1.0) for c in certs)

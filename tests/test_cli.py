@@ -6,6 +6,7 @@ import pytest
 from plap import parse_graph, path_graph, serialize_graph
 from plap.cheeger import EXACT_HK_CAP
 from plap.cli import main
+from plap.plaplacian import RESIDUAL_LIMIT
 from plap.one_laplacian import ENUMERATION_CAP
 
 from .util import random_connected_graph
@@ -55,11 +56,11 @@ def test_solve_notes_path_pairs_above_certificate_limit(tmp_path):
     out = tmp_path / "out.json"
     assert main(["solve", str(gfile), "--p", "1.1", "--json", str(out)]) == 0
     rep = _load(out)
-    above = [row for row in rep["spectrum"] if row["residual"] > 1e-8]
+    above = [row for row in rep["spectrum"] if row["residual"] > RESIDUAL_LIMIT]
     assert above
     assert len(rep["notes"]) == 1
     note = rep["notes"][0]
-    assert "conditioning-limited" in note and "1e-08" in note
+    assert "conditioning-limited" in note and f"{RESIDUAL_LIMIT:g}" in note
     for row in above:
         assert f"k = {row['k']} residual {row['residual']:.3g}" in note
     for n in range(4, 13):
@@ -149,6 +150,16 @@ def test_steps_below_one_is_a_usage_error(command, text, tmp_path, capsys):
     assert "--steps: must be >= 1, got 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,option", [("cheeger", "--seed"),
+                                            ("certify", "--tol")])
+def test_options_a_command_lacks_are_usage_errors(command, option, path4, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, path4, "--k", "2", option, "1"] if command == "cheeger"
+             else [command, path4, option, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
 def test_cheeger_command(path4, tmp_path):
     out = tmp_path / "h.json"
     assert main(["cheeger", path4, "--k", "3", "--json", str(out)]) == 0
@@ -193,6 +204,15 @@ def test_cheeger_sweep(path4, tmp_path):
     assert rep["sweep"]["cut_ratio"] == pytest.approx(1.0)
     assert rep["sweep"]["bound"] == pytest.approx(2.0)
     assert rep["sweep"]["bound_holds"]
+
+
+@pytest.mark.parametrize("values", ["1.0\n0.0\n0.0\n", "1\n0\n0\n0\n0\n"],
+                         ids=["short", "long"])
+def test_cheeger_sweep_wrong_length_exit_2(values, path4, tmp_path, capsys):
+    ffile = tmp_path / "f.txt"
+    ffile.write_text(values)
+    assert main(["cheeger", path4, "--k", "2", "--sweep", str(ffile)]) == 2
+    assert "expected 4" in capsys.readouterr().err
 
 
 def test_certify_p5_all_pass(tmp_path):
@@ -243,12 +263,29 @@ def test_certify_unit_path_7_near_p1(tmp_path):
     assert _load(out)["all_pass"] is True
 
 
-@pytest.mark.parametrize("n", [12, 14])
-def test_certify_conditioning_limited_pair_exits_three(tmp_path, capsys, n):
+@pytest.mark.parametrize("n,p,k", [(12, "1.05", 8), (14, "1.05", 9),
+                                   (12, "1.06", 8)], ids=["12", "14", "12-p1.06"])
+def test_certify_conditioning_limited_pair_exits_three(tmp_path, capsys, n, p, k):
     # the path solver accepts these pairs through its conditioning floor,
-    # but the certificates refuse residuals above 1e-8
-    assert main(["certify", _unit_path_file(tmp_path, n), "--p", "1.05"]) == 3
-    assert "exceeds 1e-8" in capsys.readouterr().err
+    # but the certificates refuse residuals above RESIDUAL_LIMIT; at p = 1.06
+    # pair k = 8 is near 4.7e-9, where every certificate flag would pass
+    assert main(["certify", _unit_path_file(tmp_path, n), "--p", p]) == 3
+    err = capsys.readouterr().err
+    assert f"pair k = {k} residual" in err
+    assert f"exceeds {RESIDUAL_LIMIT:g}" in err
+
+
+def test_certify_names_failed_nodal_space_check(path4, tmp_path, monkeypatch,
+                                                 capsys):
+    from plap import nodal
+    monkeypatch.setattr(nodal, "nodal_space_max_rq",
+                        lambda g, pair, **kw: pair.lam + 1.0)
+    out = tmp_path / "r.json"
+    assert main(["certify", path4, "--p", "2", "--json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED: certificates[p=2]" in err
+    for k in range(1, 5):
+        assert f"  nodal_space p=2 k={k} strong: " in err
 
 
 def test_one_vertex_graph(tmp_path):

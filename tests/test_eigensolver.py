@@ -98,8 +98,7 @@ def test_continuation_matches_path_shooting():
 def test_continuation_seed_residual_precondition():
     g = path_graph(3)
     seed = solve_p2_spectrum(g).pairs[1]
-    bad = type(seed)(p=2.0, lam=seed.lam + 0.5, f=seed.f,
-                     residual=0.5, normalized=True)
+    bad = type(seed)(p=2.0, lam=seed.lam + 0.5, f=seed.f, residual=0.5)
     with pytest.raises(ValueError, match="seed residual"):
         continue_in_p(g, bad, 1.5)
 
@@ -198,7 +197,7 @@ def test_p3_cusp_entries_are_exact_zeros_and_fix_the_counts(case):
         if s is not None:
             assert c.multiplicity == 1
             assert (c.strong_count, c.weak_count) == (s, w)
-    assert all(c.passed for c in certify_cheeger(g, sp))
+    assert all(c.passed for c in certify_cheeger(sp))
 
 
 def test_direct_form_finish_zeroes_only_unresolved_entries():
@@ -304,7 +303,7 @@ def test_variational_spectrum_p2_is_dense():
 def test_variational_spectrum_sandwich_on_p4():
     g = path_graph(4)
     sp = variational_spectrum(g, 1.5)
-    certs = certify_cheeger(g, sp)
+    certs = certify_cheeger(sp)
     assert all(c.passed for c in certs)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,7 @@ def test_parse_explicit_mu():
     ("1 2 0.0", "nonpositive weight"),
     ("1 2 -3", "nonpositive weight"),
     ("1 9 1.0", "out of range"),
+    ("1 b 1.0", "bad edge line"),
 ])
 def test_parse_bad_edge_lines(line, fragment):
     text = f"n 3\n1 3 1.0\n{line}\n"
@@ -54,6 +57,27 @@ def test_parse_bad_edge_lines(line, fragment):
         parse_graph(text, "unit")
     with pytest.raises(GraphParseError, match=fragment):
         parse_graph(text, "unit")
+
+
+@pytest.mark.parametrize("text,mode,fragment", [
+    ("n x\n", "unit", "line 1: bad vertex count 'x'"),
+    ("n 0\n", "unit", "line 1: vertex count must be >= 1"),
+    ("n 2\nmu 1\n", "explicit", "line 2: expected 'mu <vertex> <value>'"),
+    ("n 2\nmu one 1.0\n", "explicit", "line 2: bad mu line"),
+    ("n 2\nmu 3 1.0\n", "explicit", "line 2: vertex 3 out of range 1..2"),
+    ("n 2\nmu 1 1.0\nmu 1 2.0\n", "explicit",
+     "line 3: duplicate mu for vertex 1"),
+    ("n 2\nmu 1 0.0\n", "explicit", "line 2: mu must be positive"),
+    ("n 2\nmu 1 -1\n", "explicit", "line 2: mu must be positive"),
+    ("", "unit", "empty document"),
+    ("# a comment\n\n", "unit", "empty document"),
+    ("n 3\n1 2 1.0\n", "degree", "mu_mode=degree requires every vertex"),
+], ids=["count", "n0", "mu-short", "mu-token", "mu-range", "mu-duplicate",
+        "mu-zero", "mu-negative", "empty", "comment-only",
+        "isolated-degree"])
+def test_parse_errors(text, mode, fragment):
+    with pytest.raises(GraphParseError, match=re.escape(fragment)):
+        parse_graph(text, mode)
 
 
 def test_parse_duplicate_edge_names_both_lines():

@@ -87,8 +87,7 @@ def test_nodal_space_p1_equality_for_aligned_signs():
     # the p = 1 nodal-space bound is attained whenever the coefficients of
     # adjacent domains share a sign; the all-ones pattern recovers lambda
     g = path_graph(3, "degree")
-    pair = EigenPair(p=1.0, lam=1.0, f=np.array([1.0, -1.0, 1.0]),
-                     residual=0.0, normalized=False)
+    pair = EigenPair(p=1.0, lam=1.0, f=np.array([1.0, -1.0, 1.0]), residual=0.0)
     mx = nodal_space_max_rq(g, pair, "strong", sample_count=400, seed=3)
     assert mx == pytest.approx(1.0, abs=1e-10)
     assert mx <= pair.lam + 1e-8
@@ -99,7 +98,7 @@ def test_nodal_space_rejects_bad_kind_and_residual():
     pair = solve_p2_spectrum(g).pairs[1]
     with pytest.raises(ValueError):
         nodal_space_max_rq(g, pair, "weird")
-    bad = EigenPair(p=2.0, lam=1.0, f=pair.f, residual=1.0, normalized=True)
+    bad = EigenPair(p=2.0, lam=1.0, f=pair.f, residual=1.0)
     with pytest.raises(ValueError, match="residual"):
         nodal_space_max_rq(g, bad, "strong")
 
@@ -134,10 +133,9 @@ def test_certify_p1_weak_bound_relaxation():
     g = path_graph(3, "degree")
     alternating = np.array([1.0, -1.0, 1.0])
     pairs = (
-        EigenPair(p=1.0, lam=0.0, f=np.ones(3), residual=0.0, normalized=False),
-        EigenPair(p=1.0, lam=1.0, f=alternating, residual=0.0, normalized=False),
-        EigenPair(p=1.0, lam=1.0, f=np.array([1.0, 0.0, -1.0]), residual=0.0,
-                  normalized=False),
+        EigenPair(p=1.0, lam=0.0, f=np.ones(3), residual=0.0),
+        EigenPair(p=1.0, lam=1.0, f=alternating, residual=0.0),
+        EigenPair(p=1.0, lam=1.0, f=np.array([1.0, 0.0, -1.0]), residual=0.0),
     )
     sp = Spectrum(graph=g, p=1.0, pairs=pairs, method="exact_p1")
     report = certify_nodal_bounds(sp)
@@ -153,7 +151,7 @@ def test_certify_flags_violations_not_raises():
     g = path_graph(4)
     base = solve_p2_spectrum(g)
     fake = EigenPair(p=2.0, lam=base.lams[1], f=np.array([1.0, -1.0, 1.0, -1.0]),
-                     residual=0.0, normalized=False)
+                     residual=0.0)
     sp = Spectrum(graph=g, p=2.0,
                   pairs=(base.pairs[0], fake, base.pairs[2], base.pairs[3]),
                   method="dense_p2")

@@ -141,4 +141,4 @@ def test_ax_by_gap_nonpositive_property():
 
 def test_eigenpair_validation():
     with pytest.raises(ValueError):
-        EigenPair(p=2.0, lam=1.0, f=np.ones(2), residual=-1.0, normalized=False)
+        EigenPair(p=2.0, lam=1.0, f=np.ones(2), residual=-1.0)
