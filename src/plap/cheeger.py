@@ -208,7 +208,9 @@ def sweep_cut(g: Graph, f, p: float):
                 best_c = c
                 best_prefix = i + 1
     subset = frozenset(int(u) + 1 for u in order[:best_prefix])
-    return subset, float(best_c)
+    # the running sums pick the set; its ratio is recomputed, so that the
+    # whole vertex set reads c(V) = 0 rather than their rounding
+    return subset, cut_ratio(g, subset)
 
 
 def sweep_bound(g: Graph, f, p: float) -> float:

@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from . import cheeger, nodal, one_laplacian, plaplacian
+from . import cheeger, eigensolver, nodal, one_laplacian, plaplacian
 from .eigensolver import (
     BracketError,
     ContinuationError,
@@ -72,14 +72,14 @@ def _load_vertex_function(path: str, n: int) -> np.ndarray:
     return np.array(vals)
 
 
-def _spectrum_for(g: Graph, p: float, steps: int, hk=None) -> Spectrum:
+def _spectrum_for(g: Graph, p: float, hk=None) -> Spectrum:
     if p == 2.0:
         return solve_p2_spectrum(g)
     if g.n > 1 and is_unit_path(g):
         # a unit path read with explicit unit mu lines is the same operator;
         # the spectrum belongs to the caller's graph
         return dataclasses.replace(path_spectrum(g.n, p), graph=g)
-    return variational_spectrum(g, p, steps=steps, hk=hk)
+    return variational_spectrum(g, p, hk=hk)
 
 
 def _spectrum_rows(sp: Spectrum, with_f: bool):
@@ -120,13 +120,14 @@ def _write_csv(rows: list[dict], fields: list[str], csv_path: str) -> None:
 def _cmd_solve(args) -> int:
     g = _load_graph(args.graph, args.mu)
     t0 = time.perf_counter()
-    sp = _spectrum_for(g, args.p, args.steps)
+    sp = _spectrum_for(g, args.p)
     elapsed = time.perf_counter() - t0
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "solve",
         "input": _input_block(args.graph, g),
-        "parameters": {"p": args.p, "steps": args.steps, "seed": args.seed},
+        "parameters": {"p": args.p, "steps": eigensolver.CONTINUATION_STEPS,
+                       "seed": args.seed},
         "method": sp.method,
         "spectrum": _spectrum_rows(sp, with_f=True),
         "notes": list(sp.notes),
@@ -222,8 +223,8 @@ def _operator_checks(g: Graph, p: float, rng) -> dict:
             "pass": bool(sum_zero and scale_inv)}
 
 
-def _certify_one_p(g, p, steps, seed, hk):
-    sp = _spectrum_for(g, p, steps, hk=hk)
+def _certify_one_p(g, p, seed, hk):
+    sp = _spectrum_for(g, p, hk=hk)
     # the certificates refuse pairs above the residual limit; only the path
     # solver's conditioning floor lets one through, and that is a solver miss
     for k, pair in enumerate(sp.pairs, 1):
@@ -235,13 +236,11 @@ def _certify_one_p(g, p, steps, seed, hk):
     certs = cheeger.certify_cheeger(sp, hk=hk)
     span_checks = []
     for i, (pair, (strong, weak)) in enumerate(zip(sp.pairs, sp.decompositions)):
-        strong_rq = nodal.nodal_space_max_rq(g, pair, kind="strong",
-                                             seed=seed + i, decomposition=strong)
+        strong_rq = nodal.nodal_space_max_rq(g, pair, strong, seed=seed + i)
         # with no zero vertex the weak domains are the strong ones, and the
         # same basis and seed give the same samples and the same float
         weak_rq = (strong_rq if weak.domains == strong.domains else
-                   nodal.nodal_space_max_rq(g, pair, kind="weak",
-                                            seed=seed + i, decomposition=weak))
+                   nodal.nodal_space_max_rq(g, pair, weak, seed=seed + i))
         entry = {"k": i + 1}
         for kind, mx in (("strong", strong_rq), ("weak", weak_rq)):
             entry[kind] = {"max_rq": float(mx),
@@ -356,7 +355,7 @@ def _cmd_certify(args) -> int:
     checks.append({"name": "power_inequality_suite", "pass": kernel_check["pass"]})
     for p in p_list:
         t1 = time.perf_counter()
-        run, ok = _certify_one_p(g, p, args.steps, args.seed, hk)
+        run, ok = _certify_one_p(g, p, args.seed, hk)
         runs.append(run)
         checks.append({"name": f"certificates[p={p:g}]", "pass": bool(ok)})
         print(f"certify: p = {p:g} done in {time.perf_counter() - t1:.3f}s",
@@ -373,7 +372,7 @@ def _cmd_certify(args) -> int:
         "input": _input_block(args.graph, g),
         "parameters": {
             "p_list": [float(p) for p in p_list],
-            "steps": args.steps,
+            "steps": eigensolver.CONTINUATION_STEPS,
             "seed": args.seed,
             "tol": cheeger.BOUND_TOL_BASE,
             "one_laplacian": bool(args.one_laplacian),
@@ -410,11 +409,12 @@ def _cmd_certify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _steps(text: str) -> int:
-    steps = int(text)
-    if steps < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {steps}")
-    return steps
+def _exponent(text: str) -> float:
+    p = float(text)
+    # a NaN fails the comparison, so it is refused with the infinities
+    if not 1.0 < p < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite p > 1, got {text}")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,9 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_solve)
     p_solve.add_argument("--seed", type=int, default=0,
                          help="recorded in the report")
-    p_solve.add_argument("--p", type=float, default=2.0, help="exponent p > 1")
-    p_solve.add_argument("--steps", type=_steps, default=16,
-                         help="continuation grid steps from p = 2")
+    p_solve.add_argument("--p", type=_exponent, default=2.0,
+                         help="exponent p > 1")
     p_solve.add_argument("--csv", metavar="PATH", help="spectrum table as CSV")
     p_solve.set_defaults(func=_cmd_solve)
 
@@ -450,9 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_cert)
     p_cert.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks (recorded in the report)")
-    p_cert.add_argument("--p", type=float, action="append",
+    p_cert.add_argument("--p", type=_exponent, action="append",
                         help="exponent (repeatable; default 1.1 1.5 2 3)")
-    p_cert.add_argument("--steps", type=_steps, default=16)
     p_cert.add_argument("--one-laplacian", action="store_true",
                         help="also enumerate and verify the exact p = 1 "
                              f"eigenvalues (n <= {one_laplacian.ENUMERATION_CAP})")
@@ -469,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ch.add_argument("--sweep", metavar="FILE",
                       help="vertex function file (one value per line) to "
                            "round by threshold sweep")
-    p_ch.add_argument("--p", type=float, default=2.0,
+    p_ch.add_argument("--p", type=_exponent, default=2.0,
                       help="exponent for the sweep bound")
     p_ch.set_defaults(func=_cmd_cheeger)
     return parser

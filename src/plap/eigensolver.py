@@ -4,8 +4,9 @@ Three routes:
 
 * dense generalized symmetric solve at p = 2 (every eigenpair, machine
   precision);
-* damped-Newton continuation in p from the p = 2 seeds for general graphs,
-  certified post hoc against indicator-span upper bounds.  One Newton
+* damped-Newton continuation in p from the p = 2 seeds for general graphs
+  along a fixed geometric grid of CONTINUATION_STEPS = 16 steps, certified
+  post hoc against indicator-span upper bounds.  One Newton
   solver and one continuation driver work over two coordinate forms: the
   direct form (f, lam) serves p >= 2 and the flux form (phi_p(f),
   phi_p(edge differences), lam) serves p < 2.  The form is chosen per grid
@@ -34,6 +35,10 @@ from .graph import Graph, components, is_connected, path_graph
 from .plaplacian import EigenPair
 
 MIN_CONTINUATION_P = 1.05
+# steps of the geometric p-grid from the seed to the target.  On 23 solves
+# of seeded random graphs at p = 1.5 and 3, 32 steps give the same
+# eigenvalues to 1e-8, and 8 steps carry one lambda_3 to another eigenpair
+CONTINUATION_STEPS = 16
 PATH_RESIDUAL_TOL = 1e-10
 NEWTON_TOL = 1e-12      # max-norm residual at which `_newton` stops
 NEWTON_MAX_ITER = 200
@@ -378,7 +383,7 @@ def _fold_restarts(g: Graph, f: np.ndarray):
     return trials
 
 
-def _continue_with_diag(g, seed, p_target, steps=16):
+def _continue_with_diag(g, seed, p_target):
     if seed.residual > plaplacian.RESIDUAL_LIMIT:
         raise ValueError(f"seed residual {seed.residual:.3g} exceeds "
                          f"{plaplacian.RESIDUAL_LIMIT:g}")
@@ -388,8 +393,6 @@ def _continue_with_diag(g, seed, p_target, steps=16):
         warnings.warn(f"continuation to p = {p_target} below the default "
                       f"minimum {MIN_CONTINUATION_P}: curvature degenerates "
                       f"as p -> 1", stacklevel=3)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     diag = {"newton_iterations": 0, "p_steps": 0, "halvings": 0}
     if seed.p == p_target:
         return seed, diag
@@ -443,7 +446,8 @@ def _continue_with_diag(g, seed, p_target, steps=16):
         return x_new
 
     ratio = p_target / seed.p
-    grid = [seed.p * ratio ** (i / steps) for i in range(steps + 1)]
+    grid = [seed.p * ratio ** (i / CONTINUATION_STEPS)
+            for i in range(CONTINUATION_STEPS + 1)]
     grid[-1] = p_target
     direct, flux = _DirectForm(g), _FluxForm(g)
     form = direct
@@ -472,13 +476,13 @@ def _continue_with_diag(g, seed, p_target, steps=16):
     return EigenPair(p=p_target, lam=lam, f=f, residual=res), diag
 
 
-def continue_in_p(g: Graph, seed: EigenPair, p_target: float, steps: int = 16) -> EigenPair:
+def continue_in_p(g: Graph, seed: EigenPair, p_target: float) -> EigenPair:
     """Follow one eigenpair along a geometric p-grid by damped Newton.
 
     Each step solves the augmented system (eigen-equation plus unit-norm
     constraint); failing steps are halved geometrically up to 12 levels.
     """
-    pair, _ = _continue_with_diag(g, seed, p_target, steps)
+    pair, _ = _continue_with_diag(g, seed, p_target)
     return pair
 
 
@@ -558,7 +562,6 @@ def _upper_violations(p: float, hk, pairs) -> list[tuple[int, float]]:
 def variational_spectrum(
     g: Graph,
     p: float,
-    steps: int = 16,
     hk: Sequence | None = None,
 ) -> Spectrum:
     """The variational eigenvalue sequence at the target p.
@@ -588,7 +591,7 @@ def variational_spectrum(
     pool: list[tuple[EigenPair, dict]] = []
     for i, seed in enumerate(base.pairs):
         try:
-            pair, diag = _continue_with_diag(g, seed, p, steps)
+            pair, diag = _continue_with_diag(g, seed, p)
         except ContinuationError as exc:
             notes.append(f"branch from p=2 pair {i + 1} terminated: {exc}")
             continue

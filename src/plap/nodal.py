@@ -21,6 +21,7 @@ if TYPE_CHECKING:
 
 DEFAULT_MULTIPLICITY_TOL = 1e-7
 MAX_SIGN_PATTERN_DOMAINS = 12
+NODAL_SPACE_SAMPLES = 1000   # random draws per nodal-space check
 
 
 @dataclass(frozen=True)
@@ -90,42 +91,30 @@ def generalized_zeros(g: Graph, f) -> list[tuple[int, int]]:
 def nodal_space_max_rq(
     g: Graph,
     pair: plaplacian.EigenPair,
-    kind: str = "strong",
-    sample_count: int = 1000,
+    decomposition: NodalDecomposition,
     seed: int = 0,
-    decomposition: NodalDecomposition | None = None,
 ) -> float:
     """Largest Rayleigh quotient found over the nodal space of an eigenpair.
 
-    The nodal space is spanned by the restrictions of f to its nodal domains.
-    Samples random coefficient vectors plus, for up to 12 domains, every +-1
-    sign pattern; the result never exceeds the eigenvalue (up to solver
-    noise), which is what the certification harness asserts.
-    decomposition may carry the nodal decomposition of pair.f of this kind,
-    computed once by the caller.
+    The nodal space is spanned by the restrictions of pair.f to the domains
+    of decomposition, its strong or weak nodal decomposition.  Samples
+    NODAL_SPACE_SAMPLES random coefficient vectors plus, for up to 12
+    domains, every +-1 sign pattern; the result never exceeds the eigenvalue
+    (up to solver noise), which is what the certification harness asserts.
 
     When f has no zero vertex, its weak domains are its strong domains, so
     for one seed both kinds build the same basis, draw the same samples and
     return the same float; `plap certify` then reports the strong value for
     the weak space instead of sampling it again.
     """
-    if kind not in ("strong", "weak"):
-        raise ValueError(f"kind must be 'strong' or 'weak', got {kind!r}")
     if pair.residual > plaplacian.RESIDUAL_LIMIT and pair.p > 1:
         raise ValueError(f"eigenpair residual {pair.residual:.3g} exceeds "
                          f"{plaplacian.RESIDUAL_LIMIT:g}")
-    if decomposition is None:
-        dec = _decompose(g, pair.f, strict=(kind == "strong"))
-    elif decomposition.kind != kind:
-        raise ValueError(f"a {decomposition.kind} decomposition was passed "
-                         f"for the {kind} nodal space")
-    else:
-        dec = decomposition
-    m = dec.count
+    m = decomposition.count
     if m == 0:
         raise ValueError("empty nodal decomposition")
     basis = np.zeros((g.n, m))
-    for i, dom in enumerate(dec.domains):
+    for i, dom in enumerate(decomposition.domains):
         idx = np.fromiter((v - 1 for v in dom), dtype=np.int64)
         basis[idx, i] = pair.f[idx]
     coeffs = []
@@ -133,8 +122,7 @@ def nodal_space_max_rq(
         patterns = ((np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1)
         coeffs.append((2.0 * patterns - 1.0).T)
     rng = np.random.default_rng(seed)
-    if sample_count > 0:
-        coeffs.append(rng.standard_normal((m, sample_count)))
+    coeffs.append(rng.standard_normal((m, NODAL_SPACE_SAMPLES)))
     alphas = np.concatenate(coeffs, axis=1)
     gmat = basis @ alphas  # (n, samples)
     p = pair.p

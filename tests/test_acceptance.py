@@ -155,13 +155,12 @@ def test_criterion_5_nodal_space_bound():
     checked = 0
     violations = []
     for g, sp in _shared["criterion3"]:
-        for i, pair in enumerate(sp.pairs):
-            for kind in ("strong", "weak"):
-                mx = nodal_space_max_rq(g, pair, kind, sample_count=1000,
-                                        seed=17 + i)
+        for i, (pair, decs) in enumerate(zip(sp.pairs, sp.decompositions)):
+            for dec in decs:
+                mx = nodal_space_max_rq(g, pair, dec, seed=17 + i)
                 checked += 1
                 if mx > pair.lam + 1e-8:
-                    violations.append((sp.p, i + 1, kind, mx, pair.lam))
+                    violations.append((sp.p, i + 1, dec.kind, mx, pair.lam))
     elapsed = time.perf_counter() - t0
     ok = not violations
     _report(5, ok, f"{checked} nodal-space maxima within tolerance "

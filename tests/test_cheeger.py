@@ -204,6 +204,10 @@ def test_sweep_cut_full_support_reaches_whole_graph():
     g = path_graph(4)
     subset, c = sweep_cut(g, np.array([3.0, 2.0, 2.0, 1.0]), 2.0)
     assert subset == frozenset({1, 2, 3, 4}) and c == 0.0
+    # non-dyadic weights leave a rounding in the running cut sum
+    cycle = build_graph(4, [(1, 2, 1.0), (2, 3, 1.5), (3, 4, 0.7), (1, 4, 1.2)])
+    subset, c = sweep_cut(cycle, np.array([4.0, 3.0, 2.0, 1.0]), 2.0)
+    assert subset == frozenset({1, 2, 3, 4}) and c == 0.0
 
 
 def test_sweep_cut_second_eigenvector():

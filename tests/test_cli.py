@@ -41,8 +41,7 @@ def test_solve_p2(path4, tmp_path):
 
 def test_solve_path_uses_shooting(path4, tmp_path):
     out = tmp_path / "out.json"
-    assert main(["solve", path4, "--p", "1.5", "--steps", "32",
-                 "--json", str(out)]) == 0
+    assert main(["solve", path4, "--p", "1.5", "--json", str(out)]) == 0
     rep = _load(out)
     assert rep["method"] == "path_shooting"
     assert all(row["residual"] <= 1e-9 for row in rep["spectrum"])
@@ -138,26 +137,28 @@ def test_unusable_paths_exit_2(path4, tmp_path, capsys):
     assert len(err) == 3 and all(line.startswith("error: ") for line in err)
 
 
-@pytest.mark.parametrize("command", ["solve", "certify"])
-@pytest.mark.parametrize("text", [PATH4, "n 3\n1 2 1.0\n2 3 1.0\n1 3 1.0\n"],
-                         ids=["path", "triangle"])
-def test_steps_below_one_is_a_usage_error(command, text, tmp_path, capsys):
-    gfile = tmp_path / "g.txt"
-    gfile.write_text(text)
-    with pytest.raises(SystemExit) as exc:
-        main([command, str(gfile), "--p", "3", "--steps", "0"])
-    assert exc.value.code == 2
-    assert "--steps: must be >= 1, got 0" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command,option", [("cheeger", "--seed"),
-                                            ("certify", "--tol")])
+                                            ("certify", "--tol"),
+                                            ("solve", "--steps"),
+                                            ("certify", "--steps")])
 def test_options_a_command_lacks_are_usage_errors(command, option, path4, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, path4, "--k", "2", option, "1"] if command == "cheeger"
              else [command, path4, option, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["solve", "certify", "cheeger"])
+def test_non_finite_p_is_a_usage_error(command, value, path4, tmp_path, capsys):
+    ffile = tmp_path / "f.txt"
+    ffile.write_text("1.0\n0.0\n0.0\n0.0\n")
+    extra = ["--k", "2", "--sweep", str(ffile)] if command == "cheeger" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, path4, *extra, "--p", value])
+    assert exc.value.code == 2
+    assert f"--p: must be a finite p > 1, got {value}" in capsys.readouterr().err
 
 
 def test_cheeger_command(path4, tmp_path):
@@ -279,7 +280,7 @@ def test_certify_names_failed_nodal_space_check(path4, tmp_path, monkeypatch,
                                                  capsys):
     from plap import nodal
     monkeypatch.setattr(nodal, "nodal_space_max_rq",
-                        lambda g, pair, **kw: pair.lam + 1.0)
+                        lambda g, pair, decomposition, **kw: pair.lam + 1.0)
     out = tmp_path / "r.json"
     assert main(["certify", path4, "--p", "2", "--json", str(out)]) == 1
     err = capsys.readouterr().err
@@ -379,6 +380,19 @@ def test_certify_one_laplacian_disconnected_writes_report(tmp_path):
     assert code == (0 if rep["all_pass"] else 1)
 
 
+def test_solve_csv_matches_json_spectrum(path4, tmp_path):
+    out, csv = tmp_path / "s.json", tmp_path / "s.csv"
+    assert main(["solve", path4, "--p", "1.5", "--json", str(out),
+                 "--csv", str(csv)]) == 0
+    header, *lines = csv.read_text().splitlines()
+    assert header == "p,k,lambda,residual"
+    rows = [dict(zip(header.split(","), map(float, line.split(","))))
+            for line in lines]
+    assert rows == [{"p": 1.5, "k": row["k"], "lambda": row["lambda"],
+                     "residual": row["residual"]}
+                    for row in _load(out)["spectrum"]]
+
+
 def test_certify_csv(tmp_path):
     gfile = tmp_path / "p4.txt"
     gfile.write_text(PATH4)
@@ -454,11 +468,12 @@ def test_certify_weak_space_matches_direct_sampling(tmp_path):
     g = parse_graph(PATH5, "unit")
     zero_free = with_zero = 0
     for run in _load(out)["runs"]:
-        sp = cli._spectrum_for(g, run["p"], 16)
+        sp = cli._spectrum_for(g, run["p"])
         for i, (pair, entry) in enumerate(zip(sp.pairs, run["nodal_space"])):
-            direct = nodal.nodal_space_max_rq(g, pair, kind="weak", seed=3 + i)
+            weak = nodal.weak_nodal_domains(g, pair.f)
+            direct = nodal.nodal_space_max_rq(g, pair, weak, seed=3 + i)
             assert entry["weak"]["max_rq"] == direct, (run["p"], i + 1)
-            if nodal.weak_nodal_domains(g, pair.f).zero_set:
+            if weak.zero_set:
                 with_zero += 1
             else:
                 zero_free += 1

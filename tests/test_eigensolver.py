@@ -19,6 +19,7 @@ from plap import (
     certify_nodal_bounds,
     multiway_cheeger_all,
 )
+from plap import eigensolver
 from plap.eigensolver import (
     NEWTON_TOL,
     PATH_RESIDUAL_TOL,
@@ -103,12 +104,19 @@ def test_continuation_seed_residual_precondition():
         continue_in_p(g, bad, 1.5)
 
 
-def test_continuation_step_doubling_stable():
-    g = path_graph(3)
-    seed = solve_p2_spectrum(g).pairs[2]
-    a = continue_in_p(g, seed, 1.4, steps=16)
-    b = continue_in_p(g, seed, 1.4, steps=32)
-    assert abs(a.lam - b.lam) <= 1e-8
+def test_continuation_step_doubling_stable(monkeypatch):
+    # on these graphs halving or doubling the grid moves no reported
+    # eigenvalue, so the grid is a constant rather than a setting
+    graphs = [path_graph(3),
+              random_connected_graph(np.random.default_rng(1000), 5)]
+    for g in graphs:
+        for p in (1.5, 3.0):
+            ref = variational_spectrum(g, p).lams
+            for steps in (8, 32):
+                monkeypatch.setattr(eigensolver, "CONTINUATION_STEPS", steps)
+                lams = variational_spectrum(g, p).lams
+                monkeypatch.undo()
+                assert np.allclose(lams, ref, rtol=0.0, atol=1e-8), (g, p, steps)
 
 
 def test_continuation_below_min_p_warns():

@@ -71,14 +71,15 @@ def test_generalized_zeros_examples():
 def test_nodal_space_max_rq_constant_pair():
     g = path_graph(4)
     pair = solve_p2_spectrum(g).pairs[0]
-    assert nodal_space_max_rq(g, pair, "strong", sample_count=50) == pytest.approx(0.0, abs=1e-12)
+    dec = strong_nodal_domains(g, pair.f)
+    assert nodal_space_max_rq(g, pair, dec) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nodal_space_max_rq_p3_pair():
     g = path_graph(3)
     pair = solve_p2_spectrum(g).pairs[1]
-    for kind in ("strong", "weak"):
-        mx = nodal_space_max_rq(g, pair, kind, sample_count=500, seed=1)
+    for decompose in (strong_nodal_domains, weak_nodal_domains):
+        mx = nodal_space_max_rq(g, pair, decompose(g, pair.f), seed=1)
         assert mx <= pair.lam + 1e-8
         assert mx == pytest.approx(1.0, abs=1e-8)
 
@@ -88,19 +89,17 @@ def test_nodal_space_p1_equality_for_aligned_signs():
     # adjacent domains share a sign; the all-ones pattern recovers lambda
     g = path_graph(3, "degree")
     pair = EigenPair(p=1.0, lam=1.0, f=np.array([1.0, -1.0, 1.0]), residual=0.0)
-    mx = nodal_space_max_rq(g, pair, "strong", sample_count=400, seed=3)
+    mx = nodal_space_max_rq(g, pair, strong_nodal_domains(g, pair.f), seed=3)
     assert mx == pytest.approx(1.0, abs=1e-10)
     assert mx <= pair.lam + 1e-8
 
 
-def test_nodal_space_rejects_bad_kind_and_residual():
+def test_nodal_space_rejects_residual_above_limit():
     g = path_graph(3)
     pair = solve_p2_spectrum(g).pairs[1]
-    with pytest.raises(ValueError):
-        nodal_space_max_rq(g, pair, "weird")
     bad = EigenPair(p=2.0, lam=1.0, f=pair.f, residual=1.0)
     with pytest.raises(ValueError, match="residual"):
-        nodal_space_max_rq(g, bad, "strong")
+        nodal_space_max_rq(g, bad, strong_nodal_domains(g, pair.f))
 
 
 def test_multiplicity_groups():
