@@ -223,7 +223,7 @@ def _operator_checks(g: Graph, p: float, rng) -> dict:
             "pass": bool(sum_zero and scale_inv)}
 
 
-def _certify_one_p(g, p, seed, hk):
+def _certify_one_p(g, p, seed, hk, draws):
     sp = _spectrum_for(g, p, hk=hk)
     # the certificates refuse pairs above the residual limit; only the path
     # solver's conditioning floor lets one through, and that is a solver miss
@@ -236,11 +236,13 @@ def _certify_one_p(g, p, seed, hk):
     certs = cheeger.certify_cheeger(sp, hk=hk)
     span_checks = []
     for i, (pair, (strong, weak)) in enumerate(zip(sp.pairs, sp.decompositions)):
-        strong_rq = nodal.nodal_space_max_rq(g, pair, strong, seed=seed + i)
+        strong_rq = nodal.nodal_space_max_rq(g, pair, strong, seed=seed + i,
+                                             draws=draws)
         # with no zero vertex the weak domains are the strong ones, and the
         # same basis and seed give the same samples and the same float
         weak_rq = (strong_rq if weak.domains == strong.domains else
-                   nodal.nodal_space_max_rq(g, pair, weak, seed=seed + i))
+                   nodal.nodal_space_max_rq(g, pair, weak, seed=seed + i,
+                                            draws=draws))
         entry = {"k": i + 1}
         for kind, mx in (("strong", strong_rq), ("weak", weak_rq)):
             entry[kind] = {"max_rq": float(mx),
@@ -339,8 +341,16 @@ def _failure_lines(run: dict):
 
 
 def _cmd_certify(args) -> int:
-    g = _load_graph(args.graph, args.mu)
     p_list = args.p if args.p else list(DEFAULT_CERTIFY_P)
+    # each exponent's check is named certificates[p=<p:g>]; two exponents
+    # with one name would be two runs of one check
+    names = [f"{p:g}" for p in p_list]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            print(f"error: --p {name} is given more than once (exponents "
+                  f"must differ at 6 significant digits)", file=sys.stderr)
+            return EXIT_USAGE
+    g = _load_graph(args.graph, args.mu)
     rng = np.random.default_rng(args.seed)
     if args.one_laplacian and g.n > one_laplacian.ENUMERATION_CAP:
         print(f"error: --one-laplacian requires n <= "
@@ -348,6 +358,8 @@ def _cmd_certify(args) -> int:
         return EXIT_USAGE
     hk = (cheeger.multiway_cheeger_all(g, g.n)
           if g.n <= cheeger.EXACT_HK_CAP else None)
+    # one sample source per call: pair i reads stream seed + i at every p
+    draws = nodal.NodalSamples()
     checks = []
     runs = []
     t0 = time.perf_counter()
@@ -355,7 +367,7 @@ def _cmd_certify(args) -> int:
     checks.append({"name": "power_inequality_suite", "pass": kernel_check["pass"]})
     for p in p_list:
         t1 = time.perf_counter()
-        run, ok = _certify_one_p(g, p, args.seed, hk)
+        run, ok = _certify_one_p(g, p, args.seed, hk, draws)
         runs.append(run)
         checks.append({"name": f"certificates[p={p:g}]", "pass": bool(ok)})
         print(f"certify: p = {p:g} done in {time.perf_counter() - t1:.3f}s",
@@ -450,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--seed", type=int, default=0,
                         help="seed for sampled checks (recorded in the report)")
     p_cert.add_argument("--p", type=_exponent, action="append",
-                        help="exponent (repeatable; default 1.1 1.5 2 3)")
+                        help="exponent (repeatable, each value once; "
+                             "default 1.1 1.5 2 3)")
     p_cert.add_argument("--one-laplacian", action="store_true",
                         help="also enumerate and verify the exact p = 1 "
                              f"eigenvalues (n <= {one_laplacian.ENUMERATION_CAP})")

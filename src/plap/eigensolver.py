@@ -18,12 +18,15 @@ Three routes:
   solves once from each distinct indicator-span start at the target p;
 * a shooting solver on unit-weight paths that counts the eigenvalues below
   a trial lambda from one shot (generalized zeros plus the sign of the
-  boundary defect) and bisects that count down to adjacent floats.
+  boundary defect) and bisects that count down to adjacent floats,
+  shooting only the midpoints near each eigenvalue, which a secant search
+  on the boundary defect finds first.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,6 +43,9 @@ MIN_CONTINUATION_P = 1.05
 # eigenvalues to 1e-8, and 8 steps carry one lambda_3 to another eigenpair
 CONTINUATION_STEPS = 16
 PATH_RESIDUAL_TOL = 1e-10
+# half-width in ulps of the band around a located path eigenvalue inside
+# which the replayed bisection shoots its midpoints
+BAND_ULPS = 32
 NEWTON_TOL = 1e-12      # max-norm residual at which `_newton` stops
 NEWTON_MAX_ITER = 200
 
@@ -690,113 +696,217 @@ def path_shoot(n: int, p: float, lam: float) -> ShootingTrace:
                          boundary_defect=float(defect))
 
 
-def _below(n, p, lam):
-    """Number of unit-path eigenvalues strictly below lam, from one shot.
+def _shot(n, p, lam):
+    """(count, boundary defect, zero count, values) of one shot at lam.
 
-    The zero count c of the shot puts lambda_1..lambda_c below lam, and
+    The count is the number of unit-path eigenvalues strictly below lam:
+    the zero count c of the shot puts lambda_1..lambda_c below lam, and
     lambda_(c+1) joins once the defect turns against the sign of f(n).
     The count is nondecreasing in lam; a nan defect adds nothing.
     """
     f, defect, zeros = kernels.path_shoot_core(n, p, lam)
-    return zeros + (defect * f[-1] < 0.0)
+    return zeros + (defect * f[-1] < 0.0), defect, zeros, f
 
 
-def _shoot_defect(n, p, lam):
-    return kernels.path_shoot_core(n, p, lam)[1]
+def _locate(shoot, k, a, b):
+    """A band (lo, hi) around lambda_k with count(lo) < k <= count(hi).
+
+    `shoot(lam)` returns the `_shot` at lam, and count(a) < k <= count(b)
+    for the counts of those shots.  Where the shots at both ends of the
+    bracket have one zero count, the defect is continuous between them and
+    changes sign at lambda_k (or vanishes at an end), and an Illinois secant
+    step (Dowell & Jarratt, BIT 1971) on it narrows the bracket; where the
+    zero counts differ or a defect is not finite, a bisection step on the
+    count does.  Once two secant estimates agree to BAND_ULPS ulps, or the
+    bracket is 2 BAND_ULPS ulps wide, the band of +-BAND_ULPS ulps around the
+    estimate is shot at both ends.  The count can flip between adjacent
+    floats near lambda_k, and the band is wide enough to hold every flip
+    seen; a band shot that contradicts the bracket returns None.
+    """
+    _, da, za, _ = shoot(a)
+    _, db, zb, _ = shoot(b)
+    kept = 0        # -1: a kept by the last secant step, +1: b kept
+    last = None     # the last secant estimate
+    bisect = False  # a band missed lambda_k: bisect once
+    while True:
+        secant = (not bisect and za == zb and da * db <= 0.0 and da != db
+                  and math.isfinite(da + db))
+        bisect = False
+        est = a - da * (b - a) / (db - da) if secant else 0.5 * (a + b)
+        if (b - a <= 2 * BAND_ULPS * math.ulp(b)
+                or secant and last is not None
+                and abs(est - last) <= BAND_ULPS * math.ulp(est)):
+            half = BAND_ULPS * math.ulp(est)
+            ends = [(y, *shoot(y)[:3]) for y in (est - half, est + half)]
+            if ends[0][1] < k <= ends[1][1]:
+                return ends[0][0], ends[1][0]
+            for y, c, d, z in ends:
+                if a < y < b:
+                    if c >= k:
+                        b, db, zb = y, d, z
+                    else:
+                        a, da, za = y, d, z
+                elif (c >= k) != (y >= b):
+                    return None
+            kept, last, bisect = 0, None, True
+            continue
+        last = est if secant else None
+        x = est if a < est < b else 0.5 * (a + b)
+        c, d, z, _ = shoot(x)
+        if c >= k:
+            b, db, zb = x, d, z
+            # Illinois: an end kept twice in a row has its defect halved
+            if secant and kept < 0:
+                da *= 0.5
+            kept = -1 if secant else 0
+        else:
+            a, da, za = x, d, z
+            if secant and kept > 0:
+                db *= 0.5
+            kept = 1 if secant else 0
 
 
 def path_spectrum(n: int, p: float) -> Spectrum:
     """All n eigenpairs on the unit path, indexed by the count below lambda.
 
-    ``_below`` counts the eigenvalues strictly below a trial lambda by the
+    ``_shot`` counts the eigenvalues strictly below a trial lambda by the
     generalized zeros of the shot and the sign of its boundary defect
-    (Sturm-count bisection).  Each lambda_k is bisected on ``_below >= k``
+    (Sturm-count bisection).  Each lambda_k is bisected on ``count >= k``
     down to two adjacent floats, where the defect must change sign, and the
     float with the smaller defect is kept.  A root whose zero count is not
     k - 1 aborts with a diagnostic rather than silently mis-indexing.
+
+    The bisection is replayed, not shot midpoint by midpoint: ``_locate``
+    first finds a band (a, b) of 2 BAND_ULPS ulps around lambda_k with
+    count(a) < k <= count(b), and since the count is nondecreasing in lambda
+    every midpoint outside the band is decided without a shot.  Only the
+    midpoints inside the band are shot, so the bisection ends on the floats
+    it would reach shooting every midpoint.  Each shot is made once per call.
+    Where a shot overflows the count need not be monotone, so once one has,
+    or once the replay fails, the spectrum is bisected again shooting every
+    midpoint, and its pairs or its error are those of the plain bisection.
     """
     if n < 2:
         raise ValueError(f"path spectrum needs n >= 2, got {n}")
     if p <= 1:
         raise ValueError(f"path spectrum requires p > 1, got {p}")
     g = path_graph(n, "unit")
+    shots = {}
+    # the smallest and the largest lambda shot at each count
+    lowest = [math.inf] * (n + 1)
+    highest = [-math.inf] * (n + 1)
+    overflowed = False  # a shot's defect is not finite
+
+    def shoot(lam):
+        nonlocal overflowed
+        shot = shots.get(lam)
+        if shot is None:
+            shot = shots[lam] = _shot(n, p, lam)
+            c, defect = shot[:2]
+            lowest[c] = min(lowest[c], lam)
+            highest[c] = max(highest[c], lam)
+            overflowed = overflowed or not math.isfinite(defect)
+        return shot
 
     # lambda_max <= 2^(p-1) tau = 2^p on a unit path
     lam_hi = 2.0 ** p * (1.0 + 1e-7) + 1e-6
-    top = _below(n, p, lam_hi)
+    top = shoot(lam_hi)[0]
     if top != n:
         raise BracketError(
             f"eigenvalue count below lambda = {lam_hi:.6g} is {top}, expected "
             f"{n}; count monotonicity assumption violated")
 
-    mu_total = float(np.sum(g.mu))
-    pairs = [EigenPair(p=p, lam=0.0,
-                       f=np.full(n, mu_total ** (-1.0 / p)), residual=0.0)]
-    diags = [{"zero_count": 0, "defect": 0.0}]
-    lo = 0.0
-    for k in range(2, n + 1):
-        # _below(lo) < k <= _below(hi): lambda_k lies in [lo, hi)
-        hi = lam_hi
-        mid = 0.5 * (lo + hi)
-        while lo < mid < hi:
-            if _below(n, p, mid) >= k:
-                hi = mid
-            else:
-                lo = mid
+    def solve(replay):
+        mu_total = float(np.sum(g.mu))
+        pairs = [EigenPair(p=p, lam=0.0,
+                           f=np.full(n, mu_total ** (-1.0 / p)), residual=0.0)]
+        diags = [{"zero_count": 0, "defect": 0.0}]
+        lo = 0.0
+        for k in range(2, n + 1):
+            # count(lo) < k <= count(hi): lambda_k lies in [lo, hi)
+            hi = lam_hi
+            # the closest shots on either side of lambda_k start the search;
+            # with no band every midpoint is shot
+            band = (_locate(shoot, k, max(lo, *highest[:k]), min(lowest[k:]))
+                    if replay else None)
+            band_lo, band_hi = band or (lo, hi)
             mid = 0.5 * (lo + hi)
-        d_lo, d_hi = _shoot_defect(n, p, lo), _shoot_defect(n, p, hi)
-        if not d_lo * d_hi <= 0.0:
-            raise BracketError(
-                f"no defect sign change for k = {k} in [{lo!r}, {hi!r}] "
-                f"(defects {d_lo!r}, {d_hi!r})")
-        a_root = lo if abs(d_lo) <= abs(d_hi) else hi
-        trace = path_shoot(n, p, a_root)
-        if not (np.all(np.isfinite(trace.f))
-                and np.isfinite(trace.boundary_defect)):
-            raise BracketError(
-                f"shot for k = {k} is not finite (lambda = {a_root!r})")
-        if trace.zero_count != k - 1:
-            raise BracketError(
-                f"eigenfunction for k = {k} has {trace.zero_count} generalized "
-                f"zeros; monotonic indexing failed (lambda = {a_root!r})")
-        if trace.f[0] == 0.0 or trace.f[-1] == 0.0:
-            raise BracketError(f"boundary entries vanish for k = {k}")
-        # the recurrence satisfies every interior equation by construction,
-        # so the honest defect is the boundary one, rescaled to the unit
-        # p-norm representative; re-evaluating through the stored entries
-        # is quantization-limited near p = 1 and goes to the diagnostics
-        nrm = plaplacian.pnorm(g, trace.f, p)
-        f = trace.f / nrm
-        res = abs(trace.boundary_defect) / nrm ** (p - 1.0)
-        if res > PATH_RESIDUAL_TOL:
-            # the k-th eigenfunction is symmetric about the middle of the
-            # path for odd k and antisymmetric for even k; the left half of
-            # the shot carries less of the error the recurrence accumulates
-            half = n // 2
-            sign = 1.0 if k % 2 else -1.0
-            mirrored = trace.f.copy()
-            mirrored[n - half:] = sign * trace.f[half - 1::-1]
-            if n % 2 and sign < 0:
-                mirrored[half] = 0.0
-            mirrored_res = plaplacian.eigen_residual(g, mirrored, a_root, p)
-            if mirrored_res < res:
-                f = mirrored / plaplacian.pnorm(g, mirrored, p)
-                res = mirrored_res
-        # steep defects near p = 1 can jump above tolerance between two
-        # adjacent representable lambdas; the conditioning floor is the
-        # defect change per ulp and no float64 lambda can beat it
-        d_lo = _shoot_defect(n, p, np.nextafter(a_root, -np.inf))
-        d_hi = _shoot_defect(n, p, np.nextafter(a_root, np.inf))
-        floor = min(abs(d_lo), abs(d_hi), abs(trace.boundary_defect))
-        accept = max(PATH_RESIDUAL_TOL, 4.0 * floor / nrm ** (p - 1.0))
-        if res > accept:
-            raise BracketError(
-                f"path pair k = {k} residual {res:.3g} exceeds "
-                f"{accept:.3g}; defect = {trace.boundary_defect!r}")
-        pairs.append(EigenPair(p=p, lam=a_root, f=f, residual=res))
-        diags.append({"zero_count": trace.zero_count,
-                      "defect": trace.boundary_defect,
-                      "direct_defect": plaplacian.eigen_residual(g, f, a_root, p)})
+            while lo < mid < hi:
+                if mid <= band_lo:
+                    up = False
+                elif mid >= band_hi:
+                    up = True
+                else:
+                    up = shoot(mid)[0] >= k
+                if up:
+                    hi = mid
+                else:
+                    lo = mid
+                mid = 0.5 * (lo + hi)
+            d_lo, d_hi = shoot(lo)[1], shoot(hi)[1]
+            if not d_lo * d_hi <= 0.0:
+                raise BracketError(
+                    f"no defect sign change for k = {k} in [{lo!r}, {hi!r}] "
+                    f"(defects {d_lo!r}, {d_hi!r})")
+            a_root = lo if abs(d_lo) <= abs(d_hi) else hi
+            _, shot_defect, zeros, shot_f = shoot(a_root)
+            shot_f, shot_defect = np.array(shot_f), float(shot_defect)
+            if not (np.all(np.isfinite(shot_f)) and np.isfinite(shot_defect)):
+                raise BracketError(
+                    f"shot for k = {k} is not finite (lambda = {a_root!r})")
+            if zeros != k - 1:
+                raise BracketError(
+                    f"eigenfunction for k = {k} has {zeros} generalized "
+                    f"zeros; monotonic indexing failed (lambda = {a_root!r})")
+            if shot_f[0] == 0.0 or shot_f[-1] == 0.0:
+                raise BracketError(f"boundary entries vanish for k = {k}")
+            # the recurrence satisfies every interior equation by construction,
+            # so the honest defect is the boundary one, rescaled to the unit
+            # p-norm representative; re-evaluating through the stored entries
+            # is quantization-limited near p = 1 and goes to the diagnostics
+            nrm = plaplacian.pnorm(g, shot_f, p)
+            f = shot_f / nrm
+            res = abs(shot_defect) / nrm ** (p - 1.0)
+            if res > PATH_RESIDUAL_TOL:
+                # the k-th eigenfunction is symmetric about the middle of the
+                # path for odd k and antisymmetric for even k; the left half of
+                # the shot carries less of the error the recurrence accumulates
+                half = n // 2
+                sign = 1.0 if k % 2 else -1.0
+                mirrored = shot_f.copy()
+                mirrored[n - half:] = sign * shot_f[half - 1::-1]
+                if n % 2 and sign < 0:
+                    mirrored[half] = 0.0
+                mirrored_res = plaplacian.eigen_residual(g, mirrored, a_root, p)
+                if mirrored_res < res:
+                    f = mirrored / plaplacian.pnorm(g, mirrored, p)
+                    res = mirrored_res
+            # steep defects near p = 1 can jump above tolerance between two
+            # adjacent representable lambdas; the conditioning floor is the
+            # defect change per ulp and no float64 lambda can beat it
+            d_lo = shoot(math.nextafter(a_root, -math.inf))[1]
+            d_hi = shoot(math.nextafter(a_root, math.inf))[1]
+            floor = min(abs(d_lo), abs(d_hi), abs(shot_defect))
+            accept = max(PATH_RESIDUAL_TOL, 4.0 * floor / nrm ** (p - 1.0))
+            if res > accept:
+                raise BracketError(
+                    f"path pair k = {k} residual {res:.3g} exceeds "
+                    f"{accept:.3g}; defect = {shot_defect!r}")
+            pairs.append(EigenPair(p=p, lam=a_root, f=f, residual=res))
+            diags.append({"zero_count": zeros, "defect": shot_defect,
+                          "direct_defect": plaplacian.eigen_residual(
+                              g, f, a_root, p)})
+        return pairs, diags
+
+    try:
+        pairs, diags = solve(replay=True)
+        replayed = not overflowed
+    except BracketError:
+        replayed = False
+    if not replayed:
+        # a shot overflowed, so the count need not be monotone, or the
+        # replay failed: a midpoint it decided could shoot to another count
+        pairs, diags = solve(replay=False)
     lams = [pair.lam for pair in pairs]
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise BracketError(f"path eigenvalues not strictly increasing: {lams}")

@@ -231,15 +231,16 @@ def path_graph(n: int, mu_mode: str = "unit") -> Graph:
     return build_graph(n, [(i, i + 1, 1.0) for i in range(1, n)], mu_mode=mu_mode)
 
 
-def components(g: Graph, member: np.ndarray | None = None) -> list[list[int]]:
-    """Connected components of g, or of the subgraph a boolean mask induces.
+def components(g: Graph, member=None) -> list[list[int]]:
+    """Connected components of g, or of the subgraph a mask induces.
+
+    The mask holds one truth value per vertex, as a list or an array.
 
     Each component is a sorted list of 0-based vertices, and components come
     in order of their smallest vertex.
     """
     # todo[v]: v is in the subgraph and not yet reached
-    todo = ([True] * g.n if member is None
-            else np.asarray(member, dtype=bool).tolist())
+    todo = [True] * g.n if member is None else list(member)
     adj = g.adjacency
     comps = []
     for s in range(g.n):

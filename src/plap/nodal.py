@@ -8,6 +8,7 @@ decided against a zero tolerance of 1e-9 * max|f|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -42,20 +43,31 @@ def _zero_threshold(f: np.ndarray) -> float:
 
 
 def _decompose(g: Graph, f, strict: bool) -> NodalDecomposition:
-    arr = plaplacian._as_vertex_function(g, f)
-    tol = _zero_threshold(arr)
-    pos = arr > tol
-    neg = arr < -tol
-    zero = ~(pos | neg)
+    """Strong (strict) or weak nodal domains of f, in one pass over Python floats.
+
+    f is validated as `plaplacian._as_vertex_function` does.  The zero
+    threshold 1e-9 max|f| and the sign masks come from Python floats, whose
+    abs, max and comparisons are the IEEE double operations numpy would do,
+    so the domains are those of the array computation.
+    """
+    arr = np.asarray(f, dtype=np.float64)
+    if arr.shape != (g.n,):
+        raise ValueError(f"vertex function has shape {arr.shape}, expected ({g.n},)")
+    vals = arr.tolist()
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("vertex function must be finite")
+    tol = 1e-9 * max(map(abs, vals), default=0.0)
+    pos = [x > tol for x in vals]
+    neg = [x < -tol for x in vals]
     if strict:
         domains = [(c, "+") for c in components(g, pos)]
         domains += [(c, "-") for c in components(g, neg)]
     else:
-        domains = [(c, "+") for c in components(g, pos | zero)]
+        domains = [(c, "+") for c in components(g, [not b for b in neg])]
         # a component that is zero throughout shows up for both closed sign
         # sets; report it once
         seen = {tuple(c) for c, _ in domains}
-        for c in components(g, neg | zero):
+        for c in components(g, [not b for b in pos]):
             if tuple(c) not in seen:
                 domains.append((c, "-"))
     domains.sort(key=lambda t: t[0][0])
@@ -63,7 +75,7 @@ def _decompose(g: Graph, f, strict: bool) -> NodalDecomposition:
         kind="strong" if strict else "weak",
         domains=tuple(frozenset(v + 1 for v in c) for c, _ in domains),
         signs=tuple(s for _, s in domains),
-        zero_set=frozenset(int(v) + 1 for v in np.nonzero(zero)[0]),
+        zero_set=frozenset(v + 1 for v, x in enumerate(vals) if -tol <= x <= tol),
     )
 
 
@@ -88,19 +100,60 @@ def generalized_zeros(g: Graph, f) -> list[tuple[int, int]]:
     return [(a + 1, a + 2) for a in range(g.n - 1) if s[a] != 0 and s[a] * s[a + 1] <= 0]
 
 
+class NodalSamples:
+    """The coefficient vectors of the nodal-space checks of one `certify` call.
+
+    Stream `seed` with m domains is the draw
+    `default_rng(seed).standard_normal((m, NODAL_SPACE_SAMPLES))`.  Numpy
+    fills that array in C order, so its first rows are the draw with fewer
+    domains: each stream is drawn once and extended on demand, and every
+    space of a pair at every exponent reads its rows from it.  The +-1 sign
+    patterns are built once per domain count.  A source lives for one call,
+    so no call reads samples another call drew.
+    """
+
+    def __init__(self):
+        self._streams: dict[int, tuple[np.random.Generator, np.ndarray]] = {}
+        self._patterns: dict[int, np.ndarray] = {}
+
+    def normals(self, seed: int, m: int) -> np.ndarray:
+        """The (m, NODAL_SPACE_SAMPLES) standard normal draw of stream seed."""
+        entry = self._streams.get(seed)
+        if entry is None:
+            rng = np.random.default_rng(seed)
+            entry = self._streams[seed] = (
+                rng, rng.standard_normal((m, NODAL_SPACE_SAMPLES)))
+        elif len(entry[1]) < m:
+            rng, rows = entry
+            entry = self._streams[seed] = (rng, np.concatenate(
+                [rows, rng.standard_normal((m - len(rows), NODAL_SPACE_SAMPLES))]))
+        return entry[1][:m]
+
+    def patterns(self, m: int) -> np.ndarray:
+        """Every +-1 sign pattern of m coefficients, one per column."""
+        out = self._patterns.get(m)
+        if out is None:
+            bits = (np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1
+            out = self._patterns[m] = (2.0 * bits - 1.0).T
+        return out
+
+
 def nodal_space_max_rq(
     g: Graph,
     pair: plaplacian.EigenPair,
     decomposition: NodalDecomposition,
     seed: int = 0,
+    draws: NodalSamples | None = None,
 ) -> float:
     """Largest Rayleigh quotient found over the nodal space of an eigenpair.
 
     The nodal space is spanned by the restrictions of pair.f to the domains
     of decomposition, its strong or weak nodal decomposition.  Samples
-    NODAL_SPACE_SAMPLES random coefficient vectors plus, for up to 12
-    domains, every +-1 sign pattern; the result never exceeds the eigenvalue
-    (up to solver noise), which is what the certification harness asserts.
+    NODAL_SPACE_SAMPLES random coefficient vectors (stream seed of draws, a
+    fresh `NodalSamples` by default) plus, for up to 12 domains, every +-1
+    sign pattern; the result never exceeds the eigenvalue (up to solver
+    noise), which is what the certification harness asserts.  A shared
+    source returns the float a fresh one would.
 
     When f has no zero vertex, its weak domains are its strong domains, so
     for one seed both kinds build the same basis, draw the same samples and
@@ -113,17 +166,14 @@ def nodal_space_max_rq(
     m = decomposition.count
     if m == 0:
         raise ValueError("empty nodal decomposition")
+    if draws is None:
+        draws = NodalSamples()
     basis = np.zeros((g.n, m))
     for i, dom in enumerate(decomposition.domains):
         idx = np.fromiter((v - 1 for v in dom), dtype=np.int64)
         basis[idx, i] = pair.f[idx]
-    coeffs = []
-    if m <= MAX_SIGN_PATTERN_DOMAINS:
-        patterns = ((np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1)
-        coeffs.append((2.0 * patterns - 1.0).T)
-    rng = np.random.default_rng(seed)
-    coeffs.append(rng.standard_normal((m, NODAL_SPACE_SAMPLES)))
-    alphas = np.concatenate(coeffs, axis=1)
+    coeffs = [draws.patterns(m)] if m <= MAX_SIGN_PATTERN_DOMAINS else []
+    alphas = np.concatenate(coeffs + [draws.normals(seed, m)], axis=1)
     gmat = basis @ alphas  # (n, samples)
     p = pair.p
     num = (g.edges_w[:, None]

@@ -1,15 +1,19 @@
 """Independent oracles the solvers are checked against.
 
 Everything here sticks to first principles (closed forms, exact polynomial
-arithmetic, finite differences, unpruned enumeration) and never calls the
-code paths under test.
+arithmetic, finite differences, unpruned enumeration) or is the plain form
+of an optimized search (per-space sampling, shot-by-shot bisection, array
+decomposition), and never calls the code paths under test.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from plap import rayleigh_quotient
+from plap import kernels, plaplacian, rayleigh_quotient
+from plap.eigensolver import PATH_RESIDUAL_TOL, BracketError, Spectrum
+from plap.graph import components, path_graph
+from plap.nodal import MAX_SIGN_PATTERN_DOMAINS, NODAL_SPACE_SAMPLES, NodalDecomposition
 from plap.one_laplacian import (
     EigenvalueRecord,
     OrderPattern,
@@ -379,3 +383,147 @@ def fd_gradient(g, f, p, h=1e-6):
         fm[u] -= h
         out[u] = (rayleigh_quotient(g, fp, p) - rayleigh_quotient(g, fm, p)) / (2 * h)
     return out
+
+
+def decompose_arrays(g, f, strict):
+    """Strong (strict) or weak nodal domains of f from float64 array masks.
+
+    The reference for `nodal._decompose`, which works on Python floats.
+    """
+    arr = plaplacian._as_vertex_function(g, f)
+    tol = 1e-9 * (float(np.max(np.abs(arr))) if len(arr) else 0.0)
+    pos = arr > tol
+    neg = arr < -tol
+    zero = ~(pos | neg)
+    if strict:
+        domains = [(c, "+") for c in components(g, pos)]
+        domains += [(c, "-") for c in components(g, neg)]
+    else:
+        domains = [(c, "+") for c in components(g, pos | zero)]
+        seen = {tuple(c) for c, _ in domains}
+        for c in components(g, neg | zero):
+            if tuple(c) not in seen:
+                domains.append((c, "-"))
+    domains.sort(key=lambda t: t[0][0])
+    return NodalDecomposition(
+        kind="strong" if strict else "weak",
+        domains=tuple(frozenset(v + 1 for v in c) for c, _ in domains),
+        signs=tuple(s for _, s in domains),
+        zero_set=frozenset(int(v) + 1 for v in np.nonzero(zero)[0]),
+    )
+
+
+def nodal_space_max_rq_fresh(g, pair, decomposition, seed):
+    """Nodal-space maximum from a fresh draw of stream seed for this space.
+
+    The reference for `nodal.nodal_space_max_rq` with a shared sample source.
+    """
+    m = decomposition.count
+    basis = np.zeros((g.n, m))
+    for i, dom in enumerate(decomposition.domains):
+        idx = np.fromiter((v - 1 for v in dom), dtype=np.int64)
+        basis[idx, i] = pair.f[idx]
+    coeffs = []
+    if m <= MAX_SIGN_PATTERN_DOMAINS:
+        patterns = ((np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1)
+        coeffs.append((2.0 * patterns - 1.0).T)
+    rng = np.random.default_rng(seed)
+    coeffs.append(rng.standard_normal((m, NODAL_SPACE_SAMPLES)))
+    gmat = basis @ np.concatenate(coeffs, axis=1)
+    p = pair.p
+    num = (g.edges_w[:, None]
+           * np.abs(gmat[g.edges_u, :] - gmat[g.edges_v, :]) ** p).sum(axis=0)
+    den = (g.mu[:, None] * np.abs(gmat) ** p).sum(axis=0)
+    ok = den > 1e-300
+    return float(np.max(num[ok] / den[ok]))
+
+
+def _below_shot(n, p, lam):
+    f, defect, zeros = kernels.path_shoot_core(n, p, lam)
+    return zeros + (defect * f[-1] < 0.0)
+
+
+def path_spectrum_bisection(n, p):
+    """Unit-path spectrum by shooting every midpoint of the count bisection.
+
+    The reference for `eigensolver.path_spectrum`, which locates each
+    lambda_k first and shoots only the midpoints near it: the same pairs,
+    diagnostics, notes and errors.
+    """
+    g = path_graph(n, "unit")
+    lam_hi = 2.0 ** p * (1.0 + 1e-7) + 1e-6
+    top = _below_shot(n, p, lam_hi)
+    if top != n:
+        raise BracketError(
+            f"eigenvalue count below lambda = {lam_hi:.6g} is {top}, expected "
+            f"{n}; count monotonicity assumption violated")
+    mu_total = float(np.sum(g.mu))
+    pairs = [plaplacian.EigenPair(p=p, lam=0.0, f=np.full(n, mu_total ** (-1.0 / p)),
+                                  residual=0.0)]
+    diags = [{"zero_count": 0, "defect": 0.0}]
+    lo = 0.0
+    for k in range(2, n + 1):
+        hi = lam_hi
+        mid = 0.5 * (lo + hi)
+        while lo < mid < hi:
+            if _below_shot(n, p, mid) >= k:
+                hi = mid
+            else:
+                lo = mid
+            mid = 0.5 * (lo + hi)
+        d_lo = kernels.path_shoot_core(n, p, lo)[1]
+        d_hi = kernels.path_shoot_core(n, p, hi)[1]
+        if not d_lo * d_hi <= 0.0:
+            raise BracketError(
+                f"no defect sign change for k = {k} in [{lo!r}, {hi!r}] "
+                f"(defects {d_lo!r}, {d_hi!r})")
+        a_root = lo if abs(d_lo) <= abs(d_hi) else hi
+        shot_f, shot_defect, zeros = kernels.path_shoot_core(n, p, a_root)
+        shot_f, shot_defect = np.array(shot_f), float(shot_defect)
+        if not (np.all(np.isfinite(shot_f)) and np.isfinite(shot_defect)):
+            raise BracketError(
+                f"shot for k = {k} is not finite (lambda = {a_root!r})")
+        if zeros != k - 1:
+            raise BracketError(
+                f"eigenfunction for k = {k} has {zeros} generalized "
+                f"zeros; monotonic indexing failed (lambda = {a_root!r})")
+        if shot_f[0] == 0.0 or shot_f[-1] == 0.0:
+            raise BracketError(f"boundary entries vanish for k = {k}")
+        nrm = plaplacian.pnorm(g, shot_f, p)
+        f = shot_f / nrm
+        res = abs(shot_defect) / nrm ** (p - 1.0)
+        if res > PATH_RESIDUAL_TOL:
+            half = n // 2
+            sign = 1.0 if k % 2 else -1.0
+            mirrored = shot_f.copy()
+            mirrored[n - half:] = sign * shot_f[half - 1::-1]
+            if n % 2 and sign < 0:
+                mirrored[half] = 0.0
+            mirrored_res = plaplacian.eigen_residual(g, mirrored, a_root, p)
+            if mirrored_res < res:
+                f = mirrored / plaplacian.pnorm(g, mirrored, p)
+                res = mirrored_res
+        d_lo = kernels.path_shoot_core(n, p, np.nextafter(a_root, -np.inf))[1]
+        d_hi = kernels.path_shoot_core(n, p, np.nextafter(a_root, np.inf))[1]
+        floor = min(abs(d_lo), abs(d_hi), abs(shot_defect))
+        accept = max(PATH_RESIDUAL_TOL, 4.0 * floor / nrm ** (p - 1.0))
+        if res > accept:
+            raise BracketError(
+                f"path pair k = {k} residual {res:.3g} exceeds "
+                f"{accept:.3g}; defect = {shot_defect!r}")
+        pairs.append(plaplacian.EigenPair(p=p, lam=a_root, f=f, residual=res))
+        diags.append({"zero_count": zeros, "defect": shot_defect,
+                      "direct_defect": plaplacian.eigen_residual(g, f, a_root, p)})
+    lams = [pair.lam for pair in pairs]
+    if any(b <= a for a, b in zip(lams, lams[1:])):
+        raise BracketError(f"path eigenvalues not strictly increasing: {lams}")
+    above = [f"k = {k} residual {pair.residual:.3g}"
+             for k, pair in enumerate(pairs, 1)
+             if pair.residual > plaplacian.RESIDUAL_LIMIT]
+    notes = ()
+    if above:
+        notes = ("conditioning-limited path pairs above the certificates' "
+                 f"{plaplacian.RESIDUAL_LIMIT:g} residual limit: "
+                 + ", ".join(above),)
+    return Spectrum(graph=g, p=p, pairs=tuple(pairs), method="path_shooting",
+                    diagnostics=tuple(diags), notes=notes)

@@ -415,6 +415,33 @@ def test_certify_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_certify_calls_share_no_state(tmp_path):
+    # a call on another graph in between changes nothing: each call draws
+    # its own samples and shoots its own path
+    gfile, other = tmp_path / "p5.txt", tmp_path / "g.txt"
+    gfile.write_text(PATH5)
+    other.write_text(serialize_graph(random_connected_graph(
+        np.random.default_rng(4), 6, "degree")))
+    outs = [tmp_path / f"{i}.json" for i in range(3)]
+    for graph, out in ((gfile, outs[0]), (other, outs[1]), (gfile, outs[2])):
+        assert main(["certify", str(graph), "--p", "1.5", "--p", "2",
+                     "--json", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[2].read_bytes()
+
+
+@pytest.mark.parametrize("values, name", [(("2", "2"), "2"),
+                                          (("1.5", "3", "1.5000001"), "1.5"),
+                                          (("2", "2.0"), "2")])
+def test_certify_repeated_p_is_a_usage_error(values, name, path4, capsys):
+    # checks are named certificates[p=<p:g>], so two exponents that print
+    # alike would be two checks of one name
+    argv = ["certify", path4]
+    for value in values:
+        argv += ["--p", value]
+    assert main(argv) == 2
+    assert f"error: --p {name} is given more than once" in capsys.readouterr().err
+
+
 def test_certify_failure_exits_one(tmp_path, monkeypatch):
     import plap.cli as cli
     gfile = tmp_path / "p4.txt"

@@ -19,17 +19,22 @@ from plap import (
     certify_nodal_bounds,
     multiway_cheeger_all,
 )
-from plap import eigensolver
+from plap import eigensolver, kernels
 from plap.eigensolver import (
     NEWTON_TOL,
     PATH_RESIDUAL_TOL,
-    _below,
+    _shot,
     _DirectForm,
     _same_pair,
     solve_from_guess,
 )
 
-from .oracles import charpoly_roots, p2_path_eigenvalues, path_p2_charpoly
+from .oracles import (
+    charpoly_roots,
+    p2_path_eigenvalues,
+    path_p2_charpoly,
+    path_spectrum_bisection,
+)
 from .util import random_connected_graph
 
 
@@ -388,14 +393,14 @@ def test_below_counts_closed_form_eigenvalues_at_p2():
         for lam in grid:
             if np.min(np.abs(eigs - lam)) <= 1e-9:
                 continue
-            assert _below(n, 2.0, float(lam)) == int(np.sum(eigs < lam)), (n, lam)
+            assert _shot(n, 2.0, float(lam))[0] == int(np.sum(eigs < lam)), (n, lam)
 
 
 @pytest.mark.parametrize("p", [1.05, 3.0])
 def test_below_nondecreasing(p):
     grid = np.linspace(0.0, 2.0 ** p + 1.0, 3001)
     for n in range(2, 16):
-        counts = [_below(n, p, float(lam)) for lam in grid]
+        counts = [_shot(n, p, float(lam))[0] for lam in grid]
         assert all(b >= a for a, b in zip(counts, counts[1:])), n
         assert counts[0] == 0 and counts[-1] == n, n
 
@@ -447,10 +452,49 @@ def test_path_spectrum_near_p1(n, p):
     assert all(b > a for a, b in zip(sp.lams, sp.lams[1:]))
 
 
+def _spectrum_or_error(solve, n, p):
+    try:
+        return solve(n, p)
+    except BracketError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p", [1.05, 1.1, 1.5, 2.0, 2.2, 3.0, 3.5, 4.0])
+def test_path_spectrum_matches_shot_by_shot_bisection(p):
+    # the grid holds paths where the count flips across adjacent floats
+    # next to lambda_k (n = 7 and 9 at p = 3.5, n = 4 and 7 at p = 4), where
+    # a search that trusts a band narrower than the flips lands 1-2 ulps off
+    for n in range(2, 17):
+        want = _spectrum_or_error(path_spectrum_bisection, n, p)
+        got = _spectrum_or_error(path_spectrum, n, p)
+        if isinstance(want, str):
+            assert got == want, (n, p)
+            continue
+        assert [pr.lam for pr in got.pairs] == [pr.lam for pr in want.pairs], (n, p)
+        assert [pr.residual for pr in got.pairs] == [pr.residual for pr in want.pairs]
+        for a, b in zip(got.pairs, want.pairs):
+            assert np.array_equal(a.f, b.f), (n, p)
+        assert got.diagnostics == want.diagnostics, (n, p)
+        assert got.notes == want.notes, (n, p)
+
+
+def test_path_spectrum_shot_budget(monkeypatch):
+    # shooting every bisection midpoint took 396-413 shots here
+    calls = []
+    shoot = kernels.path_shoot_core
+    monkeypatch.setattr(kernels, "path_shoot_core",
+                        lambda *a: calls.append(1) or shoot(*a))
+    for p in (1.1, 1.5, 3.0):
+        calls.clear()
+        path_spectrum(8, p)
+        assert len(calls) <= 250, (p, len(calls))
+
+
 def test_path_spectrum_non_finite_shot_raises():
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(BracketError):
+        with pytest.raises(BracketError) as exc:
             path_spectrum(200, 1.1)
+        assert str(exc.value) == _spectrum_or_error(path_spectrum_bisection, 200, 1.1)
 
 
 def test_path_spectrum_validation():

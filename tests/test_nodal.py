@@ -15,8 +15,9 @@ from plap import (
 )
 from plap.eigensolver import Spectrum
 from plap.graph import components
-from plap.nodal import multiplicity_groups
+from plap.nodal import NodalSamples, multiplicity_groups
 
+from .oracles import decompose_arrays, nodal_space_max_rq_fresh
 from .util import random_connected_graph
 
 
@@ -100,6 +101,66 @@ def test_nodal_space_rejects_residual_above_limit():
     bad = EigenPair(p=2.0, lam=1.0, f=pair.f, residual=1.0)
     with pytest.raises(ValueError, match="residual"):
         nodal_space_max_rq(g, bad, strong_nodal_domains(g, pair.f))
+
+
+def test_shared_samples_match_fresh_draws_per_space():
+    # one source serves every space, as in `plap certify`: pair i reads
+    # stream 5 + i for both kinds in every spectrum, extending it when a
+    # later space has more domains than the stream holds rows; the random
+    # graphs carry functions with zero vertices, whose weak domains differ
+    # from the strong ones
+    rng = np.random.default_rng(31)
+    cases = [(sp.graph, sp.pairs) for sp in
+             (path_spectrum(n, p) for n, p in ((5, 1.5), (7, 3.0), (9, 1.1)))]
+    for _ in range(8):
+        g = random_connected_graph(rng, int(rng.integers(4, 11)))
+        pairs = []
+        for p in (1.5, 2.0, 3.0):
+            f = rng.standard_normal(g.n)
+            f[rng.choice(g.n, size=g.n // 3, replace=False)] = 0.0
+            pairs.append(EigenPair(p=p, lam=0.0, f=f, residual=0.0))
+        cases.append((g, pairs))
+    draws = NodalSamples()
+    rows = {}           # stream -> most domains read from it so far
+    differ = extended = 0
+    for g, pairs in cases:
+        for i, pair in enumerate(pairs):
+            strong = strong_nodal_domains(g, pair.f)
+            weak = weak_nodal_domains(g, pair.f)
+            differ += weak.domains != strong.domains
+            for dec in (strong, weak):
+                want = nodal_space_max_rq_fresh(g, pair, dec, 5 + i)
+                got = nodal_space_max_rq(g, pair, dec, seed=5 + i, draws=draws)
+                assert got == want, (i, dec.kind)
+                extended += 0 < rows.get(i, 0) < dec.count
+                rows[i] = max(rows.get(i, 0), dec.count)
+    assert differ and extended
+
+
+def test_decompose_matches_array_masks_at_the_threshold():
+    # entries at, one ulp off and a rounding off the zero threshold
+    # 1e-9 max|f|, and signed zeros, decide the masks
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        g = random_connected_graph(rng, int(rng.integers(2, 11)))
+        f = rng.standard_normal(g.n) * 10.0 ** rng.uniform(-3, 3)
+        top = np.max(np.abs(f))
+        tol = 1e-9 * top
+        near = [tol, -tol, np.nextafter(tol, 0), np.nextafter(tol, np.inf),
+                -np.nextafter(tol, np.inf), tol * (1 + 1e-15), 0.0, -0.0]
+        for v in rng.choice(g.n, size=int(rng.integers(0, g.n)), replace=False):
+            if abs(f[v]) != top:
+                f[v] = near[int(rng.integers(len(near)))]
+        for strict, decompose in ((True, strong_nodal_domains),
+                                  (False, weak_nodal_domains)):
+            assert decompose(g, f) == decompose_arrays(g, f, strict)
+            assert decompose(g, list(f)) == decompose_arrays(g, f, strict)
+    g = path_graph(3)
+    for decompose in (strong_nodal_domains, weak_nodal_domains):
+        with pytest.raises(ValueError, match="finite"):
+            decompose(g, [1.0, np.nan, 0.0])
+        with pytest.raises(ValueError, match="shape"):
+            decompose(g, [1.0, 0.0])
 
 
 def test_multiplicity_groups():
