@@ -98,8 +98,63 @@ def _input_block(path: str, g: Graph):
             "mu_mode": g.mu_mode}
 
 
+_ESCAPE = json.encoder.encode_basestring_ascii
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+# writers of the exact scalar types, which make up most of a report
+_SCALARS = {float: _json_float, str: _ESCAPE, int: int.__repr__,
+            bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
+def _json_scalar(x) -> str:
+    """A scalar of a subclass type, checked in json's order."""
+    if isinstance(x, str):
+        return _ESCAPE(x)
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        return _json_float(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _to_json(x, indent: str = "") -> str:
+    """The string `json.dumps(x, indent=2)` returns, without json's
+    pure-Python indent encoder.
+
+    Takes str, float, int, bool, None, list, tuple and dicts with str keys;
+    anything else, a non-str key included (json would convert it), raises
+    TypeError.
+    """
+    write = _SCALARS.get(type(x))
+    if write is not None:
+        return write(x)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = []
+        for key, value in x.items():
+            write = _SCALARS.get(type(value))
+            items.append(_ESCAPE(key) + ": "
+                         + (write(value) if write else _to_json(value, inner)))
+        return "{\n" + inner + sep.join(items) + "\n" + indent + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        return ("[\n" + inner + sep.join([_to_json(v, inner) for v in x])
+                + "\n" + indent + "]")
+    return _json_scalar(x)
+
+
 def _emit(report: dict, json_path: str | None) -> None:
-    doc = json.dumps(report, indent=2) + "\n"
+    doc = _to_json(report) + "\n"
     if json_path:
         with open(json_path, "w", encoding="utf-8") as fh:
             fh.write(doc)

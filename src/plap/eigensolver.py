@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -96,10 +96,19 @@ class Spectrum:
     @functools.cached_property
     def decompositions(self) -> tuple[tuple[nodal.NodalDecomposition, ...], ...]:
         """The (strong, weak) nodal decomposition of each pair, in pair order,
-        computed on first use; every certificate reads them from here."""
-        return tuple((nodal.strong_nodal_domains(self.graph, pair.f),
-                      nodal.weak_nodal_domains(self.graph, pair.f))
-                     for pair in self.pairs)
+        computed on first use; every certificate reads them from here.
+
+        When f has no zero vertex its weak domains, signs and zero set are
+        the strong ones, so the weak decomposition is computed only for an f
+        with a zero vertex.
+        """
+        out = []
+        for pair in self.pairs:
+            strong = nodal.strong_nodal_domains(self.graph, pair.f)
+            weak = (nodal.weak_nodal_domains(self.graph, pair.f) if strong.zero_set
+                    else replace(strong, kind="weak"))
+            out.append((strong, weak))
+        return tuple(out)
 
 
 @dataclass(frozen=True)

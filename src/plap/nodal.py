@@ -108,8 +108,8 @@ class NodalSamples:
     fills that array in C order, so its first rows are the draw with fewer
     domains: each stream is drawn once and extended on demand, and every
     space of a pair at every exponent reads its rows from it.  The +-1 sign
-    patterns are built once per domain count.  A source lives for one call,
-    so no call reads samples another call drew.
+    patterns, one per +- pair, are built once per domain count.  A source
+    lives for one call, so no call reads samples another call drew.
     """
 
     def __init__(self):
@@ -130,10 +130,15 @@ class NodalSamples:
         return entry[1][:m]
 
     def patterns(self, m: int) -> np.ndarray:
-        """Every +-1 sign pattern of m coefficients, one per column."""
+        """One +-1 sign pattern of m coefficients per +- pair, one per column.
+
+        These are the 2^(m-1) patterns whose last coefficient is -1.  The
+        negation of a pattern gives the exact negation of its combination,
+        so the same Rayleigh quotient, bit for bit.
+        """
         out = self._patterns.get(m)
         if out is None:
-            bits = (np.arange(1 << m)[:, None] >> np.arange(m)[None, :]) & 1
+            bits = (np.arange(1 << (m - 1))[:, None] >> np.arange(m)[None, :]) & 1
             out = self._patterns[m] = (2.0 * bits - 1.0).T
         return out
 
@@ -150,10 +155,13 @@ def nodal_space_max_rq(
     The nodal space is spanned by the restrictions of pair.f to the domains
     of decomposition, its strong or weak nodal decomposition.  Samples
     NODAL_SPACE_SAMPLES random coefficient vectors (stream seed of draws, a
-    fresh `NodalSamples` by default) plus, for up to 12 domains, every +-1
-    sign pattern; the result never exceeds the eigenvalue (up to solver
-    noise), which is what the certification harness asserts.  A shared
-    source returns the float a fresh one would.
+    fresh `NodalSamples` by default) plus, for up to 12 domains, one +-1
+    sign pattern per +- pair; the result never exceeds the eigenvalue (up to
+    solver noise), which is what the certification harness asserts.  A
+    shared source returns the float a fresh one would.  The maximum is that
+    over every sign pattern: negating the coefficients negates `basis @ a`
+    exactly (rounding to nearest is symmetric), so the quotient's numerator
+    and denominator are bitwise unchanged.
 
     When f has no zero vertex, its weak domains are its strong domains, so
     for one seed both kinds build the same basis, draw the same samples and
@@ -168,17 +176,26 @@ def nodal_space_max_rq(
         raise ValueError("empty nodal decomposition")
     if draws is None:
         draws = NodalSamples()
+    rows = [v - 1 for dom in decomposition.domains for v in dom]
+    cols = [i for i, dom in enumerate(decomposition.domains) for _ in dom]
     basis = np.zeros((g.n, m))
-    for i, dom in enumerate(decomposition.domains):
-        idx = np.fromiter((v - 1 for v in dom), dtype=np.int64)
-        basis[idx, i] = pair.f[idx]
+    basis[rows, cols] = pair.f[rows]
     coeffs = [draws.patterns(m)] if m <= MAX_SIGN_PATTERN_DOMAINS else []
     alphas = np.concatenate(coeffs + [draws.normals(seed, m)], axis=1)
     gmat = basis @ alphas  # (n, samples)
     p = pair.p
-    num = (g.edges_w[:, None]
-           * np.abs(gmat[g.edges_u, :] - gmat[g.edges_v, :]) ** p).sum(axis=0)
-    den = (g.mu[:, None] * np.abs(gmat) ** p).sum(axis=0)
+    diff = gmat[g.edges_u, :] - gmat[g.edges_v, :]
+    np.abs(diff, out=diff)
+    diff **= p
+    diff *= g.edges_w[:, None]
+    num = diff.sum(axis=0)
+    np.abs(gmat, out=gmat)
+    gmat **= p
+    gmat *= g.mu[:, None]
+    den = gmat.sum(axis=0)
+    # mask only when some combination is (numerically) zero
+    if den.min() > 1e-300:
+        return float((num / den).max())
     ok = den > 1e-300
     if not np.any(ok):
         raise ValueError("all sampled combinations were zero")

@@ -469,18 +469,23 @@ def test_solver_nonconvergence_exits_three(tmp_path, monkeypatch):
 
 
 def test_certify_decomposes_each_pair_once(tmp_path, monkeypatch):
+    # one strong decomposition per pair; a weak one only where f has a zero
+    # vertex, which on the odd path are the even-k pairs (middle vertex)
     from plap import nodal
     calls = []
     for name in ("strong_nodal_domains", "weak_nodal_domains"):
         fn = getattr(nodal, name)
-        monkeypatch.setattr(nodal, name,
-                            lambda *a, _fn=fn, **k: calls.append(1) or _fn(*a, **k))
+        monkeypatch.setattr(nodal, name, lambda *a, _fn=fn, _name=name, **k:
+                            calls.append(_name) or _fn(*a, **k))
     gfile = tmp_path / "p5.txt"
     gfile.write_text(PATH5)
     out = tmp_path / "r.json"
     assert main(["certify", str(gfile), "--json", str(out)]) == 0
     runs = _load(out)["runs"]
-    assert len(calls) == 2 * 5 * len(runs)
+    assert len(runs) == 4
+    assert calls.count("strong_nodal_domains") == 5 * len(runs)
+    assert calls.count("weak_nodal_domains") == 2 * len(runs)
+    assert len(calls) == 28
 
 
 def test_certify_weak_space_matches_direct_sampling(tmp_path):
@@ -567,3 +572,52 @@ def test_variational_spectrum_enumerates_hk_once(monkeypatch):
     variational_spectrum(random_connected_graph(np.random.default_rng(24), 4), 1.1)
     assert calls["repair"] > 0
     assert calls["hk"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "{g}", "--p", "1.5"],
+    ["cheeger", "{g}", "--k", "2", "--sweep", "{f}"],
+    ["certify", "{g}", "--mu", "degree", "--p", "2", "--one-laplacian"],
+], ids=["solve", "cheeger-sweep", "certify-one-laplacian"])
+def test_report_writer_matches_json_dumps(argv, path4, tmp_path, monkeypatch):
+    import plap.cli as cli
+    ffile = tmp_path / "f.txt"
+    ffile.write_text("1.0\n0.0\n0.0\n0.0\n")
+    reports = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda r, p: reports.append(r) or emit(r, p))
+    out = tmp_path / "r.json"
+    argv = [a.format(g=path4, f=ffile) for a in argv]
+    assert main([*argv, "--json", str(out)]) == 0
+    (report,) = reports
+    text = json.dumps(report, indent=2)
+    assert cli._to_json(report) == text
+    assert out.read_text(encoding="utf-8") == text + "\n"
+
+
+def test_report_writer_edge_document():
+    from plap.cli import _to_json
+    doc = {
+        "text": "é中\U0001f600 \x00\x1f\x7f\"\\/\n\t\r",
+        "é key\n": ["", "plain"],
+        "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324,
+                   1.7976931348623157e308, 1e-09, 0.1, 1e16, 123456789.0],
+        "ints": [0, -1, 2**64 + 1, -(2**70)],
+        "tuples": (1, (2.5, ()), [()]),
+        "empty": [[], {}, (), [[]], {"a": {}}],
+        "nested": {"a": {"b": [[1], [{"c": [None]}]]}},
+        "bools": [True, 1, False, 0, None, 1.0],
+        "subclasses": [np.float64(1.5), np.float64("nan")],
+    }
+    for x in (doc, [], {}, (), 1.5, float("nan"), "s", None, True, False, 7):
+        assert _to_json(x) == json.dumps(x, indent=2)
+
+
+@pytest.mark.parametrize("bad", [
+    {1: "int key"}, {"a": {None: 1}}, {(1, 2): 0},
+    np.bool_(True), [np.int64(3)], {"a": object()}, {"a": {1.5, 2.5}},
+])
+def test_report_writer_refuses_non_json(bad):
+    from plap.cli import _to_json
+    with pytest.raises(TypeError):
+        _to_json(bad)

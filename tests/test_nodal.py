@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,91 @@ def test_shared_samples_match_fresh_draws_per_space():
                 extended += 0 < rows.get(i, 0) < dec.count
                 rows[i] = max(rows.get(i, 0), dec.count)
     assert differ and extended
+
+
+def test_half_pattern_set_matches_every_sign_pattern():
+    # one pattern per +- pair gives the float of every +-1 pattern: m = 1,
+    # m = 12 (the most domains with patterns) and m = 13 (none)
+    cases = []
+    for n in (12, 13):
+        sp = solve_p2_spectrum(path_graph(n))
+        cases += [(sp, 0), (sp, n - 1)]
+    sp = path_spectrum(9, 1.5)
+    cases += [(sp, i) for i in range(9)]
+    counts = set()
+    for sp, i in cases:
+        for dec in sp.decompositions[i]:
+            counts.add(dec.count)
+            want = nodal_space_max_rq_fresh(sp.graph, sp.pairs[i], dec, 4 + i)
+            assert nodal_space_max_rq(sp.graph, sp.pairs[i], dec, seed=4 + i) == want
+    assert {1, 12, 13} <= counts
+    assert NodalSamples().patterns(1).shape == (1, 1)
+    assert NodalSamples().patterns(12).shape == (12, 1 << 11)
+
+
+def _tiny_pair(scale):
+    sp = path_spectrum(6, 3.0)
+    pair = sp.pairs[4]
+    return sp.graph, dataclasses.replace(pair, f=pair.f * scale), sp.decompositions[4][0]
+
+
+def test_nodal_space_masks_columns_below_the_floor():
+    # at 1e-100 and p = 3 some sampled denominators fall at or under 1e-300,
+    # and an unmasked maximum would read one of their quotients
+    g, pair, dec = _tiny_pair(1e-100)
+    draws = NodalSamples()
+    basis = np.zeros((g.n, dec.count))
+    for i, dom in enumerate(dec.domains):
+        idx = [v - 1 for v in dom]
+        basis[idx, i] = pair.f[idx]
+    alphas = np.concatenate([draws.patterns(dec.count), draws.normals(0, dec.count)],
+                            axis=1)
+    gmat = basis @ alphas   # the unit path with unit measure
+    num = (np.abs(np.diff(gmat, axis=0)) ** 3).sum(axis=0)
+    den = (np.abs(gmat) ** 3).sum(axis=0)
+    ok = den > 1e-300
+    assert 0 < np.count_nonzero(ok) < den.size
+    assert np.max(num / den) > np.max(num[ok] / den[ok])
+    want = nodal_space_max_rq_fresh(g, pair, dec, 0)
+    assert nodal_space_max_rq(g, pair, dec, seed=0, draws=draws) == want
+
+
+def test_nodal_space_all_columns_underflow_raises():
+    g, pair, dec = _tiny_pair(1e-101)
+    with pytest.raises(ValueError, match="all sampled combinations were zero"):
+        nodal_space_max_rq(g, pair, dec)
+
+
+def test_decompositions_match_direct_calls(monkeypatch):
+    # the weak decomposition is the strong one relabelled exactly when f has
+    # no zero vertex, and computed directly only when it has one
+    from plap import nodal
+    rng = np.random.default_rng(33)
+    weak_calls = []
+    weak = nodal.weak_nodal_domains
+    monkeypatch.setattr(nodal, "weak_nodal_domains",
+                        lambda *a: weak_calls.append(1) or weak(*a))
+    with_zero = zero_free = 0
+    for _ in range(40):
+        g = random_connected_graph(rng, int(rng.integers(2, 11)))
+        fs = []
+        for _ in range(3):
+            f = rng.standard_normal(g.n)
+            if rng.random() < 0.5:
+                f[rng.choice(g.n, size=max(1, g.n // 3), replace=False)] = 0.0
+            fs.append(f)
+        pairs = tuple(EigenPair(p=1.5, lam=0.0, f=f, residual=0.0) for f in fs)
+        sp = Spectrum(graph=g, p=1.5, pairs=pairs, method="continuation")
+        before = len(weak_calls)
+        got = sp.decompositions
+        zeros = sum(bool(np.any(f == 0.0)) for f in fs)
+        assert len(weak_calls) - before == zeros
+        with_zero += zeros
+        zero_free += len(fs) - zeros
+        for f, (s, w) in zip(fs, got):
+            assert s == strong_nodal_domains(g, f)
+            assert w == weak(g, f)
+    assert with_zero and zero_free
 
 
 def test_decompose_matches_array_masks_at_the_threshold():
