@@ -17,11 +17,8 @@ one (high mask, high submask) pair is a maximum and a `minimum.reduceat`
 over a low-bit table of at most (3^L - 1) / 2 entries.  The table is pruned
 by popcount: a family of j - 1 disjoint nonempty subsets needs j - 1
 vertices, so layer j only visits the masks left over by the chosen subset
-that hold at least j - 1 bits.  Every layer for k = 1..n takes about
-0.010 s at n = 12, 0.026 s at n = 13, 0.066 s at n = 14, 0.19 s at n = 15
-and 0.50 s at n = 16, with a tracemalloc peak of 1.4, 1.9, 2.9, 5.0 and
-9.6 MB (first call in a fresh process, uniform random ratios, on a shared
-2-core x86-64 VM); `python3 perfbench/run.py` times it inside the whole
+that hold at least j - 1 bits.  Its cost by n is given beside
+`EXACT_HK_CAP`; `python3 perfbench/run.py` times it inside the whole
 pipeline.  The optimal family is read back from the subsets whose ratio is
 at most h_k, dropping those that meet each pick, and taking the smallest
 by a base-3 rank table whose integer order is the order of sorted vertex
@@ -61,23 +58,6 @@ def cut_ratio(g: Graph, subset: Iterable[int]) -> float:
     member[idx] = True
     crossing = member[g.edges_u] != member[g.edges_v]
     return float(np.sum(g.edges_w[crossing]) / np.sum(g.mu[idx]))
-
-
-def validate_family(g: Graph, subsets: Sequence[Iterable[int]]) -> list[frozenset[int]]:
-    """Check a family of k nonempty pairwise-disjoint vertex subsets."""
-    fam = [frozenset(int(v) for v in s) for s in subsets]
-    if not fam:
-        raise ValueError("family must contain at least one subset")
-    seen: set[int] = set()
-    for s in fam:
-        if not s:
-            raise ValueError("family subsets must be nonempty")
-        if any(v < 1 or v > g.n for v in s):
-            raise ValueError(f"subset vertex out of range 1..{g.n}")
-        if seen & s:
-            raise ValueError("family subsets must be pairwise disjoint")
-        seen |= s
-    return fam
 
 
 def _ratio_table(g: Graph) -> np.ndarray:

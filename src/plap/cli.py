@@ -326,10 +326,7 @@ def _certify_one_p(g, p, seed, hk, draws):
         "notes": list(sp.notes),
         "operator_checks": op_check,
     }
-    ok = (nrep.all_pass and all(c.passed for c in certs)
-          and all(e["strong"]["pass"] and e["weak"]["pass"] for e in span_checks)
-          and op_check["pass"])
-    return run, ok
+    return run, not any(_failure_lines(run))
 
 
 def _one_laplacian_section(g: Graph, h2: float | None) -> tuple[dict, bool]:

@@ -6,11 +6,11 @@ Three routes:
   precision);
 * damped-Newton continuation in p from the p = 2 seeds for general graphs
   along a fixed geometric grid of CONTINUATION_STEPS = 16 steps, certified
-  post hoc against indicator-span upper bounds.  One Newton
-  solver and one continuation driver work over two coordinate forms: the
-  direct form (f, lam) serves p >= 2 and the flux form (phi_p(f),
-  phi_p(edge differences), lam) serves p < 2.  The form is chosen per grid
-  step, and a halved step keeps the form of the step it splits.  Each
+  post hoc against indicator-span upper bounds.  One Newton solver and one
+  continuation driver work over two coordinate forms: the direct form
+  (f, lam) serves targets p >= 2 and the flux form (phi_p(f),
+  phi_p(edge differences), lam) serves targets p < 2.  One form serves the
+  whole path from p = 2 to the target, halved steps included.  Each
   Armijo backtrack of Newton tries the one point x + alpha * step, and a
   finished direct-form pair has its unresolved cusp entries set to exact
   zeros when the residual stays within tolerance.  When a
@@ -51,7 +51,8 @@ NEWTON_MAX_ITER = 200
 
 
 class ContinuationError(RuntimeError):
-    """Continuation in p failed, or too few eigenpairs could be computed.
+    """Continuation in p failed, a p = 2 seed is above the residual limit,
+    or too few eigenpairs could be computed.
 
     The message says where: the stalled p, the residual, or the terminated
     branches.  The CLI maps it to exit code 3.
@@ -109,18 +110,6 @@ class Spectrum:
                     else replace(strong, kind="weak"))
             out.append((strong, weak))
         return tuple(out)
-
-
-@dataclass(frozen=True)
-class ShootingTrace:
-    """One shot of the path recurrence at a trial eigenvalue."""
-    lam: float
-    f: np.ndarray
-    zero_count: int
-    boundary_defect: float  # signed defect of the final equation
-
-    def __post_init__(self):
-        self.f.setflags(write=False)
 
 
 def _canonical_sign(f: np.ndarray) -> np.ndarray:
@@ -398,19 +387,23 @@ def _fold_restarts(g: Graph, f: np.ndarray):
     return trials
 
 
+def _form_for(g: Graph, p: float):
+    """The coordinate form that solves at p: the flux form below p = 2."""
+    return _DirectForm(g) if p >= 2.0 else _FluxForm(g)
+
+
 def _continue_with_diag(g, seed, p_target):
-    if seed.residual > plaplacian.RESIDUAL_LIMIT:
-        raise ValueError(f"seed residual {seed.residual:.3g} exceeds "
-                         f"{plaplacian.RESIDUAL_LIMIT:g}")
-    if p_target <= 1.0:
-        raise ValueError(f"continuation target must satisfy p > 1, got {p_target}")
+    """Follow one p = 2 eigenpair to p_target along a geometric p-grid.
+
+    Each step solves the augmented system by damped Newton in the one form
+    `_form_for(g, p_target)`; failing steps are halved geometrically up to
+    12 levels.  Returns (pair, diagnostics).
+    """
     if p_target < MIN_CONTINUATION_P:
         warnings.warn(f"continuation to p = {p_target} below the default "
                       f"minimum {MIN_CONTINUATION_P}: curvature degenerates "
                       f"as p -> 1", stacklevel=3)
     diag = {"newton_iterations": 0, "p_steps": 0, "halvings": 0}
-    if seed.p == p_target:
-        return seed, diag
     if seed.lam <= 1e-10:
         # the zero eigenvalue is p-independent and its eigenfunctions are
         # constant per connected component; snap the seed's rounding noise,
@@ -423,8 +416,9 @@ def _continue_with_diag(g, seed, p_target):
         pair = EigenPair(p=p_target, lam=0.0, f=_canonical_sign(f),
                          residual=res)
         return pair, diag
+    form = _form_for(g, p_target)
 
-    def advance(form, x, p_from, p_to, depth):
+    def advance(x, p_from, p_to, depth):
         if form.renormalises:
             f = plaplacian.normalized(g, form.vertex(x, p_to), p_to)
             x = form.pose(f, x[-1], p_to)
@@ -450,12 +444,10 @@ def _continue_with_diag(g, seed, p_target):
                 if depth >= 12:
                     raise ContinuationError(
                         f"continuation stalled at p = {p_to:.6g}: {exc}") from None
-                # a halved step keeps the form of the grid step it splits,
-                # even where the midpoint lies on the other side of p = 2
                 diag["halvings"] += 1
                 mid = float(np.sqrt(p_from * p_to))
-                x = advance(form, x, p_from, mid, depth + 1)
-                return advance(form, x, mid, p_to, depth + 1)
+                x = advance(x, p_from, mid, depth + 1)
+                return advance(x, mid, p_to, depth + 1)
         diag["newton_iterations"] += iters
         diag["p_steps"] += 1
         return x_new
@@ -464,22 +456,15 @@ def _continue_with_diag(g, seed, p_target):
     grid = [seed.p * ratio ** (i / CONTINUATION_STEPS)
             for i in range(CONTINUATION_STEPS + 1)]
     grid[-1] = p_target
-    direct, flux = _DirectForm(g), _FluxForm(g)
-    form = direct
-    x = direct.pose(seed.f.astype(np.float64), seed.lam, seed.p)
+    # the flux form, which does not renormalise, is entered with a
+    # normalised f
+    f = seed.f if form.renormalises else plaplacian.normalized(g, seed.f, 2.0)
+    x = form.pose(f, seed.lam, seed.p)
     for p_from, p_to in zip(grid, grid[1:]):
-        step_form = direct if p_to >= 2.0 else flux
-        if step_form is not form:
-            # change of variables between the regimes; the flux form, which
-            # does not renormalise, is entered with a normalised f
-            f = form.vertex(x, p_from)
-            if not step_form.renormalises:
-                f = plaplacian.normalized(g, f, p_from)
-            form, x = step_form, step_form.pose(f, x[-1], p_from)
-        x = advance(form, x, p_from, p_to, 0)
+        x = advance(x, p_from, p_to, 0)
     lam = max(float(x[-1]), 0.0)
     f, res = form.finish(x, lam, p_target)
-    if form is flux:
+    if isinstance(form, _FluxForm):
         diag["coordinates"] = "flux"
         # entry differences can quantize below float resolution near p = 1,
         # making the direct defect evaluation pessimistic; record it anyway
@@ -489,16 +474,6 @@ def _continue_with_diag(g, seed, p_target):
             f"continued pair residual {res:.3g} exceeds "
             f"{plaplacian.RESIDUAL_LIMIT:g}")
     return EigenPair(p=p_target, lam=lam, f=f, residual=res), diag
-
-
-def continue_in_p(g: Graph, seed: EigenPair, p_target: float) -> EigenPair:
-    """Follow one eigenpair along a geometric p-grid by damped Newton.
-
-    Each step solves the augmented system (eigen-equation plus unit-norm
-    constraint); failing steps are halved geometrically up to 12 levels.
-    """
-    pair, _ = _continue_with_diag(g, seed, p_target)
-    return pair
 
 
 @_quiet
@@ -513,7 +488,7 @@ def solve_from_guess(g: Graph, f0: np.ndarray, p: float) -> EigenPair | None:
     except ValueError:
         return None
     lam0 = plaplacian.rayleigh_quotient(g, f0, p)
-    form = _DirectForm(g) if p >= 2.0 else _FluxForm(g)
+    form = _form_for(g, p)
     try:
         x, _ = _newton(form, form.pose(f0, lam0, p), p)
     except _NewtonFailure:
@@ -600,6 +575,11 @@ def variational_spectrum(
     base = solve_p2_spectrum(g)
     if p == 2.0:
         return base
+    for k, seed in enumerate(base.pairs, 1):
+        if seed.residual > plaplacian.RESIDUAL_LIMIT:
+            raise ContinuationError(
+                f"p = {p}: p = 2 seed k = {k} residual {seed.residual:.3g} "
+                f"exceeds {plaplacian.RESIDUAL_LIMIT:g}")
     mult = {i: len(grp) for grp in nodal.multiplicity_groups(base.lams)
             for i in grp}
     notes = []
@@ -671,39 +651,8 @@ def variational_spectrum(
                     notes=tuple(notes))
 
 
-def indicator_span_upper_bound(g: Graph, p: float, subsets) -> float:
-    """Certified upper bound 2^(p-1) max_i c(A_i) on lambda_k, k = len(subsets).
-
-    Valid because the span of the k disjoint indicator functions meets the
-    unit sphere in a set of index k, and the Rayleigh quotient on that span
-    is at most 2^(p-1) times the largest cut ratio.
-    """
-    if p < 1:
-        raise ValueError(f"exponent must satisfy p >= 1, got {p}")
-    family = cheeger.validate_family(g, subsets)
-    return cheeger.upper_bound(p, max(cheeger.cut_ratio(g, s) for s in family))
-
-
 # ---------------------------------------------------------------------------
 # Shooting on unit paths
-
-def path_shoot(n: int, p: float, lam: float) -> ShootingTrace:
-    """Shoot the half-linear recurrence across the unit path at trial lam.
-
-    Starts from f(1) = 1 with a reflected left boundary and returns the
-    trace, its generalized-zero count, and the signed defect of the final
-    (right-boundary) equation, which vanishes exactly at eigenvalues.
-    """
-    if n < 2:
-        raise ValueError(f"path shooting needs n >= 2, got {n}")
-    if p <= 1:
-        raise ValueError(f"path shooting requires p > 1, got {p}")
-    if lam < 0:
-        raise ValueError(f"trial eigenvalue must be nonnegative, got {lam}")
-    f, defect, zeros = kernels.path_shoot_core(n, float(p), float(lam))
-    return ShootingTrace(lam=float(lam), f=np.array(f), zero_count=zeros,
-                         boundary_defect=float(defect))
-
 
 def _shot(n, p, lam):
     """(count, boundary defect, zero count, values) of one shot at lam.

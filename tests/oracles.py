@@ -77,6 +77,23 @@ def cut_ratio_direct(g, members):
     return boundary / float(np.sum(g.mu[members]))
 
 
+def validate_family(g, subsets):
+    """Check a family of k nonempty pairwise-disjoint vertex subsets."""
+    fam = [frozenset(int(v) for v in s) for s in subsets]
+    if not fam:
+        raise ValueError("family must contain at least one subset")
+    seen = set()
+    for s in fam:
+        if not s:
+            raise ValueError("family subsets must be nonempty")
+        if any(v < 1 or v > g.n for v in s):
+            raise ValueError(f"subset vertex out of range 1..{g.n}")
+        if seen & s:
+            raise ValueError("family subsets must be pairwise disjoint")
+        seen |= s
+    return fam
+
+
 def subset_tables_dense(n, eu, ev, ew, mu):
     """kernels.subset_tables in one pass over the whole (2^n, m) difference
     matrix."""

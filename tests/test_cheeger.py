@@ -16,9 +16,14 @@ from plap import (
     variational_spectrum,
 )
 from plap import cheeger, kernels
-from plap.cheeger import ExactCapExceeded, multiway_cheeger_greedy, validate_family
+from plap.cheeger import ExactCapExceeded, multiway_cheeger_greedy
 
-from .oracles import naive_multiway, reconstruct_family_loop, subset_key
+from .oracles import (
+    naive_multiway,
+    reconstruct_family_loop,
+    subset_key,
+    validate_family,
+)
 from .util import MU_MODES, random_connected_graph, random_vertex_function
 
 

@@ -468,6 +468,17 @@ def test_solver_nonconvergence_exits_three(tmp_path, monkeypatch):
     assert main(["solve", str(gfile), "--p", "1.5"]) == 3
 
 
+def test_seed_residual_refusal_exits_three(tmp_path, capsys):
+    # the dense p = 2 pair k = 1 of this stiff path misses the residual
+    # limit; continuing from it is a solver refusal, not a usage error
+    gfile = tmp_path / "stiff.txt"
+    gfile.write_text("n 4\n1 2 100000000.0\n2 3 1.0\n3 4 3.0\n")
+    assert main(["solve", str(gfile), "--p", "1.5"]) == 3
+    assert "p = 1.5: p = 2 seed k = 1 residual" in capsys.readouterr().err
+    assert main(["certify", str(gfile)]) == 3
+    assert "p = 1.1: p = 2 seed k = 1 residual" in capsys.readouterr().err
+
+
 def test_certify_decomposes_each_pair_once(tmp_path, monkeypatch):
     # one strong decomposition per pair; a weak one only where f has a zero
     # vertex, which on the odd path are the even-k pairs (middle vertex)

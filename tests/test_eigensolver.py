@@ -3,11 +3,10 @@ import pytest
 
 from plap import (
     BracketError,
-    continue_in_p,
+    ContinuationError,
+    cut_ratio,
     eigen_residual,
-    indicator_span_upper_bound,
     path_graph,
-    path_shoot,
     path_spectrum,
     rayleigh_quotient,
     solve_p2_spectrum,
@@ -20,9 +19,11 @@ from plap import (
     multiway_cheeger_all,
 )
 from plap import eigensolver, kernels
+from plap.cheeger import upper_bound
 from plap.eigensolver import (
     NEWTON_TOL,
     PATH_RESIDUAL_TOL,
+    _continue_with_diag,
     _shot,
     _DirectForm,
     _same_pair,
@@ -78,17 +79,11 @@ def test_p2_generalized_orthonormality():
 # ---------------------------------------------------------------------------
 # continuation
 
-def test_zero_length_homotopy_returns_seed():
-    g = path_graph(3)
-    seed = solve_p2_spectrum(g).pairs[1]
-    assert continue_in_p(g, seed, 2.0) is seed
-
-
 def test_constant_branch_is_p_independent():
     g = path_graph(4)
     seed = solve_p2_spectrum(g).pairs[0]
     for pt in (1.2, 3.0):
-        pair = continue_in_p(g, seed, pt)
+        pair, _ = _continue_with_diag(g, seed, pt)
         assert pair.lam == 0.0
         assert np.max(np.abs(pair.f - pair.f[0])) <= 1e-14
         assert pair.residual <= 1e-12
@@ -102,11 +97,11 @@ def test_continuation_matches_path_shooting():
 
 
 def test_continuation_seed_residual_precondition():
-    g = path_graph(3)
-    seed = solve_p2_spectrum(g).pairs[1]
-    bad = type(seed)(p=2.0, lam=seed.lam + 0.5, f=seed.f, residual=0.5)
-    with pytest.raises(ValueError, match="seed residual"):
-        continue_in_p(g, bad, 1.5)
+    # the dense p = 2 pair k = 1 of this stiff path misses the residual limit
+    g = build_graph(4, [(1, 2, 1e8), (2, 3, 1.0), (3, 4, 3.0)])
+    assert solve_p2_spectrum(g).pairs[0].residual > 1e-9
+    with pytest.raises(ContinuationError, match=r"p = 1\.5: p = 2 seed k = 1 "):
+        variational_spectrum(g, 1.5)
 
 
 def test_continuation_step_doubling_stable(monkeypatch):
@@ -128,18 +123,7 @@ def test_continuation_below_min_p_warns():
     g = path_graph(3)
     seed = solve_p2_spectrum(g).pairs[1]
     with pytest.warns(UserWarning, match="curvature degenerates"):
-        continue_in_p(g, seed, 1.03)
-
-
-def test_halved_step_across_p2_keeps_its_form():
-    # continuing back from p = 3 to 1.3 halves a flux-form grid step whose
-    # midpoint can lie at p >= 2; both halves must stay in the flux form
-    rng = np.random.default_rng(16)
-    g = random_connected_graph(rng, rng.integers(4, 7))
-    seed = solve_p2_spectrum(g).pairs[3]
-    pair = continue_in_p(g, continue_in_p(g, seed, 3.0), 1.3)
-    assert pair.residual <= 1e-9
-    assert pair.lam == pytest.approx(3.5755748892515187, rel=1e-12)
+        _continue_with_diag(g, seed, 1.03)
 
 
 def test_solve_from_guess_recovers_continued_pairs_in_both_forms():
@@ -148,7 +132,8 @@ def test_solve_from_guess_recovers_continued_pairs_in_both_forms():
     base = solve_p2_spectrum(g)
     for p in (1.5, 3.0):  # flux form, direct form
         for seed in base.pairs[1:]:
-            pair = continue_in_p(g, seed, p)
+            pair, diag = _continue_with_diag(g, seed, p)
+            assert ("coordinates" in diag) == (p < 2.0)
             f0 = pair.f + 1e-2 * rng.standard_normal(g.n)
             got = solve_from_guess(g, f0, p)
             assert got is not None and _same_pair(got, pair), (p, seed.lam)
@@ -334,55 +319,46 @@ def test_variational_residuals_and_rayleigh_consistency():
 # ---------------------------------------------------------------------------
 # indicator span upper bound
 
+def _span_bound(g, p, family):
+    # 2^(p-1) max c(A_i) bounds lambda_k from the span of k disjoint indicators
+    return upper_bound(p, max(cut_ratio(g, a) for a in family))
+
+
 def test_indicator_span_bound_values():
     g4 = path_graph(4)
-    assert indicator_span_upper_bound(g4, 2.0, [{1, 2}, {3, 4}]) == pytest.approx(1.0)
-    assert indicator_span_upper_bound(g4, 2.0, [set(range(1, 5))]) == pytest.approx(0.0)
+    assert _span_bound(g4, 2.0, [{1, 2}, {3, 4}]) == pytest.approx(1.0)
+    assert _span_bound(g4, 2.0, [set(range(1, 5))]) == pytest.approx(0.0)
     g3 = path_graph(3)
-    assert indicator_span_upper_bound(g3, 2.0, [{1}, {2}, {3}]) == pytest.approx(4.0)
+    assert _span_bound(g3, 2.0, [{1}, {2}, {3}]) == pytest.approx(4.0)
 
 
 def test_indicator_span_bound_dominates_spectrum():
     g = path_graph(4)
-    bound = indicator_span_upper_bound(g, 2.0, [{1, 2}, {3, 4}])
+    bound = _span_bound(g, 2.0, [{1, 2}, {3, 4}])
     assert solve_p2_spectrum(g).lams[1] <= bound + 1e-12
-
-
-def test_indicator_span_bound_rejects_overlap():
-    with pytest.raises(ValueError, match="disjoint"):
-        indicator_span_upper_bound(path_graph(4), 2.0, [{1, 2}, {2, 3}])
 
 
 # ---------------------------------------------------------------------------
 # path shooting
 
 def test_shoot_lambda_zero_constant():
-    tr = path_shoot(5, 2.0, 0.0)
-    assert np.allclose(tr.f, 1.0)
-    assert tr.zero_count == 0 and tr.boundary_defect == 0.0
+    f, defect, zeros = kernels.path_shoot_core(5, 2.0, 0.0)
+    assert np.allclose(f, 1.0)
+    assert zeros == 0 and defect == 0.0
 
 
 def test_shoot_p2_hand_values():
-    tr = path_shoot(3, 2.0, 1.0)
-    assert np.allclose(tr.f, [1.0, 0.0, -1.0])
-    assert tr.zero_count == 1 and tr.boundary_defect == pytest.approx(0.0)
-    tr = path_shoot(3, 2.0, 3.0)
-    assert np.allclose(tr.f, [1.0, -2.0, 1.0])
-    assert tr.zero_count == 2 and tr.boundary_defect == pytest.approx(0.0)
-
-
-def test_shoot_validation():
-    with pytest.raises(ValueError):
-        path_shoot(1, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        path_shoot(3, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        path_shoot(3, 2.0, -0.5)
+    f, defect, zeros = kernels.path_shoot_core(3, 2.0, 1.0)
+    assert np.allclose(f, [1.0, 0.0, -1.0])
+    assert zeros == 1 and defect == pytest.approx(0.0)
+    f, defect, zeros = kernels.path_shoot_core(3, 2.0, 3.0)
+    assert np.allclose(f, [1.0, -2.0, 1.0])
+    assert zeros == 2 and defect == pytest.approx(0.0)
 
 
 def test_shoot_zero_count_nondecreasing():
     lams = np.linspace(0.0, 4.2, 400)
-    counts = [path_shoot(6, 2.0, float(m)).zero_count for m in lams]
+    counts = [kernels.path_shoot_core(6, 2.0, float(m))[2] for m in lams]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
