@@ -20,7 +20,8 @@ Three routes:
   a trial lambda from one shot (generalized zeros plus the sign of the
   boundary defect) and bisects that count down to adjacent floats,
   shooting only the midpoints near each eigenvalue, which a secant search
-  on the boundary defect finds first.
+  on the boundary defect finds first; past an overflowing shot it shoots
+  every midpoint instead.
 """
 
 from __future__ import annotations
@@ -67,8 +68,12 @@ class _NewtonFailure(Exception):
     pass
 
 
+class _Overflow(Exception):
+    """A path shot overflowed, so its count need not be monotone in lambda."""
+
+
 def _quiet(fn):
-    """Silence numpy warnings from diverged trial points in line searches."""
+    """Silence numpy warnings of diverged line-search trials and path shots."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -125,11 +130,23 @@ def _canonical_sign(f: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Dense p = 2
 
+def _limit_notes(pairs, what: str) -> tuple[str, ...]:
+    """One note naming every pair above the certificates' residual limit."""
+    above = [f"k = {k} residual {pair.residual:.3g}"
+             for k, pair in enumerate(pairs, 1)
+             if pair.residual > plaplacian.RESIDUAL_LIMIT]
+    if not above:
+        return ()
+    return (f"{what} above the certificates' {plaplacian.RESIDUAL_LIMIT:g} "
+            "residual limit: " + ", ".join(above),)
+
+
 def solve_p2_spectrum(g: Graph) -> Spectrum:
     """All n generalized eigenpairs of L f = lambda M f, M = diag(mu).
 
     Solved as a symmetric dense problem for M^(-1/2) L M^(-1/2) and
-    back-transformed; eigenvectors carry unit weighted 2-norm.
+    back-transformed; eigenvectors carry unit weighted 2-norm.  A note names
+    every pair above the certificates' residual limit.
     """
     if not is_connected(g):
         warnings.warn("graph is disconnected: lambda_2 = 0 and nodal/cut "
@@ -151,7 +168,8 @@ def solve_p2_spectrum(g: Graph) -> Spectrum:
         res = plaplacian.eigen_residual(g, f, float(vals[k]), 2.0)
         pairs.append(EigenPair(p=2.0, lam=float(vals[k]), f=f, residual=res))
     return Spectrum(graph=g, p=2.0, pairs=tuple(pairs), method="dense_p2",
-                    diagnostics=tuple({} for _ in pairs))
+                    diagnostics=tuple({} for _ in pairs),
+                    notes=_limit_notes(pairs, "dense p = 2 pairs"))
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +182,8 @@ def solve_p2_spectrum(g: Graph) -> Spectrum:
 
 
 def _dphi(x: np.ndarray, p: float) -> np.ndarray:
-    # derivative (p-1)|x|^(p-2); clamped near 0 for p < 2 where it blows up
-    ax = np.abs(x)
-    if p < 2.0:
-        ax = np.maximum(ax, 1e-13)
-    return (p - 1.0) * ax ** (p - 2.0)
+    # derivative (p-1)|x|^(p-2); only the direct form, at p >= 2, calls it
+    return (p - 1.0) * np.abs(x) ** (p - 2.0)
 
 
 class _DirectForm:
@@ -580,8 +595,6 @@ def variational_spectrum(
             raise ContinuationError(
                 f"p = {p}: p = 2 seed k = {k} residual {seed.residual:.3g} "
                 f"exceeds {plaplacian.RESIDUAL_LIMIT:g}")
-    mult = {i: len(grp) for grp in nodal.multiplicity_groups(base.lams)
-            for i in grp}
     notes = []
     pool: list[tuple[EigenPair, dict]] = []
     for i, seed in enumerate(base.pairs):
@@ -591,10 +604,6 @@ def variational_spectrum(
             notes.append(f"branch from p=2 pair {i + 1} terminated: {exc}")
             continue
         diag["seed_k"] = i + 1
-        diag["seed_multiplicity"] = mult[i]
-        if mult[i] > 1:
-            diag["branch_ambiguity"] = ("seed eigenvalue is degenerate; "
-                                        "the continued branch is basis-dependent")
         pool.append((pair, diag))
 
     if hk is None and g.n <= cheeger.EXACT_HK_CAP:
@@ -660,7 +669,7 @@ def _shot(n, p, lam):
     The count is the number of unit-path eigenvalues strictly below lam:
     the zero count c of the shot puts lambda_1..lambda_c below lam, and
     lambda_(c+1) joins once the defect turns against the sign of f(n).
-    The count is nondecreasing in lam; a nan defect adds nothing.
+    The count is nondecreasing in lam until a shot overflows.
     """
     f, defect, zeros = kernels.path_shoot_core(n, p, lam)
     return zeros + (defect * f[-1] < 0.0), defect, zeros, f
@@ -674,12 +683,12 @@ def _locate(shoot, k, a, b):
     bracket have one zero count, the defect is continuous between them and
     changes sign at lambda_k (or vanishes at an end), and an Illinois secant
     step (Dowell & Jarratt, BIT 1971) on it narrows the bracket; where the
-    zero counts differ or a defect is not finite, a bisection step on the
-    count does.  Once two secant estimates agree to BAND_ULPS ulps, or the
-    bracket is 2 BAND_ULPS ulps wide, the band of +-BAND_ULPS ulps around the
-    estimate is shot at both ends.  The count can flip between adjacent
-    floats near lambda_k, and the band is wide enough to hold every flip
-    seen; a band shot that contradicts the bracket returns None.
+    zero counts differ, a bisection step on the count does.  Once two secant
+    estimates agree to BAND_ULPS ulps, or the bracket is 2 BAND_ULPS ulps
+    wide, the band of +-BAND_ULPS ulps around the estimate is shot at both
+    ends.  The count can flip between adjacent floats near lambda_k, and the
+    band is wide enough to hold every flip seen; a band shot outside the
+    bracket whose count contradicts it raises BracketError.
     """
     _, da, za, _ = shoot(a)
     _, db, zb, _ = shoot(b)
@@ -687,8 +696,7 @@ def _locate(shoot, k, a, b):
     last = None     # the last secant estimate
     bisect = False  # a band missed lambda_k: bisect once
     while True:
-        secant = (not bisect and za == zb and da * db <= 0.0 and da != db
-                  and math.isfinite(da + db))
+        secant = not bisect and za == zb and da * db <= 0.0 and da != db
         bisect = False
         est = a - da * (b - a) / (db - da) if secant else 0.5 * (a + b)
         if (b - a <= 2 * BAND_ULPS * math.ulp(b)
@@ -705,7 +713,9 @@ def _locate(shoot, k, a, b):
                     else:
                         a, da, za = y, d, z
                 elif (c >= k) != (y >= b):
-                    return None
+                    raise BracketError(
+                        f"count {c} at lambda = {y!r} contradicts the bracket "
+                        f"[{a!r}, {b!r}] of lambda_{k}")
             kept, last, bisect = 0, None, True
             continue
         last = est if secant else None
@@ -724,6 +734,7 @@ def _locate(shoot, k, a, b):
             kept = 1 if secant else 0
 
 
+@_quiet
 def path_spectrum(n: int, p: float) -> Spectrum:
     """All n eigenpairs on the unit path, indexed by the count below lambda.
 
@@ -740,9 +751,10 @@ def path_spectrum(n: int, p: float) -> Spectrum:
     every midpoint outside the band is decided without a shot.  Only the
     midpoints inside the band are shot, so the bisection ends on the floats
     it would reach shooting every midpoint.  Each shot is made once per call.
-    Where a shot overflows the count need not be monotone, so once one has,
-    or once the replay fails, the spectrum is bisected again shooting every
-    midpoint, and its pairs or its error are those of the plain bisection.
+    A failed replay raises its own BracketError.  Past an overflow the count
+    need not be monotone, so at the first shot whose defect is not finite
+    the replay stops and the spectrum is bisected shooting every midpoint;
+    its pairs or its error are those of the plain bisection.
     """
     if n < 2:
         raise ValueError(f"path spectrum needs n >= 2, got {n}")
@@ -753,28 +765,28 @@ def path_spectrum(n: int, p: float) -> Spectrum:
     # the smallest and the largest lambda shot at each count
     lowest = [math.inf] * (n + 1)
     highest = [-math.inf] * (n + 1)
-    overflowed = False  # a shot's defect is not finite
+    plain = False  # shoot every midpoint; set once a shot has overflowed
 
     def shoot(lam):
-        nonlocal overflowed
         shot = shots.get(lam)
         if shot is None:
             shot = shots[lam] = _shot(n, p, lam)
             c, defect = shot[:2]
             lowest[c] = min(lowest[c], lam)
             highest[c] = max(highest[c], lam)
-            overflowed = overflowed or not math.isfinite(defect)
+            if not (plain or math.isfinite(defect)):
+                raise _Overflow
         return shot
 
     # lambda_max <= 2^(p-1) tau = 2^p on a unit path
     lam_hi = 2.0 ** p * (1.0 + 1e-7) + 1e-6
-    top = shoot(lam_hi)[0]
-    if top != n:
-        raise BracketError(
-            f"eigenvalue count below lambda = {lam_hi:.6g} is {top}, expected "
-            f"{n}; count monotonicity assumption violated")
 
-    def solve(replay):
+    def solve():
+        top = shoot(lam_hi)[0]
+        if top != n:
+            raise BracketError(
+                f"eigenvalue count below lambda = {lam_hi:.6g} is {top}, "
+                f"expected {n}; count monotonicity assumption violated")
         mu_total = float(np.sum(g.mu))
         pairs = [EigenPair(p=p, lam=0.0,
                            f=np.full(n, mu_total ** (-1.0 / p)), residual=0.0)]
@@ -783,11 +795,9 @@ def path_spectrum(n: int, p: float) -> Spectrum:
         for k in range(2, n + 1):
             # count(lo) < k <= count(hi): lambda_k lies in [lo, hi)
             hi = lam_hi
-            # the closest shots on either side of lambda_k start the search;
-            # with no band every midpoint is shot
-            band = (_locate(shoot, k, max(lo, *highest[:k]), min(lowest[k:]))
-                    if replay else None)
-            band_lo, band_hi = band or (lo, hi)
+            # the closest shots on either side of lambda_k start the search
+            band_lo, band_hi = ((lo, hi) if plain else _locate(
+                shoot, k, max(lo, *highest[:k]), min(lowest[k:])))
             mid = 0.5 * (lo + hi)
             while lo < mid < hi:
                 if mid <= band_lo:
@@ -823,6 +833,10 @@ def path_spectrum(n: int, p: float) -> Spectrum:
             # p-norm representative; re-evaluating through the stored entries
             # is quantization-limited near p = 1 and goes to the diagnostics
             nrm = plaplacian.pnorm(g, shot_f, p)
+            if not math.isfinite(nrm):
+                # a finite shot near the float range, which would scale to 0
+                raise BracketError(f"p-norm of the shot for k = {k} is not "
+                                   f"finite (lambda = {a_root!r})")
             f = shot_f / nrm
             res = abs(shot_defect) / nrm ** (p - 1.0)
             if res > PATH_RESIDUAL_TOL:
@@ -857,24 +871,16 @@ def path_spectrum(n: int, p: float) -> Spectrum:
         return pairs, diags
 
     try:
-        pairs, diags = solve(replay=True)
-        replayed = not overflowed
-    except BracketError:
-        replayed = False
-    if not replayed:
-        # a shot overflowed, so the count need not be monotone, or the
-        # replay failed: a midpoint it decided could shoot to another count
-        pairs, diags = solve(replay=False)
+        pairs, diags = solve()
+    except _Overflow:
+        # a midpoint the replay decides without a shot could shoot to another
+        # count; on six paths of n = 114..128 at p = 1.08 only this bisection
+        # finds the spectrum
+        plain = True
+        pairs, diags = solve()
     lams = [pair.lam for pair in pairs]
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise BracketError(f"path eigenvalues not strictly increasing: {lams}")
-    above = [f"k = {k} residual {pair.residual:.3g}"
-             for k, pair in enumerate(pairs, 1)
-             if pair.residual > plaplacian.RESIDUAL_LIMIT]
-    notes = ()
-    if above:
-        notes = ("conditioning-limited path pairs above the certificates' "
-                 f"{plaplacian.RESIDUAL_LIMIT:g} residual limit: "
-                 + ", ".join(above),)
     return Spectrum(graph=g, p=p, pairs=tuple(pairs), method="path_shooting",
-                    diagnostics=tuple(diags), notes=notes)
+                    diagnostics=tuple(diags),
+                    notes=_limit_notes(pairs, "conditioning-limited path pairs"))

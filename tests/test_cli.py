@@ -479,6 +479,56 @@ def test_seed_residual_refusal_exits_three(tmp_path, capsys):
     assert "p = 1.1: p = 2 seed k = 1 residual" in capsys.readouterr().err
 
 
+def test_solve_p2_notes_pairs_above_the_limit(tmp_path):
+    # the dense pairs of the stiff path miss the certificates' limit: solve
+    # returns them with a note naming each, and certify refuses them
+    gfile = tmp_path / "stiff.txt"
+    gfile.write_text("n 4\n1 2 100000000.0\n2 3 1.0\n3 4 3.0\n")
+    out = tmp_path / "out.json"
+    assert main(["solve", str(gfile), "--p", "2", "--json", str(out)]) == 0
+    rep = _load(out)
+    assert len(rep["notes"]) == 1
+    note = rep["notes"][0]
+    assert note.startswith("dense p = 2 pairs above the certificates' "
+                           f"{RESIDUAL_LIMIT:g} residual limit: ")
+    for row in rep["spectrum"]:
+        assert row["residual"] > RESIDUAL_LIMIT
+        assert f"k = {row['k']} residual {row['residual']:.3g}" in note
+    assert main(["certify", str(gfile), "--p", "2"]) == 3
+
+
+def test_overflowing_unit_path_exits_three(tmp_path, capsys):
+    # a shot's p-norm overflows: a solver error, not a usage error, and no
+    # numpy overflow warnings
+    assert main(["solve", _unit_path_file(tmp_path, 33), "--p", "1.01"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("solver error: p-norm of the shot for k = ")
+
+
+def test_terminated_branch_without_repair_exits_three(tmp_path, monkeypatch,
+                                                       capsys):
+    # one branch dies and no repair start finds a pair: certify cannot
+    # report n eigenpairs
+    from plap import eigensolver
+    from plap.eigensolver import ContinuationError
+    cont = eigensolver._continue_with_diag
+
+    def continued(g, seed, p):
+        if seed.lam > 2.0:
+            raise ContinuationError("stalled")
+        return cont(g, seed, p)
+
+    monkeypatch.setattr(eigensolver, "_continue_with_diag", continued)
+    monkeypatch.setattr(eigensolver, "solve_from_guess", lambda g, f0, p: None)
+    gfile = tmp_path / "w3.txt"
+    gfile.write_text("n 3\n1 2 1.0\n2 3 2.0\n")
+    assert main(["certify", str(gfile), "--p", "1.5"]) == 3
+    err = capsys.readouterr().err
+    assert ("solver error: only 2 of 3 eigenpairs could be computed at "
+            "p = 1.5; branch from p=2 pair 3 terminated: stalled") in err
+
+
 def test_certify_decomposes_each_pair_once(tmp_path, monkeypatch):
     # one strong decomposition per pair; a weak one only where f has a zero
     # vertex, which on the odd path are the even-k pairs (middle vertex)

@@ -281,6 +281,24 @@ def test_repair_reports_the_lowest_pairs_from_distinct_starts(monkeypatch):
     assert all(a is b for a, b in zip(sp.pairs, lowest))
 
 
+def test_variational_spectrum_flags_a_branch_above_its_upper_bound(monkeypatch):
+    # the last branch is made to end far above 2^(p-1) h_3 and the repair
+    # pass finds nothing, so the pair is kept with a branch warning
+    from dataclasses import replace
+    g = build_graph(3, [(1, 2, 1.0), (2, 3, 2.0)])
+
+    def continued(g, seed, p):
+        return replace(seed, p=p, lam=100.0 if seed.lam > 2.0 else seed.lam), {}
+
+    monkeypatch.setattr(eigensolver, "_continue_with_diag", continued)
+    monkeypatch.setattr(eigensolver, "solve_from_guess", lambda g, f0, p: None)
+    sp = variational_spectrum(g, 1.5)
+    warning = sp.diagnostics[2]["branch_warning"]
+    assert warning.startswith("lambda_3 = 100 exceeds the certified upper bound ")
+    assert sp.notes == (warning,)
+    assert [d["seed_k"] for d in sp.diagnostics] == [1, 2, 3]
+
+
 @pytest.mark.parametrize("p", [1.5, 3.0])
 def test_disconnected_graph_keeps_every_zero_pair(p):
     # two disjoint triangles: one zero eigenvalue per component
@@ -471,6 +489,33 @@ def test_path_spectrum_non_finite_shot_raises():
         with pytest.raises(BracketError) as exc:
             path_spectrum(200, 1.1)
         assert str(exc.value) == _spectrum_or_error(path_spectrum_bisection, 200, 1.1)
+
+
+@pytest.mark.parametrize("n, p", [(114, 1.08), (200, 10.0)])
+def test_path_spectrum_bisects_every_midpoint_after_an_overflow(n, p):
+    # a shot of the band search overflows; at n = 114 only the plain
+    # bisection finds the spectrum, and at n = 200 (first shot overflowed)
+    # the band search on the counts that followed never ended
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _spectrum_or_error(path_spectrum_bisection, n, p)
+    got = _spectrum_or_error(path_spectrum, n, p)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert ([(pr.lam, pr.residual) for pr in got.pairs]
+            == [(pr.lam, pr.residual) for pr in want.pairs])
+    assert all(np.array_equal(a.f, b.f) for a, b in zip(got.pairs, want.pairs))
+    assert got.diagnostics == want.diagnostics and got.notes == want.notes
+
+
+def test_path_spectrum_overflowing_norm_is_a_solver_error():
+    # a shot reaches 1.8e308 and its p-norm overflows: the plain bisection
+    # scales it to zero and fails on the residual of the zero function
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="zero function"):
+            path_spectrum_bisection(33, 1.01)
+    with pytest.raises(BracketError, match="p-norm of the shot for k = "):
+        path_spectrum(33, 1.01)
 
 
 def test_path_spectrum_validation():
