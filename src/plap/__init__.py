@@ -39,7 +39,6 @@ from .nodal import (
 )
 from .one_laplacian import (
     OneLapCertificate,
-    SignSet,
     enumerate_1lap_eigenvalues,
     merged_eigenvalues,
     verify_1lap_eigenpair,
@@ -66,7 +65,6 @@ __all__ = [
     "NodalDecomposition",
     "NodalReport",
     "OneLapCertificate",
-    "SignSet",
     "Spectrum",
     "apply_p_laplacian",
     "ax_by_gap",

@@ -202,15 +202,12 @@ def _cmd_solve(args) -> int:
 def _cmd_cheeger(args) -> int:
     g = _load_graph(args.graph, args.mu)
     if not 1 <= args.k <= g.n:
-        print(f"error: k must satisfy 1 <= k <= n = {g.n}, got {args.k}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"k must satisfy 1 <= k <= n = {g.n}, got {args.k}")
     exact = g.n <= cheeger.EXACT_HK_CAP
     if not exact and not args.approx:
-        print(f"error: n = {g.n} exceeds the exact enumeration cap "
-              f"{cheeger.EXACT_HK_CAP}; pass --approx for the labeled "
-              f"heuristic", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"n = {g.n} exceeds the exact enumeration cap "
+                         f"{cheeger.EXACT_HK_CAP}; pass --approx for the "
+                         f"labeled heuristic")
     if exact:
         results = cheeger.multiway_cheeger_all(g, args.k)
     else:
@@ -335,14 +332,13 @@ def _one_laplacian_section(g: Graph, h2: float | None) -> tuple[dict, bool]:
     noncon = one_laplacian.merged_eigenvalues(records, nonconstant_only=True)
     h2_member = False
     if h2 is not None:
-        h2_member = any(float(lo) - 1e-9 <= h2 <= float(hi) + 1e-9
-                        for lo, hi in merged)
+        h2_member = any(float(v) - 1e-9 <= h2 <= float(v) + 1e-9
+                        for v in merged)
     example = None
     example_ok = True
-    noncon_records = [r for r in records if not r.pattern.constant]
-    if noncon_records:
-        lo_best = min(r.lo for r in noncon_records)
-        lowest = [r for r in noncon_records if r.lo == lo_best]
+    if noncon:
+        lowest = [r for r in records
+                  if not r.pattern.constant and r.lam == noncon[0]]
 
         def strong_count(r):
             f = [float(x) for x in r.pattern.example_function()]
@@ -352,22 +348,21 @@ def _one_laplacian_section(g: Graph, h2: float | None) -> tuple[dict, bool]:
         # eigenvalue's patterns, report the one with the most strong domains
         rep = max(lowest, key=strong_count)
         fvals = rep.pattern.example_function()
-        cert = one_laplacian.verify_1lap_eigenpair(g, fvals, rep.lo)
+        cert = one_laplacian.verify_1lap_eigenpair(g, fvals, rep.lam)
         example_ok = cert.feasible and one_laplacian.check_certificate(
-            g, fvals, rep.lo, cert)
+            g, fvals, rep.lam, cert)
         strong = nodal.strong_nodal_domains(g, [float(x) for x in fvals])
         weak = nodal.weak_nodal_domains(g, [float(x) for x in fvals])
         example = {
-            "lambda": str(rep.lo),
+            "lambda": str(rep.lam),
             "f": [str(x) for x in fvals],
             "feasible": bool(cert.feasible),
             "strong_domains": strong.count,
             "weak_domains": weak.count,
         }
     section = {
-        "eigenvalues": [[str(lo), str(hi)] for lo, hi in merged],
-        "nonconstant_eigenvalues": [[str(lo), str(hi)]
-                                    for lo, hi in noncon],
+        "eigenvalues": [[str(v), str(v)] for v in merged],
+        "nonconstant_eigenvalues": [[str(v), str(v)] for v in noncon],
         "h2": None if h2 is None else float(h2),
         "h2_is_eigenvalue": bool(h2_member),
         "example": example,
@@ -399,15 +394,13 @@ def _cmd_certify(args) -> int:
     names = [f"{p:g}" for p in p_list]
     for i, name in enumerate(names):
         if name in names[:i]:
-            print(f"error: --p {name} is given more than once (exponents "
-                  f"must differ at 6 significant digits)", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"--p {name} is given more than once (exponents "
+                             f"must differ at 6 significant digits)")
     g = _load_graph(args.graph, args.mu)
     rng = np.random.default_rng(args.seed)
     if args.one_laplacian and g.n > one_laplacian.ENUMERATION_CAP:
-        print(f"error: --one-laplacian requires n <= "
-              f"{one_laplacian.ENUMERATION_CAP}, got n = {g.n}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--one-laplacian requires n <= "
+                         f"{one_laplacian.ENUMERATION_CAP}, got n = {g.n}")
     hk = (cheeger.multiway_cheeger_all(g, g.n)
           if g.n <= cheeger.EXACT_HK_CAP else None)
     # one sample source per call: pair i reads stream seed + i at every p

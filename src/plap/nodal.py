@@ -106,28 +106,24 @@ class NodalSamples:
     Stream `seed` with m domains is the draw
     `default_rng(seed).standard_normal((m, NODAL_SPACE_SAMPLES))`.  Numpy
     fills that array in C order, so its first rows are the draw with fewer
-    domains: each stream is drawn once and extended on demand, and every
-    space of a pair at every exponent reads its rows from it.  The +-1 sign
-    patterns, one per +- pair, are built once per domain count.  A source
-    lives for one call, so no call reads samples another call drew.
+    domains: each stream keeps its largest draw, is drawn again from the
+    seed when a space needs more rows, and every space of a pair at every
+    exponent reads its rows from it.  The +-1 sign patterns, one per +-
+    pair, are built once per domain count.  A source lives for one call, so
+    no call reads samples another call drew.
     """
 
     def __init__(self):
-        self._streams: dict[int, tuple[np.random.Generator, np.ndarray]] = {}
+        self._streams: dict[int, np.ndarray] = {}
         self._patterns: dict[int, np.ndarray] = {}
 
     def normals(self, seed: int, m: int) -> np.ndarray:
         """The (m, NODAL_SPACE_SAMPLES) standard normal draw of stream seed."""
-        entry = self._streams.get(seed)
-        if entry is None:
-            rng = np.random.default_rng(seed)
-            entry = self._streams[seed] = (
-                rng, rng.standard_normal((m, NODAL_SPACE_SAMPLES)))
-        elif len(entry[1]) < m:
-            rng, rows = entry
-            entry = self._streams[seed] = (rng, np.concatenate(
-                [rows, rng.standard_normal((m - len(rows), NODAL_SPACE_SAMPLES))]))
-        return entry[1][:m]
+        rows = self._streams.get(seed)
+        if rows is None or len(rows) < m:
+            rows = self._streams[seed] = np.random.default_rng(
+                seed).standard_normal((m, NODAL_SPACE_SAMPLES))
+        return rows[:m]
 
     def patterns(self, m: int) -> np.ndarray:
         """One +-1 sign pattern of m coefficients per +- pair, one per column.

@@ -29,7 +29,6 @@ ordering; a block at a time, int64 level sums and float ratios drop the
 exact tie can cross.  Only the pairs left go, in order, to the exact
 Python-int pinning and cut tests, so the records are those of the plain
 loop over all orderings.  The exact simplex serves only the verifier.
-Records keep the interval form [lo, hi]; lo == hi always.
 """
 
 from __future__ import annotations
@@ -54,29 +53,6 @@ ENUMERATION_CAP = 8
 SCREEN_BLOCK = 1 << 13
 # Relative slack of the screen's float comparisons: 8 machine epsilons.
 SCREEN_MARGIN = 2.0 ** -49
-
-
-@dataclass(frozen=True)
-class SignSet:
-    """One of {-1}, {+1}, or the full interval [-1, 1]."""
-    lo: Fraction
-    hi: Fraction
-
-    @classmethod
-    def of(cls, x: Fraction) -> "SignSet":
-        if x > 0:
-            return cls(ONE, ONE)
-        if x < 0:
-            return cls(-ONE, -ONE)
-        return cls(-ONE, ONE)
-
-    def contains(self, v: Fraction) -> bool:
-        return self.lo <= v <= self.hi
-
-    def __repr__(self) -> str:
-        if self.lo == self.hi:
-            return "{%+d}" % self.lo
-        return "[-1, 1]"
 
 
 @dataclass(frozen=True)
@@ -212,6 +188,15 @@ def _selection_lp(mu, edges, n, fvals, lam: Fraction) -> OneLapCertificate:
     return OneLapCertificate(feasible=True, lam=lam, z=z, s=s)
 
 
+def _in_sign(x: Fraction, v: Fraction) -> bool:
+    """Whether v lies in Sign(x): {+1} for x > 0, {-1} for x < 0, else [-1, 1]."""
+    if x > 0:
+        return v == ONE
+    if x < 0:
+        return v == -ONE
+    return -ONE <= v <= ONE
+
+
 def check_certificate(g: Graph, f: Sequence, lam, cert: OneLapCertificate) -> bool:
     """Re-verify a feasible certificate by direct rational substitution."""
     if not cert.feasible:
@@ -221,10 +206,10 @@ def check_certificate(g: Graph, f: Sequence, lam, cert: OneLapCertificate) -> bo
     lam = to_fraction(lam)
     for (u1, v1), zval in cert.z.items():
         u, v = u1 - 1, v1 - 1
-        if not SignSet.of(fvals[u] - fvals[v]).contains(zval):
+        if not _in_sign(fvals[u] - fvals[v], zval):
             return False
     for u1, sval in cert.s.items():
-        if not SignSet.of(fvals[u1 - 1]).contains(sval):
+        if not _in_sign(fvals[u1 - 1], sval):
             return False
     for u in range(g.n):
         total = ZERO
@@ -275,9 +260,8 @@ class OrderPattern:
 
 @dataclass(frozen=True)
 class EigenvalueRecord:
-    """Feasible eigenvalue interval for one sign/order pattern."""
-    lo: Fraction
-    hi: Fraction
+    """The exact eigenvalue one sign/order pattern pins."""
+    lam: Fraction
     pattern: OrderPattern
 
 
@@ -446,7 +430,7 @@ def enumerate_1lap_eigenvalues(g: Graph) -> list[EigenvalueRecord]:
     """All p = 1 eigenvalues of a tiny graph with representative patterns.
 
     Weak orderings are enumerated up to the global sign flip f -> -f; the
-    all-zero pattern is skipped.  Every record's interval is exact.
+    all-zero pattern is skipped.  Every record's eigenvalue is exact.
 
     The orderings are screened a block at a time by `_screen`, and only the
     pairs it leaves open are decided exactly, in ordering order and then
@@ -488,20 +472,13 @@ def enumerate_1lap_eigenvalues(g: Graph) -> list[EigenvalueRecord]:
             pat = OrderPattern(levels=levels, m=m, zero_pos=pos)
             lam = _pinned_lambda(net, mass, pat)
             if lam is not None and _levels_feasible(pat, lam, mu, edges):
-                records.append(EigenvalueRecord(lo=lam, hi=lam, pattern=pat))
-    records.sort(key=lambda r: (r.lo, r.hi))
+                records.append(EigenvalueRecord(lam, pat))
+    records.sort(key=lambda r: r.lam)
     return records
 
 
 def merged_eigenvalues(records: Iterable[EigenvalueRecord],
-                       nonconstant_only: bool = False) -> list[tuple[Fraction, Fraction]]:
-    """Union of the feasible intervals, merged and sorted."""
-    items = sorted((r.lo, r.hi) for r in records
-                   if not (nonconstant_only and r.pattern.constant))
-    merged: list[list[Fraction]] = []
-    for lo, hi in items:
-        if merged and lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
+                       nonconstant_only: bool = False) -> list[Fraction]:
+    """The distinct eigenvalues of the records, sorted."""
+    return sorted({r.lam for r in records
+                   if not (nonconstant_only and r.pattern.constant)})

@@ -346,6 +346,9 @@ def flip_pattern(levels, m, zero_pos):
 def enumerate_1lap_lp(g):
     """enumerate_1lap_eigenvalues with every pattern decided by two full LPs.
 
+    Each feasible pattern gives a (lo, hi, pattern) tuple: the least and the
+    greatest lambda its LP admits, so a point is lo == hi.
+
     The weak orderings come from the recursion above, and every pattern is
     offered, so nothing here shares code with the enumerator's screen.
     """
@@ -360,8 +363,8 @@ def enumerate_1lap_lp(g):
             pat = OrderPattern(levels=levels, m=m, zero_pos=zero_pos)
             rng = pattern_lambda_range_lp(mu, edges, g.n, pat)
             if rng is not None:
-                records.append(EigenvalueRecord(lo=rng[0], hi=rng[1], pattern=pat))
-    records.sort(key=lambda r: (r.lo, r.hi))
+                records.append((*rng, pat))
+    records.sort(key=lambda r: r[:2])
     return records
 
 
@@ -384,8 +387,8 @@ def enumerate_1lap_every_position(g):
             pat = OrderPattern(levels=levels, m=m, zero_pos=zero_pos)
             lam = _pinned_lambda(net, mass, pat)
             if lam is not None and _levels_feasible(pat, lam, mu, edges):
-                records.append(EigenvalueRecord(lo=lam, hi=lam, pattern=pat))
-    records.sort(key=lambda r: (r.lo, r.hi))
+                records.append(EigenvalueRecord(lam, pat))
+    records.sort(key=lambda r: r.lam)
     return records
 
 

@@ -289,6 +289,38 @@ def test_certify_names_failed_nodal_space_check(path4, tmp_path, monkeypatch,
         assert f"  nodal_space p=2 k={k} strong: " in err
 
 
+def test_certify_names_failed_cheeger_and_operator_checks(path4, tmp_path,
+                                                          monkeypatch, capsys):
+    from dataclasses import replace
+
+    import plap.cli as cli
+    from plap import cheeger
+    certify_cheeger = cheeger.certify_cheeger
+    monkeypatch.setattr(
+        cheeger, "certify_cheeger",
+        lambda sp, hk=None: [replace(c, upper_ok=c.k != 2)
+                             for c in certify_cheeger(sp, hk=hk)])
+    monkeypatch.setattr(cli, "_operator_checks", lambda g, p, rng: {
+        "sum_zero": False, "scale_invariant": True, "pass": False})
+    out = tmp_path / "r.json"
+    assert main(["certify", path4, "--p", "2", "--json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "FAILED: certificates[p=2]" in err
+    assert [line for line in err.splitlines() if line.startswith("  ")] == [
+        f"  cheeger p=2 k=2: {_load(out)['runs'][0]['cheeger'][1]}",
+        "  operator_checks p=2: {'sum_zero': False, 'scale_invariant': True, "
+        "'pass': False}"]
+
+
+def test_certify_without_json_writes_the_report_to_stdout(path4, tmp_path,
+                                                          capsys):
+    out = tmp_path / "r.json"
+    assert main(["certify", path4, "--p", "2", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["certify", path4, "--p", "2"]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
 def test_one_vertex_graph(tmp_path):
     gfile = tmp_path / "one.txt"
     gfile.write_text("n 1\n")

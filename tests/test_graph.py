@@ -50,6 +50,8 @@ def test_parse_explicit_mu():
     ("1 2 -3", "nonpositive weight"),
     ("1 9 1.0", "out of range"),
     ("1 b 1.0", "bad edge line"),
+    ("1 2", "expected edge"),
+    ("1 2 1.0 7", "expected edge"),
 ])
 def test_parse_bad_edge_lines(line, fragment):
     text = f"n 3\n1 3 1.0\n{line}\n"
@@ -72,9 +74,10 @@ def test_parse_bad_edge_lines(line, fragment):
     ("", "unit", "empty document"),
     ("# a comment\n\n", "unit", "empty document"),
     ("n 3\n1 2 1.0\n", "degree", "mu_mode=degree requires every vertex"),
+    ("n 2\n1 2 1.0\n", "cosine", "unknown mu_mode 'cosine'"),
 ], ids=["count", "n0", "mu-short", "mu-token", "mu-range", "mu-duplicate",
         "mu-zero", "mu-negative", "empty", "comment-only",
-        "isolated-degree"])
+        "isolated-degree", "mu-mode"])
 def test_parse_errors(text, mode, fragment):
     with pytest.raises(GraphParseError, match=re.escape(fragment)):
         parse_graph(text, mode)
@@ -159,12 +162,22 @@ def test_tau_values():
 
 
 def test_build_graph_validation():
-    with pytest.raises(ValueError, match="duplicate"):
-        build_graph(3, [(1, 2, 1.0), (2, 1, 1.0)])
-    with pytest.raises(ValueError, match="self-loop"):
-        build_graph(3, [(2, 2, 1.0)])
-    with pytest.raises(ValueError, match="positive"):
-        build_graph(2, [(1, 2, 1.0)], mu=[1.0, -1.0], mu_mode="explicit")
+    edge = [(1, 2, 1.0)]
+    cases = [
+        ((3, [(1, 2, 1.0), (2, 1, 1.0)]), {}, "duplicate"),
+        ((3, [(2, 2, 1.0)]), {}, "self-loop"),
+        ((2, edge), {"mu": [1.0, -1.0], "mu_mode": "explicit"}, "positive"),
+        ((0, []), {}, "vertex count must be >= 1"),
+        ((2, [(1, 3, 1.0)]), {}, "endpoint out of range 1..2"),
+        ((2, [(1, 2, 0.0)]), {}, "nonpositive weight"),
+        ((2, edge), {"mu_mode": "cosine"}, "unknown mu_mode"),
+        ((2, edge), {"mu_mode": "explicit"}, "requires a mu value"),
+        ((2, edge), {"mu": [1.0, 1.0, 1.0], "mu_mode": "explicit"},
+         "expected 2 mu values"),
+    ]
+    for args, kwargs, fragment in cases:
+        with pytest.raises(ValueError, match=re.escape(fragment)):
+            build_graph(*args, **kwargs)
 
 
 def test_canonical_path_detection():

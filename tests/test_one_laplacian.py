@@ -15,7 +15,6 @@ from plap import (
 from plap import one_laplacian
 from plap.one_laplacian import (
     OrderPattern,
-    SignSet,
     _integer_graph,
     _level_sums,
     _levels_feasible,
@@ -72,15 +71,7 @@ def test_lp_exactness():
 
 
 # ---------------------------------------------------------------------------
-# sign sets and input handling
-
-def test_sign_set():
-    assert SignSet.of(F(3)) == SignSet(F(1), F(1))
-    assert SignSet.of(F(-2)) == SignSet(F(-1), F(-1))
-    full = SignSet.of(F(0))
-    assert full.contains(F(1, 2)) and full.contains(F(-1))
-    assert not SignSet.of(F(3)).contains(F(1, 2))
-
+# input handling
 
 def test_to_fraction_exactness_contract():
     assert to_fraction(0.5) == F(1, 2)
@@ -118,6 +109,24 @@ def test_check_certificate_rejects_each_broken_condition():
     assert not check_certificate(g, f, 1, bad_s)
     # the signs still fit, but the balance at each vertex needs lambda = 1
     assert not check_certificate(g, f, F(1, 2), cert)
+    # on one edge with f = (-1, 1), z = -1/2 balances both vertices at
+    # lambda = 1/2, but f(1) - f(2) < 0, so z(1, 2) must be -1
+    edge = path_graph(2)
+    neg = verify_1lap_eigenpair(edge, [-1, 1], 1)
+    assert check_certificate(edge, [-1, 1], 1, neg)
+    assert not check_certificate(edge, [-1, 1], F(1, 2),
+                                 replace(neg, z={(1, 2): F(-1, 2)}))
+    # a constant f on a triangle balances any circulation z = (t, t, -t) at
+    # lambda = 0, and every difference is zero, so z must lie in [-1, 1]
+    triangle = build_graph(3, [(1, 2, 1.0), (2, 3, 1.0), (1, 3, 1.0)])
+    const = [1, 1, 1]
+    flat = verify_1lap_eigenpair(triangle, const, 0)
+
+    def circulation(t):
+        return replace(flat, z={(1, 2): t, (2, 3): t, (1, 3): -t})
+
+    assert check_certificate(triangle, const, 0, circulation(F(1, 2)))
+    assert not check_certificate(triangle, const, 0, circulation(F(3, 2)))
 
 
 def test_verify_p3_half_infeasible():
@@ -159,23 +168,23 @@ def test_verify_interior_zero_eigenfunction():
 def test_enumerate_p3_degree_reproduces_case_analysis():
     g = path_graph(3, "degree")
     records = enumerate_1lap_eigenvalues(g)
-    assert merged_eigenvalues(records) == [(F(0), F(0)), (F(1), F(1))]
-    assert merged_eigenvalues(records, nonconstant_only=True) == [(F(1), F(1))]
+    assert merged_eigenvalues(records) == [F(0), F(1)]
+    assert merged_eigenvalues(records, nonconstant_only=True) == [F(1)]
 
 
 def test_enumerate_p2_single_edge():
     g = path_graph(2, "degree")
     records = enumerate_1lap_eigenvalues(g)
     noncon = merged_eigenvalues(records, nonconstant_only=True)
-    assert noncon == [(F(1), F(1))]
+    assert noncon == [F(1)]
     h2 = multiway_cheeger(g, 2)[0]
-    assert float(noncon[0][0]) == pytest.approx(h2)
+    assert float(noncon[0]) == pytest.approx(h2)
 
 
 def test_enumerate_constant_pattern_gives_zero():
     g = path_graph(4, "unit")
     records = enumerate_1lap_eigenvalues(g)
-    assert any(r.lo == 0 == r.hi and r.pattern.constant for r in records)
+    assert any(r.lam == 0 and r.pattern.constant for r in records)
 
 
 def test_enumerate_includes_h2():
@@ -184,9 +193,8 @@ def test_enumerate_includes_h2():
                           mu_mode="degree")):
         records = enumerate_1lap_eigenvalues(g)
         h2 = multiway_cheeger(g, 2)[0]
-        merged = merged_eigenvalues(records)
-        assert any(float(lo) - 1e-12 <= h2 <= float(hi) + 1e-12
-                   for lo, hi in merged)
+        assert any(float(v) - 1e-12 <= h2 <= float(v) + 1e-12
+                   for v in merged_eigenvalues(records))
 
 
 def test_enumerate_certificates_reverify():
@@ -195,9 +203,9 @@ def test_enumerate_certificates_reverify():
         if rec.pattern.constant:
             continue
         f = rec.pattern.example_function()
-        cert = verify_1lap_eigenpair(g, f, rec.lo)
+        cert = verify_1lap_eigenpair(g, f, rec.lam)
         assert cert.feasible
-        assert check_certificate(g, f, rec.lo, cert)
+        assert check_certificate(g, f, rec.lam, cert)
 
 
 def test_enumerate_cap():
@@ -222,9 +230,9 @@ def test_enumerate_matches_two_lp_reference():
     graphs += [make(n) for n in range(3, 6) for make in (path_graph, _cycle, _complete)]
     graphs.append(build_graph(5, [(1, 2, 1.0), (2, 3, 0.5), (4, 5, 2.0)]))
     for g in graphs:
-        records = enumerate_1lap_eigenvalues(g)
-        assert records == enumerate_1lap_lp(g)
-        assert all(r.lo == r.hi for r in records)
+        # the two LPs bound lambda from both sides: a point is lo == hi
+        assert [(r.lam, r.lam, r.pattern) for r in enumerate_1lap_eigenvalues(g)] \
+            == enumerate_1lap_lp(g)
 
 
 def test_enumerate_offers_each_ordering_its_possible_zero_positions():
@@ -245,11 +253,11 @@ def test_enumerate_at_cap_reverifies():
     records = enumerate_1lap_eigenvalues(g)
     for rec in records:
         f = rec.pattern.example_function()
-        cert = verify_1lap_eigenpair(g, f, rec.lo)
-        assert check_certificate(g, f, rec.lo, cert)
+        cert = verify_1lap_eigenpair(g, f, rec.lam)
+        assert check_certificate(g, f, rec.lam, cert)
     h2 = multiway_cheeger(g, 2)[0]
-    assert any(float(lo) - 1e-12 <= h2 <= float(hi) + 1e-12
-               for lo, hi in merged_eigenvalues(records))
+    assert any(float(v) - 1e-12 <= h2 <= float(v) + 1e-12
+               for v in merged_eigenvalues(records))
 
 
 def _cut_test_graphs():
