@@ -401,8 +401,8 @@ def _cmd_certify(args) -> int:
     if args.one_laplacian and g.n > one_laplacian.ENUMERATION_CAP:
         raise ValueError(f"--one-laplacian requires n <= "
                          f"{one_laplacian.ENUMERATION_CAP}, got n = {g.n}")
-    hk = (cheeger.multiway_cheeger_all(g, g.n)
-          if g.n <= cheeger.EXACT_HK_CAP else None)
+    # past EXACT_HK_CAP this raises the cap error before any solve
+    hk = cheeger.multiway_cheeger_all(g, g.n)
     # one sample source per call: pair i reads stream seed + i at every p
     draws = nodal.NodalSamples()
     checks = []

@@ -105,10 +105,12 @@ def _integer_graph(g: Graph):
 def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
     """Decide exactly whether (lambda, f) is a p = 1 eigenpair of g.
 
-    Selections are fixed wherever signs are determined and left as bounded
-    LP variables on edges with f(u) = f(v) and vertices with f(u) = 0; the
-    per-vertex equalities are then decided by exact phase-1 simplex.  The
-    LP is exact on any graph, so g need not be connected.
+    f's signs fix z on the edges between its levels and s off its zero
+    level; those selections enter each vertex equation as the vertex's
+    level net (`_vertex_net`), as in the enumeration.  The free selections,
+    z on edges with f(u) = f(v) and s where f(u) = 0, are bounded LP
+    variables, and the vertex equations are decided by exact phase-1
+    simplex.  The LP is exact on any graph, so g need not be connected.
     """
     mu, edges = _rational_graph(g)
     fvals = [to_fraction(x) for x in f]
@@ -122,69 +124,42 @@ def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
 def _selection_lp(mu, edges, n, fvals, lam: Fraction) -> OneLapCertificate:
     """Exact selection LP for (lambda, f) on rational graph data.
 
+    The distinct values of f are ranked as levels, and `_vertex_net` sums the
+    fixed z at each vertex.  Each free selection is x - 1 with x in [0, 2]:
+    the columns are the free z in edge order, the free s in vertex order,
+    then one slack per free selection; the rows are the vertex equations,
+    sum of +-w z over u's free edges - lambda mu_u s_u = lambda sigma_u mu_u
+    - net_u, with sigma_u the sign of f(u) and the s term only where f(u) = 0,
+    then x + slack = 2 per free selection.
     The inputs are taken as checked: `verify_1lap_eigenpair` converts and
     validates them, and the tests call this directly on enumerated patterns.
     """
-    free_z = [i for i, (u, v, _) in enumerate(edges) if fvals[u] == fvals[v]]
-    fixed_z = {i: (ONE if fvals[u] > fvals[v] else -ONE)
-               for i, (u, v, _) in enumerate(edges) if fvals[u] != fvals[v]}
+    rank = {x: i for i, x in enumerate(sorted(set(fvals)))}
+    net = _vertex_net([rank[x] for x in fvals], edges)
+    sign = [(x > 0) - (x < 0) for x in fvals]
+    free_z = [(u, v, w) for u, v, w in edges if fvals[u] == fvals[v]]
     free_s = [u for u in range(n) if fvals[u] == 0]
-    z_col = {e: j for j, e in enumerate(free_z)}
-    s_col = {u: len(free_z) + j for j, u in enumerate(free_s)}
     nvars = len(free_z) + len(free_s)
-
-    rows, rhs = [], []
-    for u in range(n):
-        row = [ZERO] * nvars
-        const = ZERO
-        for i, (a, b, w) in enumerate(edges):
-            if a == u:
-                orient = ONE
-            elif b == u:
-                orient = -ONE
-            else:
-                continue
-            if i in fixed_z:
-                const -= orient * w * fixed_z[i]
-            else:
-                # z = x - 1 with x in [0, 2]
-                row[z_col[i]] += orient * w
-                const += orient * w
-        if fvals[u] != 0:
-            sigma = ONE if fvals[u] > 0 else -ONE
-            const += lam * mu[u] * sigma
-        else:
-            # s = y - 1 with y in [0, 2]
-            row[s_col[u]] -= lam * mu[u]
-            const -= lam * mu[u]
-        rows.append(row)
-        rhs.append(const)
-    # upper bounds x <= 2, y <= 2 via slack columns
+    rows = [[ZERO] * (2 * nvars) for _ in range(n + nvars)]
+    rhs = [sign[u] * lam * mu[u] - net[u] for u in range(n)] + [TWO] * nvars
+    for j, (u, v, w) in enumerate(free_z):
+        rows[u][j], rows[v][j] = w, -w
+        rhs[u] += w
+        rhs[v] -= w
+    for j, u in enumerate(free_s, len(free_z)):
+        rows[u][j] = -lam * mu[u]
+        rhs[u] -= lam * mu[u]
     for j in range(nvars):
-        row = [ZERO] * nvars
-        row[j] = ONE
-        rows.append(row)
-        rhs.append(TWO)
-    slacks = len(rows) - n
-    padded = [row + [ZERO] * slacks for row in rows[:n]]
-    for i in range(slacks):
-        row = rows[n + i] + [ZERO] * slacks
-        row[nvars + i] = ONE
-        padded.append(row)
-    result = lp_solve(padded, rhs, [ZERO] * (nvars + slacks))
+        rows[n + j][j] = rows[n + j][nvars + j] = ONE
+    result = lp_solve(rows, rhs, [ZERO] * (2 * nvars))
     if result.status != "optimal":
         return OneLapCertificate(feasible=False, lam=lam, z={}, s={})
-    x = result.x
-    z = {}
-    for i, (u, v, _) in enumerate(edges):
-        val = fixed_z[i] if i in fixed_z else x[z_col[i]] - ONE
-        z[(u + 1, v + 1)] = val
-    s = {}
-    for u in range(n):
-        if fvals[u] != 0:
-            s[u + 1] = ONE if fvals[u] > 0 else -ONE
-        else:
-            s[u + 1] = x[s_col[u]] - ONE
+    # the free values come in column order: the free z, then the free s
+    free = iter(result.x)
+    z = {(u + 1, v + 1): next(free) - ONE if fvals[u] == fvals[v]
+         else ONE if fvals[u] > fvals[v] else -ONE for u, v, _ in edges}
+    s = {u + 1: next(free) - ONE if x == 0 else Fraction(sign[u])
+         for u, x in enumerate(fvals)}
     return OneLapCertificate(feasible=True, lam=lam, z=z, s=s)
 
 
@@ -204,21 +179,16 @@ def check_certificate(g: Graph, f: Sequence, lam, cert: OneLapCertificate) -> bo
     mu, edges = _rational_graph(g)
     fvals = [to_fraction(x) for x in f]
     lam = to_fraction(lam)
-    for (u1, v1), zval in cert.z.items():
-        u, v = u1 - 1, v1 - 1
+    total = [ZERO] * g.n
+    for u, v, w in edges:
+        zval = cert.z[(u + 1, v + 1)]
         if not _in_sign(fvals[u] - fvals[v], zval):
             return False
-    for u1, sval in cert.s.items():
-        if not _in_sign(fvals[u1 - 1], sval):
-            return False
+        total[u] += w * zval
+        total[v] -= w * zval
     for u in range(g.n):
-        total = ZERO
-        for a, b, w in edges:
-            if a == u:
-                total += w * cert.z[(a + 1, b + 1)]
-            elif b == u:
-                total -= w * cert.z[(a + 1, b + 1)]
-        if total != lam * mu[u] * cert.s[u + 1]:
+        sval = cert.s[u + 1]
+        if not _in_sign(fvals[u], sval) or total[u] != lam * mu[u] * sval:
             return False
     return True
 

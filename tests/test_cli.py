@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from plap import parse_graph, path_graph, serialize_graph
+from plap import build_graph, parse_graph, path_graph, serialize_graph
 from plap.cheeger import EXACT_HK_CAP
 from plap.cli import main
 from plap.plaplacian import RESIDUAL_LIMIT
@@ -192,6 +192,37 @@ def test_cheeger_past_cap_needs_approx(tmp_path, capsys):
     for fam in rep["families"]:
         members = [v for subset in fam for v in subset]
         assert len(members) == len(set(members))
+
+
+def _weighted_path_past_cap(tmp_path):
+    n = EXACT_HK_CAP + 1
+    gfile = tmp_path / "wpath.txt"
+    gfile.write_text(serialize_graph(build_graph(
+        n, [(i, i + 1, 1.0 + 0.1 * i) for i in range(1, n)])))
+    return str(gfile)
+
+
+def test_certify_past_cap_exits_two_before_solving(tmp_path, monkeypatch,
+                                                   capsys):
+    # the cap is known from n alone, so no spectrum is solved first
+    import plap.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("certify solved a spectrum past the cap")
+
+    monkeypatch.setattr(cli, "_spectrum_for", no_solve)
+    assert main(["certify", _weighted_path_past_cap(tmp_path)]) == 2
+    assert (f"error: exact enumeration capped at n <= {EXACT_HK_CAP}, "
+            f"got n = {EXACT_HK_CAP + 1}") in capsys.readouterr().err
+
+
+def test_solve_past_cap_skips_indicator_span_certification(tmp_path):
+    out = tmp_path / "out.json"
+    assert main(["solve", _weighted_path_past_cap(tmp_path), "--p", "3",
+                 "--json", str(out)]) == 0
+    notes = _load(out)["notes"]
+    assert any(note.startswith("indicator-span certification skipped")
+               for note in notes)
 
 
 def test_cheeger_sweep(path4, tmp_path):

@@ -287,9 +287,15 @@ def test_cut_test_matches_selection_lp():
                 if lam is None:
                     continue
                 cut = _levels_feasible(pat, lam, int_mu, int_edges)
-                lp = _selection_lp(mu, edges, g.n, pat.example_function(),
-                                   lam).feasible
-                assert cut == lp, (g.edges_u, g.edges_v, pat, lam)
+                f = pat.example_function()
+                # cubing keeps f's order and zeros and makes its gaps uneven:
+                # the verifier must rank levels from any values, not only
+                # from the example's
+                for vals in (f, [x ** 3 for x in f]):
+                    cert = _selection_lp(mu, edges, g.n, vals, lam)
+                    assert cert.feasible == cut, (g.edges_u, g.edges_v, pat,
+                                                  lam, vals)
+                    assert not cut or check_certificate(g, vals, lam, cert)
                 outcomes.add(cut)
     # pinned patterns the cut test rejects fail on a proper subset of a level
     assert outcomes == {False, True}
