@@ -4,7 +4,6 @@ from .cheeger import (
     CheegerCertificate,
     certify_cheeger,
     cut_ratio,
-    multiway_cheeger,
     multiway_cheeger_all,
     sweep_bound,
     sweep_cut,
@@ -32,7 +31,6 @@ from .nodal import (
     NodalDecomposition,
     NodalReport,
     certify_nodal_bounds,
-    generalized_zeros,
     nodal_space_max_rq,
     strong_nodal_domains,
     weak_nodal_domains,
@@ -74,11 +72,9 @@ __all__ = [
     "cut_ratio",
     "eigen_residual",
     "enumerate_1lap_eigenvalues",
-    "generalized_zeros",
     "graph_digest",
     "is_connected",
     "merged_eigenvalues",
-    "multiway_cheeger",
     "multiway_cheeger_all",
     "nodal_space_max_rq",
     "parse_graph",

@@ -129,11 +129,6 @@ def multiway_cheeger_all(g: Graph, kmax: int | None = None):
     return out
 
 
-def multiway_cheeger(g: Graph, k: int):
-    """Exact k-way isoperimetric constant and an optimal family."""
-    return multiway_cheeger_all(g, k)[k - 1]
-
-
 def multiway_cheeger_greedy(g: Graph, k: int):
     """Heuristic upper bound for n beyond the exact cap.  NOT exact.
 

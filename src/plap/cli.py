@@ -275,7 +275,7 @@ def _operator_checks(g: Graph, p: float, rng) -> dict:
             "pass": bool(sum_zero and scale_inv)}
 
 
-def _certify_one_p(g, p, seed, hk, draws):
+def _solve_for_certify(g, p, hk) -> Spectrum:
     sp = _spectrum_for(g, p, hk=hk)
     # the certificates refuse pairs above the residual limit; only the path
     # solver's conditioning floor lets one through, and that is a solver miss
@@ -284,17 +284,20 @@ def _certify_one_p(g, p, seed, hk, draws):
             raise BracketError(f"p = {p}: pair k = {k} residual "
                                f"{pair.residual:.3g} exceeds "
                                f"{plaplacian.RESIDUAL_LIMIT:g}")
+    return sp
+
+
+def _certify_spectrum(sp, seed, hk, normals):
+    g, p = sp.graph, sp.p
     nrep = nodal.certify_nodal_bounds(sp)
     certs = cheeger.certify_cheeger(sp, hk=hk)
     span_checks = []
     for i, (pair, (strong, weak)) in enumerate(zip(sp.pairs, sp.decompositions)):
-        strong_rq = nodal.nodal_space_max_rq(g, pair, strong, seed=seed + i,
-                                             draws=draws)
+        strong_rq = nodal.nodal_space_max_rq(g, pair, strong, normals[i])
         # with no zero vertex the weak domains are the strong ones, and the
-        # same basis and seed give the same samples and the same float
+        # same basis and rows give the same float
         weak_rq = (strong_rq if weak.domains == strong.domains else
-                   nodal.nodal_space_max_rq(g, pair, weak, seed=seed + i,
-                                            draws=draws))
+                   nodal.nodal_space_max_rq(g, pair, weak, normals[i]))
         entry = {"k": i + 1}
         for kind, mx in (("strong", strong_rq), ("weak", weak_rq)):
             entry[kind] = {"max_rq": float(mx),
@@ -403,20 +406,27 @@ def _cmd_certify(args) -> int:
                          f"{one_laplacian.ENUMERATION_CAP}, got n = {g.n}")
     # past EXACT_HK_CAP this raises the cap error before any solve
     hk = cheeger.multiway_cheeger_all(g, g.n)
-    # one sample source per call: pair i reads stream seed + i at every p
-    draws = nodal.NodalSamples()
     checks = []
     runs = []
     t0 = time.perf_counter()
     kernel_check = _kernel_inequality_check(rng)
     checks.append({"name": "power_inequality_suite", "pass": kernel_check["pass"]})
+    spectra = []
     for p in p_list:
         t1 = time.perf_counter()
-        run, ok = _certify_one_p(g, p, args.seed, hk, draws)
-        runs.append(run)
-        checks.append({"name": f"certificates[p={p:g}]", "pass": bool(ok)})
-        print(f"certify: p = {p:g} done in {time.perf_counter() - t1:.3f}s",
+        spectra.append(_solve_for_certify(g, p, hk))
+        print(f"certify: p = {p:g} solved in {time.perf_counter() - t1:.3f}s",
               file=sys.stderr)
+    # pair i reads stream seed + i at every p, drawn once with as many rows
+    # as its largest space has domains
+    normals = []
+    for i in range(g.n):
+        m = max(dec.count for sp in spectra for dec in sp.decompositions[i])
+        normals.append(nodal.nodal_space_normals(args.seed + i, m))
+    for sp in spectra:
+        run, ok = _certify_spectrum(sp, args.seed, hk, normals)
+        runs.append(run)
+        checks.append({"name": f"certificates[p={sp.p:g}]", "pass": bool(ok)})
     one_lap_section = None
     if args.one_laplacian:
         h2 = hk[1][0] if g.n >= 2 else None

@@ -1,9 +1,11 @@
-"""Strong/weak nodal domains, generalized zeros, and nodal-count certification.
+"""Strong/weak nodal domains, nodal-space sampling and nodal-count certification.
 
 A strong nodal domain is a maximal connected component of {f > 0} or
 {f < 0}; a weak nodal domain is a maximal connected component of {f >= 0}
 or {f <= 0}.  Numeric eigenfunctions carry solver noise, so membership is
-decided against a zero tolerance of 1e-9 * max|f|.
+decided against a zero tolerance of 1e-9 * max|f|.  The nodal-space
+checks read their random coefficients from rows the caller draws with
+`nodal_space_normals`, so the module holds no sampling state.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import plaplacian
-from .graph import Graph, components, is_canonical_path, is_connected
+from .graph import Graph, components, is_connected
 
 if TYPE_CHECKING:
     from .eigensolver import Spectrum
@@ -35,11 +37,6 @@ class NodalDecomposition:
     @property
     def count(self) -> int:
         return len(self.domains)
-
-
-def _zero_threshold(f: np.ndarray) -> float:
-    m = float(np.max(np.abs(f))) if len(f) else 0.0
-    return 1e-9 * m
 
 
 def _decompose(g: Graph, f, strict: bool) -> NodalDecomposition:
@@ -87,82 +84,36 @@ def weak_nodal_domains(g: Graph, f) -> NodalDecomposition:
     return _decompose(g, f, strict=False)
 
 
-def generalized_zeros(g: Graph, f) -> list[tuple[int, int]]:
-    """Intervals (a, a+1] with f(a) != 0 and f(a) f(a+1) <= 0 on a path.
-
-    Only defined when g is the canonically labeled path 1-2-...-n.
-    """
-    if not is_canonical_path(g):
-        raise ValueError("generalized zeros are defined on path graphs only")
-    arr = plaplacian._as_vertex_function(g, f)
-    tol = _zero_threshold(arr)
-    s = np.where(arr > tol, 1, np.where(arr < -tol, -1, 0))
-    return [(a + 1, a + 2) for a in range(g.n - 1) if s[a] != 0 and s[a] * s[a + 1] <= 0]
-
-
-class NodalSamples:
-    """The coefficient vectors of the nodal-space checks of one `certify` call.
-
-    Stream `seed` with m domains is the draw
-    `default_rng(seed).standard_normal((m, NODAL_SPACE_SAMPLES))`.  Numpy
-    fills that array in C order, so its first rows are the draw with fewer
-    domains: each stream keeps its largest draw, is drawn again from the
-    seed when a space needs more rows, and every space of a pair at every
-    exponent reads its rows from it.  The +-1 sign patterns, one per +-
-    pair, are built once per domain count.  A source lives for one call, so
-    no call reads samples another call drew.
-    """
-
-    def __init__(self):
-        self._streams: dict[int, np.ndarray] = {}
-        self._patterns: dict[int, np.ndarray] = {}
-
-    def normals(self, seed: int, m: int) -> np.ndarray:
-        """The (m, NODAL_SPACE_SAMPLES) standard normal draw of stream seed."""
-        rows = self._streams.get(seed)
-        if rows is None or len(rows) < m:
-            rows = self._streams[seed] = np.random.default_rng(
-                seed).standard_normal((m, NODAL_SPACE_SAMPLES))
-        return rows[:m]
-
-    def patterns(self, m: int) -> np.ndarray:
-        """One +-1 sign pattern of m coefficients per +- pair, one per column.
-
-        These are the 2^(m-1) patterns whose last coefficient is -1.  The
-        negation of a pattern gives the exact negation of its combination,
-        so the same Rayleigh quotient, bit for bit.
-        """
-        out = self._patterns.get(m)
-        if out is None:
-            bits = (np.arange(1 << (m - 1))[:, None] >> np.arange(m)[None, :]) & 1
-            out = self._patterns[m] = (2.0 * bits - 1.0).T
-        return out
+def nodal_space_normals(seed: int, m: int) -> np.ndarray:
+    """Stream seed of the nodal-space checks with m rows.  Numpy fills it in
+    C order, so its first rows are the draw with fewer: one draw serves every
+    space of up to m domains."""
+    return np.random.default_rng(seed).standard_normal((m, NODAL_SPACE_SAMPLES))
 
 
 def nodal_space_max_rq(
     g: Graph,
     pair: plaplacian.EigenPair,
     decomposition: NodalDecomposition,
-    seed: int = 0,
-    draws: NodalSamples | None = None,
+    normals: np.ndarray,
 ) -> float:
     """Largest Rayleigh quotient found over the nodal space of an eigenpair.
 
     The nodal space is spanned by the restrictions of pair.f to the domains
-    of decomposition, its strong or weak nodal decomposition.  Samples
-    NODAL_SPACE_SAMPLES random coefficient vectors (stream seed of draws, a
-    fresh `NodalSamples` by default) plus, for up to 12 domains, one +-1
-    sign pattern per +- pair; the result never exceeds the eigenvalue (up to
-    solver noise), which is what the certification harness asserts.  A
-    shared source returns the float a fresh one would.  The maximum is that
-    over every sign pattern: negating the coefficients negates `basis @ a`
-    exactly (rounding to nearest is symmetric), so the quotient's numerator
-    and denominator are bitwise unchanged.
+    of decomposition, its strong or weak nodal decomposition.  With m
+    domains, the coefficient vectors are the first m rows of normals, one
+    per column (a `nodal_space_normals` draw of at least m rows), plus, for
+    up to 12 domains, one +-1 sign pattern per +- pair: the 2^(m-1) patterns
+    whose last coefficient is -1.  The result never exceeds the eigenvalue
+    (up to solver noise), which is what the certification harness asserts.
+    The maximum is that over every sign pattern: negating the coefficients
+    negates `basis @ a` exactly (rounding to nearest is symmetric), so the
+    quotient's numerator and denominator are bitwise unchanged.
 
     When f has no zero vertex, its weak domains are its strong domains, so
-    for one seed both kinds build the same basis, draw the same samples and
-    return the same float; `plap certify` then reports the strong value for
-    the weak space instead of sampling it again.
+    for one draw both kinds build the same basis and return the same float;
+    `plap certify` then reports the strong value for the weak space instead
+    of sampling it again.
     """
     if pair.residual > plaplacian.RESIDUAL_LIMIT and pair.p > 1:
         raise ValueError(f"eigenpair residual {pair.residual:.3g} exceeds "
@@ -170,15 +121,15 @@ def nodal_space_max_rq(
     m = decomposition.count
     if m == 0:
         raise ValueError("empty nodal decomposition")
-    if draws is None:
-        draws = NodalSamples()
     rows = [v - 1 for dom in decomposition.domains for v in dom]
     cols = [i for i, dom in enumerate(decomposition.domains) for _ in dom]
     basis = np.zeros((g.n, m))
     basis[rows, cols] = pair.f[rows]
-    coeffs = [draws.patterns(m)] if m <= MAX_SIGN_PATTERN_DOMAINS else []
-    alphas = np.concatenate(coeffs + [draws.normals(seed, m)], axis=1)
-    gmat = basis @ alphas  # (n, samples)
+    coeffs = [normals[:m]]
+    if m <= MAX_SIGN_PATTERN_DOMAINS:
+        bits = (np.arange(1 << (m - 1))[:, None] >> np.arange(m)[None, :]) & 1
+        coeffs.insert(0, (2.0 * bits - 1.0).T)
+    gmat = basis @ np.concatenate(coeffs, axis=1)  # (n, samples)
     p = pair.p
     diff = gmat[g.edges_u, :] - gmat[g.edges_v, :]
     np.abs(diff, out=diff)

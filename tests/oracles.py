@@ -12,7 +12,7 @@ import numpy as np
 
 from plap import kernels, plaplacian, rayleigh_quotient
 from plap.eigensolver import PATH_RESIDUAL_TOL, BracketError, Spectrum
-from plap.graph import components, path_graph
+from plap.graph import components, is_canonical_path, path_graph
 from plap.nodal import MAX_SIGN_PATTERN_DOMAINS, NODAL_SPACE_SAMPLES, NodalDecomposition
 from plap.one_laplacian import (
     EigenvalueRecord,
@@ -138,6 +138,37 @@ def naive_multiway(g, kmax):
 
     rec(full, 0, 0.0, 0)
     return best[1:]
+
+
+def exact_multiway_cheeger(g, kmax):
+    """Exact h_1..h_kmax as Fractions, by a subset DP on the graph's
+    rational measure and weights (`one_laplacian._rational_graph`).
+
+    After round k, best[mask] is the least largest ratio over families of k
+    pairwise-disjoint nonempty subsets of mask (None when mask has fewer
+    than k vertices); the subsets need not cover mask.
+    """
+    mu, edges = _rational_graph(g)
+    full = (1 << g.n) - 1
+    ratio = [None]
+    for mask in range(1, full + 1):
+        cut = sum((w for u, v, w in edges if (mask >> u ^ mask >> v) & 1), Fraction(0))
+        ratio.append(cut / sum(x for i, x in enumerate(mu) if mask >> i & 1))
+    best = [Fraction(0)] * (full + 1)
+    out = []
+    for _ in range(kmax):
+        prev, best = best, [None] * (full + 1)
+        for mask in range(1, full + 1):
+            sub = mask
+            while sub:
+                rest = prev[mask ^ sub]
+                if rest is not None:
+                    value = max(ratio[sub], rest)
+                    if best[mask] is None or value < best[mask]:
+                        best[mask] = value
+                sub = (sub - 1) & mask
+        out.append(best[full])
+    return out
 
 
 def family_dp_loop(ratio, kmax):
@@ -433,10 +464,30 @@ def decompose_arrays(g, f, strict):
     )
 
 
-def nodal_space_max_rq_fresh(g, pair, decomposition, seed):
-    """Nodal-space maximum from a fresh draw of stream seed for this space.
+def _zero_threshold(f):
+    m = float(np.max(np.abs(f))) if len(f) else 0.0
+    return 1e-9 * m
 
-    The reference for `nodal.nodal_space_max_rq` with a shared sample source.
+
+def generalized_zeros(g, f):
+    """Intervals (a, a+1] with f(a) != 0 and f(a) f(a+1) <= 0 on a path.
+
+    Only defined when g is the canonically labeled path 1-2-...-n.
+    """
+    if not is_canonical_path(g):
+        raise ValueError("generalized zeros are defined on path graphs only")
+    arr = plaplacian._as_vertex_function(g, f)
+    tol = _zero_threshold(arr)
+    s = np.where(arr > tol, 1, np.where(arr < -tol, -1, 0))
+    return [(a + 1, a + 2) for a in range(g.n - 1) if s[a] != 0 and s[a] * s[a + 1] <= 0]
+
+
+def nodal_space_max_rq_fresh(g, pair, decomposition, seed):
+    """Nodal-space maximum from a fresh draw of stream seed with exactly
+    as many rows as the space has domains, and every +-1 sign pattern.
+
+    The reference for `nodal.nodal_space_max_rq`, which reads the first m
+    rows of a longer draw and one pattern per +- pair.
     """
     m = decomposition.count
     basis = np.zeros((g.n, m))

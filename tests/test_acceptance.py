@@ -14,7 +14,6 @@ from plap import (
     certify_cheeger,
     certify_nodal_bounds,
     enumerate_1lap_eigenvalues,
-    generalized_zeros,
     merged_eigenvalues,
     multiway_cheeger_all,
     nodal_space_max_rq,
@@ -31,11 +30,13 @@ from plap import (
 )
 from plap.cli import main
 from plap.eigensolver import Spectrum
+from plap.nodal import nodal_space_normals
 from plap.one_laplacian import check_certificate
 
 from .oracles import (
     charpoly_roots,
     fd_gradient,
+    generalized_zeros,
     naive_multiway,
     p2_path_eigenvalues,
     path_p2_charpoly,
@@ -157,7 +158,8 @@ def test_criterion_5_nodal_space_bound():
     for g, sp in _shared["criterion3"]:
         for i, (pair, decs) in enumerate(zip(sp.pairs, sp.decompositions)):
             for dec in decs:
-                mx = nodal_space_max_rq(g, pair, dec, seed=17 + i)
+                normals = nodal_space_normals(17 + i, dec.count)
+                mx = nodal_space_max_rq(g, pair, dec, normals)
                 checked += 1
                 if mx > pair.lam + 1e-8:
                     violations.append((sp.p, i + 1, dec.kind, mx, pair.lam))

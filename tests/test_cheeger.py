@@ -5,7 +5,6 @@ from plap import (
     build_graph,
     certify_cheeger,
     cut_ratio,
-    multiway_cheeger,
     multiway_cheeger_all,
     path_graph,
     rayleigh_quotient,
@@ -38,14 +37,14 @@ def test_cut_ratio_values():
 
 def test_multiway_p4_values_and_families():
     g = path_graph(4)
-    h1, fam1 = multiway_cheeger(g, 1)
+    h1, fam1 = multiway_cheeger_all(g, 1)[0]
     assert h1 == 0.0 and fam1 == (frozenset({1, 2, 3, 4}),)
-    h2, fam2 = multiway_cheeger(g, 2)
+    h2, fam2 = multiway_cheeger_all(g, 2)[1]
     assert h2 == pytest.approx(0.5)
     assert fam2 == (frozenset({1, 2}), frozenset({3, 4}))
-    h3, _ = multiway_cheeger(g, 3)
+    h3, _ = multiway_cheeger_all(g, 3)[2]
     assert h3 == pytest.approx(1.0)
-    h4, fam4 = multiway_cheeger(g, 4)
+    h4, fam4 = multiway_cheeger_all(g, 4)[3]
     assert h4 == pytest.approx(2.0)
     assert fam4 == tuple(frozenset({v}) for v in range(1, 5))
 
@@ -71,7 +70,7 @@ def test_multiway_family_achieves_value():
     rng = np.random.default_rng(41)
     g = random_connected_graph(rng, 8)
     for k in (2, 3, 5):
-        h, fam = multiway_cheeger(g, k)
+        h, fam = multiway_cheeger_all(g, k)[k - 1]
         validate_family(g, fam)
         assert len(fam) == k
         assert max(cut_ratio(g, a) for a in fam) == pytest.approx(h)
@@ -81,7 +80,7 @@ def test_multiway_deterministic_tie_break():
     # a 4-cycle has many optimal 2-families; the reported one is the
     # lexicographically smallest
     g = build_graph(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (1, 4, 1.0)])
-    h, fam = multiway_cheeger(g, 2)
+    h, fam = multiway_cheeger_all(g, 2)[1]
     assert h == pytest.approx(1.0)
     assert fam == (frozenset({1, 2}), frozenset({3, 4}))
 
@@ -189,7 +188,7 @@ def test_multiway_cap_and_greedy():
     rng = np.random.default_rng(5)
     g = random_connected_graph(rng, 15)
     with pytest.raises(ExactCapExceeded):
-        multiway_cheeger(g, 2)
+        multiway_cheeger_all(g, 2)
     h, fam = multiway_cheeger_greedy(g, 3)
     validate_family(g, fam)
     assert len(fam) == 3

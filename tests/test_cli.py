@@ -311,7 +311,7 @@ def test_certify_names_failed_nodal_space_check(path4, tmp_path, monkeypatch,
                                                  capsys):
     from plap import nodal
     monkeypatch.setattr(nodal, "nodal_space_max_rq",
-                        lambda g, pair, decomposition, **kw: pair.lam + 1.0)
+                        lambda g, pair, decomposition, normals: pair.lam + 1.0)
     out = tmp_path / "r.json"
     assert main(["certify", path4, "--p", "2", "--json", str(out)]) == 1
     err = capsys.readouterr().err
@@ -627,7 +627,8 @@ def test_certify_weak_space_matches_direct_sampling(tmp_path):
         sp = cli._spectrum_for(g, run["p"])
         for i, (pair, entry) in enumerate(zip(sp.pairs, run["nodal_space"])):
             weak = nodal.weak_nodal_domains(g, pair.f)
-            direct = nodal.nodal_space_max_rq(g, pair, weak, seed=3 + i)
+            normals = nodal.nodal_space_normals(3 + i, weak.count)
+            direct = nodal.nodal_space_max_rq(g, pair, weak, normals)
             assert entry["weak"]["max_rq"] == direct, (run["p"], i + 1)
             if weak.zero_set:
                 with_zero += 1

@@ -7,7 +7,6 @@ from plap import (
     EigenPair,
     build_graph,
     certify_nodal_bounds,
-    generalized_zeros,
     nodal_space_max_rq,
     path_graph,
     path_spectrum,
@@ -17,9 +16,9 @@ from plap import (
 )
 from plap.eigensolver import Spectrum
 from plap.graph import components
-from plap.nodal import NodalSamples, multiplicity_groups
+from plap.nodal import multiplicity_groups, nodal_space_normals
 
-from .oracles import decompose_arrays, nodal_space_max_rq_fresh
+from .oracles import decompose_arrays, generalized_zeros, nodal_space_max_rq_fresh
 from .util import random_connected_graph
 
 
@@ -75,14 +74,16 @@ def test_nodal_space_max_rq_constant_pair():
     g = path_graph(4)
     pair = solve_p2_spectrum(g).pairs[0]
     dec = strong_nodal_domains(g, pair.f)
-    assert nodal_space_max_rq(g, pair, dec) == pytest.approx(0.0, abs=1e-12)
+    mx = nodal_space_max_rq(g, pair, dec, nodal_space_normals(0, dec.count))
+    assert mx == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nodal_space_max_rq_p3_pair():
     g = path_graph(3)
     pair = solve_p2_spectrum(g).pairs[1]
     for decompose in (strong_nodal_domains, weak_nodal_domains):
-        mx = nodal_space_max_rq(g, pair, decompose(g, pair.f), seed=1)
+        dec = decompose(g, pair.f)
+        mx = nodal_space_max_rq(g, pair, dec, nodal_space_normals(1, dec.count))
         assert mx <= pair.lam + 1e-8
         assert mx == pytest.approx(1.0, abs=1e-8)
 
@@ -92,7 +93,8 @@ def test_nodal_space_p1_equality_for_aligned_signs():
     # adjacent domains share a sign; the all-ones pattern recovers lambda
     g = path_graph(3, "degree")
     pair = EigenPair(p=1.0, lam=1.0, f=np.array([1.0, -1.0, 1.0]), residual=0.0)
-    mx = nodal_space_max_rq(g, pair, strong_nodal_domains(g, pair.f), seed=3)
+    dec = strong_nodal_domains(g, pair.f)
+    mx = nodal_space_max_rq(g, pair, dec, nodal_space_normals(3, dec.count))
     assert mx == pytest.approx(1.0, abs=1e-10)
     assert mx <= pair.lam + 1e-8
 
@@ -102,15 +104,16 @@ def test_nodal_space_rejects_residual_above_limit():
     pair = solve_p2_spectrum(g).pairs[1]
     bad = EigenPair(p=2.0, lam=1.0, f=pair.f, residual=1.0)
     with pytest.raises(ValueError, match="residual"):
-        nodal_space_max_rq(g, bad, strong_nodal_domains(g, pair.f))
+        nodal_space_max_rq(g, bad, strong_nodal_domains(g, pair.f),
+                           nodal_space_normals(0, 2))
 
 
 def test_shared_samples_match_fresh_draws_per_space():
-    # one source serves every space, as in `plap certify`: pair i reads
-    # stream 5 + i for both kinds in every spectrum, extending it when a
-    # later space has more domains than the stream holds rows; the random
-    # graphs carry functions with zero vertices, whose weak domains differ
-    # from the strong ones
+    # as in `plap certify`, pair i reads stream 5 + i drawn once with as
+    # many rows as its largest space has domains, so most spaces read a
+    # draw with more rows than they have domains; the random graphs carry
+    # functions with zero vertices, whose weak domains differ from the
+    # strong ones
     rng = np.random.default_rng(31)
     cases = [(sp.graph, sp.pairs) for sp in
              (path_spectrum(n, p) for n, p in ((5, 1.5), (7, 3.0), (9, 1.1)))]
@@ -122,21 +125,23 @@ def test_shared_samples_match_fresh_draws_per_space():
             f[rng.choice(g.n, size=g.n // 3, replace=False)] = 0.0
             pairs.append(EigenPair(p=p, lam=0.0, f=f, residual=0.0))
         cases.append((g, pairs))
-    draws = NodalSamples()
-    rows = {}           # stream -> most domains read from it so far
-    differ = extended = 0
+    spaces = []
+    rows = {}           # stream -> most domains of any space that reads it
+    differ = 0
     for g, pairs in cases:
         for i, pair in enumerate(pairs):
             strong = strong_nodal_domains(g, pair.f)
             weak = weak_nodal_domains(g, pair.f)
             differ += weak.domains != strong.domains
-            for dec in (strong, weak):
-                want = nodal_space_max_rq_fresh(g, pair, dec, 5 + i)
-                got = nodal_space_max_rq(g, pair, dec, seed=5 + i, draws=draws)
-                assert got == want, (i, dec.kind)
-                extended += 0 < rows.get(i, 0) < dec.count
-                rows[i] = max(rows.get(i, 0), dec.count)
-    assert differ and extended
+            spaces += [(g, i, pair, strong), (g, i, pair, weak)]
+            rows[i] = max(rows.get(i, 0), strong.count, weak.count)
+    normals = {i: nodal_space_normals(5 + i, m) for i, m in rows.items()}
+    longer = 0
+    for g, i, pair, dec in spaces:
+        want = nodal_space_max_rq_fresh(g, pair, dec, 5 + i)
+        assert nodal_space_max_rq(g, pair, dec, normals[i]) == want, (i, dec.kind)
+        longer += dec.count < rows[i]
+    assert differ and longer
 
 
 def test_half_pattern_set_matches_every_sign_pattern():
@@ -153,10 +158,9 @@ def test_half_pattern_set_matches_every_sign_pattern():
         for dec in sp.decompositions[i]:
             counts.add(dec.count)
             want = nodal_space_max_rq_fresh(sp.graph, sp.pairs[i], dec, 4 + i)
-            assert nodal_space_max_rq(sp.graph, sp.pairs[i], dec, seed=4 + i) == want
+            normals = nodal_space_normals(4 + i, dec.count)
+            assert nodal_space_max_rq(sp.graph, sp.pairs[i], dec, normals) == want
     assert {1, 12, 13} <= counts
-    assert NodalSamples().patterns(1).shape == (1, 1)
-    assert NodalSamples().patterns(12).shape == (12, 1 << 11)
 
 
 def _tiny_pair(scale):
@@ -169,13 +173,13 @@ def test_nodal_space_masks_columns_below_the_floor():
     # at 1e-100 and p = 3 some sampled denominators fall at or under 1e-300,
     # and an unmasked maximum would read one of their quotients
     g, pair, dec = _tiny_pair(1e-100)
-    draws = NodalSamples()
-    basis = np.zeros((g.n, dec.count))
+    m = dec.count
+    basis = np.zeros((g.n, m))
     for i, dom in enumerate(dec.domains):
         idx = [v - 1 for v in dom]
         basis[idx, i] = pair.f[idx]
-    alphas = np.concatenate([draws.patterns(dec.count), draws.normals(0, dec.count)],
-                            axis=1)
+    patterns = 2.0 * ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1) - 1.0
+    alphas = np.concatenate([patterns.T, nodal_space_normals(0, m)], axis=1)
     gmat = basis @ alphas   # the unit path with unit measure
     num = (np.abs(np.diff(gmat, axis=0)) ** 3).sum(axis=0)
     den = (np.abs(gmat) ** 3).sum(axis=0)
@@ -183,13 +187,13 @@ def test_nodal_space_masks_columns_below_the_floor():
     assert 0 < np.count_nonzero(ok) < den.size
     assert np.max(num / den) > np.max(num[ok] / den[ok])
     want = nodal_space_max_rq_fresh(g, pair, dec, 0)
-    assert nodal_space_max_rq(g, pair, dec, seed=0, draws=draws) == want
+    assert nodal_space_max_rq(g, pair, dec, nodal_space_normals(0, m)) == want
 
 
 def test_nodal_space_all_columns_underflow_raises():
     g, pair, dec = _tiny_pair(1e-101)
     with pytest.raises(ValueError, match="all sampled combinations were zero"):
-        nodal_space_max_rq(g, pair, dec)
+        nodal_space_max_rq(g, pair, dec, nodal_space_normals(0, dec.count))
 
 
 def test_decompositions_match_direct_calls(monkeypatch):

@@ -7,9 +7,11 @@ import pytest
 from plap import (
     build_graph,
     enumerate_1lap_eigenvalues,
+    is_connected,
     merged_eigenvalues,
-    multiway_cheeger,
+    multiway_cheeger_all,
     path_graph,
+    strong_nodal_domains,
     verify_1lap_eigenpair,
 )
 from plap import one_laplacian
@@ -30,6 +32,7 @@ from plap.simplex import lp_solve
 
 from .oracles import (
     enumerate_1lap_every_position,
+    exact_multiway_cheeger,
     enumerate_1lap_lp,
     ordered_partitions,
 )
@@ -177,7 +180,7 @@ def test_enumerate_p2_single_edge():
     records = enumerate_1lap_eigenvalues(g)
     noncon = merged_eigenvalues(records, nonconstant_only=True)
     assert noncon == [F(1)]
-    h2 = multiway_cheeger(g, 2)[0]
+    h2 = multiway_cheeger_all(g, 2)[1][0]
     assert float(noncon[0]) == pytest.approx(h2)
 
 
@@ -192,7 +195,7 @@ def test_enumerate_includes_h2():
               build_graph(4, [(1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0)],
                           mu_mode="degree")):
         records = enumerate_1lap_eigenvalues(g)
-        h2 = multiway_cheeger(g, 2)[0]
+        h2 = multiway_cheeger_all(g, 2)[1][0]
         assert any(float(v) - 1e-12 <= h2 <= float(v) + 1e-12
                    for v in merged_eigenvalues(records))
 
@@ -223,16 +226,60 @@ def _complete(n):
                            for v in range(u + 1, n + 1)])
 
 
-def test_enumerate_matches_two_lp_reference():
+def _reference_graphs():
+    """Random graphs n = 2..5 in every measure mode, paths, cycles and
+    complete graphs n = 3..5, and one disconnected graph, last."""
     rng = np.random.default_rng(11)
     graphs = [random_connected_graph(rng, n, mode)
               for n in range(2, 6) for mode in MU_MODES]
     graphs += [make(n) for n in range(3, 6) for make in (path_graph, _cycle, _complete)]
     graphs.append(build_graph(5, [(1, 2, 1.0), (2, 3, 0.5), (4, 5, 2.0)]))
-    for g in graphs:
+    return graphs
+
+
+def test_enumerate_matches_two_lp_reference():
+    for g in _reference_graphs():
         # the two LPs bound lambda from both sides: a point is lo == hi
         assert [(r.lam, r.lam, r.pattern) for r in enumerate_1lap_eigenvalues(g)] \
             == enumerate_1lap_lp(g)
+
+
+def _relabelled(g, perm):
+    """g with vertex u + 1 renamed perm[u] + 1.  The measure is passed on
+    explicitly: a degree measure rebuilt from the reordered edges could sum
+    the weights in another order."""
+    mu = np.empty(g.n)
+    mu[perm] = g.mu
+    edges = [(int(perm[u]) + 1, int(perm[v]) + 1, float(w))
+             for u, v, w in zip(g.edges_u, g.edges_v, g.edges_w)]
+    return build_graph(g.n, edges, mu=mu, mu_mode="explicit")
+
+
+def test_exact_p1_cheeger_statements():
+    # at p = 1 the second eigenvalue is h_2 on a connected graph, and an
+    # eigenfunction with m strong nodal domains has lambda >= h_m; both are
+    # checked in exact arithmetic, and neither h_k nor the eigenvalues may
+    # depend on the vertex labels
+    rng = np.random.default_rng(12)
+    graphs = _reference_graphs()
+    for gi, g in enumerate(graphs):
+        exact = exact_multiway_cheeger(g, g.n)
+        for (h, _), want in zip(multiway_cheeger_all(g, g.n), exact):
+            assert abs(F(h) - want) <= want / 10**12, (gi, h, want)
+        records = enumerate_1lap_eigenvalues(g)
+        if is_connected(g):
+            assert merged_eigenvalues(records, nonconstant_only=True)[0] == exact[1], gi
+        for rec in records:
+            if rec.pattern.constant:
+                continue
+            f = [float(x) for x in rec.pattern.example_function()]
+            m = strong_nodal_domains(g, f).count
+            assert exact[m - 1] <= rec.lam, (gi, rec)
+        h = _relabelled(g, rng.permutation(g.n))
+        assert exact_multiway_cheeger(h, h.n) == exact, gi
+        assert merged_eigenvalues(enumerate_1lap_eigenvalues(h)) \
+            == merged_eigenvalues(records), gi
+    assert sum(not is_connected(g) for g in graphs) == 1
 
 
 def test_enumerate_offers_each_ordering_its_possible_zero_positions():
@@ -255,7 +302,7 @@ def test_enumerate_at_cap_reverifies():
         f = rec.pattern.example_function()
         cert = verify_1lap_eigenpair(g, f, rec.lam)
         assert check_certificate(g, f, rec.lam, cert)
-    h2 = multiway_cheeger(g, 2)[0]
+    h2 = multiway_cheeger_all(g, 2)[1][0]
     assert any(float(v) - 1e-12 <= h2 <= float(v) + 1e-12
                for v in merged_eigenvalues(records))
 
