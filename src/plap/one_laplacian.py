@@ -4,8 +4,26 @@ An eigenpair (lambda, f) of the 1-Laplacian is witnessed by antisymmetric
 edge selections z(uv) in Sign(f(u) - f(v)) and vertex selections
 s(u) in Sign(f(u)) satisfying sum_v w(uv) z(uv) = lambda mu(u) s(u) at every
 vertex.  Feasibility at the bounds z = +-1 is measure zero, so everything
-here runs in exact rational arithmetic: floats are converted to their exact
-binary values, non-finite inputs are rejected.
+here runs in exact arithmetic: floats are converted to their exact binary
+values, non-finite inputs are rejected, and the decisions run on Python
+ints, with every measure and weight times the lcm of their denominators
+(`_integer_graph`) and every equation times lambda's denominator.
+
+The paper's lower bound (2/tau)^(p-1) (h_m/p)^p <= lambda reads h_m <=
+lambda at p = 1, and the selections prove it for every eigenpair whose f
+has m strong nodal domains (Chang, Shao & Zhang, "Nodal domains of
+eigenvectors for 1-Laplacian on graphs", Adv. Math. 2017).  Let D be a
+strong nodal domain, a connected component of {f > 0} say ({f < 0} is the
+same with every sign turned).  Sum the vertex equations over D.  s = 1 on
+D, so the right side is lambda mu(D).  On the left, an edge uv with both
+ends in D enters u's equation as w(uv) z(uv) and v's as w(uv) z(vu) =
+-w(uv) z(uv), so it adds nothing.  An edge uv from u in D to v outside D
+has f(v) <= 0, since f(v) > 0 would put v in D, so f(u) - f(v) > 0 and
+z(uv) = 1.  The left side is therefore w(D, V - D), and w(D, V - D) =
+lambda mu(D).  The m strong nodal domains are disjoint and nonempty, so
+they form a family that h_m minimises over, and h_m <= max_D w(D, V - D) /
+mu(D) = lambda.  `test_exact_p1_cheeger_statements` checks the bound
+exactly on the enumerated eigenpairs.
 
 Besides verifying a declared eigenpair on any graph, connected or not, the
 module enumerates the full eigenvalue set of tiny graphs (n <= 8,
@@ -28,7 +46,8 @@ ordering; a block at a time, int64 level sums and float ratios drop the
 (ordering, zero position) pairs that cannot pin a lambda, with a margin no
 exact tie can cross.  Only the pairs left go, in order, to the exact
 Python-int pinning and cut tests, so the records are those of the plain
-loop over all orderings.  The exact simplex serves only the verifier.
+loop over all orderings.  The exact simplex serves only the verifier,
+which solves one small integer LP per level that has free selections.
 """
 
 from __future__ import annotations
@@ -45,7 +64,6 @@ from .simplex import lp_solve
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-TWO = Fraction(2)
 
 ENUMERATION_CAP = 8
 
@@ -105,62 +123,91 @@ def _integer_graph(g: Graph):
 def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
     """Decide exactly whether (lambda, f) is a p = 1 eigenpair of g.
 
+    The distinct values of f are ranked as levels, as in the enumeration.
     f's signs fix z on the edges between its levels and s off its zero
     level; those selections enter each vertex equation as the vertex's
-    level net (`_vertex_net`), as in the enumeration.  The free selections,
-    z on edges with f(u) = f(v) and s where f(u) = 0, are bounded LP
-    variables, and the vertex equations are decided by exact phase-1
-    simplex.  The LP is exact on any graph, so g need not be connected.
+    level net (`_vertex_net`).  The free selections, z on edges with
+    f(u) = f(v) and s where f(u) = 0, occur only inside one level, so the
+    vertex equations split into one system per level: `_level_lp` decides
+    and witnesses each level that has free selections, and a level without
+    any holds iff each of its vertex equations holds as it stands.  Every
+    equation is taken times the `_integer_graph` factor and lambda's
+    denominator, so all the data are ints.  The test is exact on any graph,
+    so g need not be connected.
     """
-    mu, edges = _rational_graph(g)
+    mu, edges = _integer_graph(g)
     fvals = [to_fraction(x) for x in f]
     if len(fvals) != g.n:
         raise ValueError(f"expected {g.n} vertex values, got {len(fvals)}")
     if all(x == 0 for x in fvals):
         raise ValueError("the zero function is not an eigenfunction")
-    return _selection_lp(mu, edges, g.n, fvals, to_fraction(lam))
-
-
-def _selection_lp(mu, edges, n, fvals, lam: Fraction) -> OneLapCertificate:
-    """Exact selection LP for (lambda, f) on rational graph data.
-
-    The distinct values of f are ranked as levels, and `_vertex_net` sums the
-    fixed z at each vertex.  Each free selection is x - 1 with x in [0, 2]:
-    the columns are the free z in edge order, the free s in vertex order,
-    then one slack per free selection; the rows are the vertex equations,
-    sum of +-w z over u's free edges - lambda mu_u s_u = lambda sigma_u mu_u
-    - net_u, with sigma_u the sign of f(u) and the s term only where f(u) = 0,
-    then x + slack = 2 per free selection.
-    The inputs are taken as checked: `verify_1lap_eigenpair` converts and
-    validates them, and the tests call this directly on enumerated patterns.
-    """
+    lam = to_fraction(lam)
+    top, bottom = lam.numerator, lam.denominator
     rank = {x: i for i, x in enumerate(sorted(set(fvals)))}
-    net = _vertex_net([rank[x] for x in fvals], edges)
+    levels = [rank[x] for x in fvals]
     sign = [(x > 0) - (x < 0) for x in fvals]
-    free_z = [(u, v, w) for u, v, w in edges if fvals[u] == fvals[v]]
-    free_s = [u for u in range(n) if fvals[u] == 0]
-    nvars = len(free_z) + len(free_s)
-    rows = [[ZERO] * (2 * nvars) for _ in range(n + nvars)]
-    rhs = [sign[u] * lam * mu[u] - net[u] for u in range(n)] + [TWO] * nvars
-    for j, (u, v, w) in enumerate(free_z):
-        rows[u][j], rows[v][j] = w, -w
-        rhs[u] += w
-        rhs[v] -= w
-    for j, u in enumerate(free_s, len(free_z)):
-        rows[u][j] = -lam * mu[u]
-        rhs[u] -= lam * mu[u]
-    for j in range(nvars):
-        rows[n + j][j] = rows[n + j][nvars + j] = ONE
-    result = lp_solve(rows, rhs, [ZERO] * (2 * nvars))
-    if result.status != "optimal":
-        return OneLapCertificate(feasible=False, lam=lam, z={}, s={})
-    # the free values come in column order: the free z, then the free s
-    free = iter(result.x)
-    z = {(u + 1, v + 1): next(free) - ONE if fvals[u] == fvals[v]
-         else ONE if fvals[u] > fvals[v] else -ONE for u, v, _ in edges}
-    s = {u + 1: next(free) - ONE if x == 0 else Fraction(sign[u])
-         for u, x in enumerate(fvals)}
+    net = _vertex_net(levels, edges)
+    # what u's free selections must supply, lambda sigma_u mu_u - net_u, times
+    # lambda's denominator
+    demand = [sign[u] * top * mu[u] - bottom * net[u] for u in range(g.n)]
+    members = [[] for _ in rank]
+    for u, lev in enumerate(levels):
+        members[lev].append(u)
+    inner = [[] for _ in rank]
+    for u, v, w in edges:
+        if levels[u] == levels[v]:
+            inner[levels[u]].append((u, v, bottom * w))
+    free = {}  # (u, v) of a free z and u of a free s -> its value
+    for lev, mem in enumerate(members):
+        if sign[mem[0]] == 0:
+            radius = {u: top * mu[u] for u in mem}
+        elif inner[lev]:
+            radius = {}
+        elif any(demand[u] for u in mem):
+            return OneLapCertificate(feasible=False, lam=lam, z={}, s={})
+        else:
+            continue
+        values = _level_lp(mem, inner[lev], radius, demand)
+        if values is None:
+            return OneLapCertificate(feasible=False, lam=lam, z={}, s={})
+        free.update(values)
+    z = {(u + 1, v + 1): free[u, v] if levels[u] == levels[v]
+         else ONE if levels[u] > levels[v] else -ONE for u, v, _ in edges}
+    s = {u + 1: free[u] if sigma == 0 else Fraction(sigma)
+         for u, sigma in enumerate(sign)}
     return OneLapCertificate(feasible=True, lam=lam, z=z, s=s)
+
+
+def _level_lp(members, inner, radius, demand) -> dict | None:
+    """Free selections of one level that meet its vertex equations, or None.
+
+    inner holds the level's edges (u, v, c) with c their scaled weight, and
+    radius the scaled lambda mu_u of each member that has a free s (all of
+    them on the zero level, none elsewhere).  Each free selection is x - 1
+    with x in [0, 2]: the columns are the free z in edge order, the free s
+    in member order, then one slack per free selection; the rows are the
+    members' equations, sum of +-c z over u's inner edges - radius_u s_u =
+    demand_u, then x + slack = 2 per free selection.  One exact phase-1
+    simplex decides them; the result maps (u, v) to z(u -> v) and u to s(u).
+    """
+    row_of = {u: i for i, u in enumerate(members)}
+    keys = [(u, v) for u, v, _ in inner] + list(radius)
+    nvars = len(keys)
+    rows = [[0] * (2 * nvars) for _ in range(len(members) + nvars)]
+    rhs = [demand[u] for u in members] + [2] * nvars
+    for j, (u, v, c) in enumerate(inner):
+        rows[row_of[u]][j], rows[row_of[v]][j] = c, -c
+        rhs[row_of[u]] += c
+        rhs[row_of[v]] -= c
+    for j, (u, r) in enumerate(radius.items(), len(inner)):
+        rows[row_of[u]][j] = -r
+        rhs[row_of[u]] -= r
+    for j in range(nvars):
+        rows[len(members) + j][j] = rows[len(members) + j][nvars + j] = 1
+    result = lp_solve(rows, rhs, [0] * (2 * nvars))
+    if result.status != "optimal":
+        return None
+    return {key: x - ONE for key, x in zip(keys, result.x)}
 
 
 def _in_sign(x: Fraction, v: Fraction) -> bool:
@@ -314,25 +361,60 @@ def _levels_feasible(pat: OrderPattern, lam: Fraction, mu, edges) -> bool:
     box form of the cut function's base polytope, such a z exists iff
     |c(S)| <= w(S, L - S) + r(S) for every nonempty S in L, where c is the
     centre and r the radius of b's range (r = 0 off the zero level).  S = L
-    is the level-sum condition of `_pinned_lambda`.  Every quantity is taken
-    times lambda's denominator, so integer mu and w keep the test in ints.
+    is the level-sum condition `_pinned_lambda` has decided, so it is not
+    tested again, and neither is a level of one vertex, whose only subset
+    is L.  Every quantity is taken times lambda's denominator, so integer mu
+    and w keep the test in ints.
+
+    The subsets of a level are visited in increasing bit order, and each
+    one's sums come from the subset without its lowest bit j: c adds j's
+    centre, and w(S, L - S) + r(S) adds j's degree inside L plus its radius
+    less 2 w(j, S - j).  w(j, S - j) in turn is w(j, S - j - k) + w(j, k)
+    for k the second lowest bit of S, read off the subset S - k, whose
+    lowest bit is also j.
     """
     top, bottom = lam.numerator, lam.denominator
     levels = pat.levels
+    members = [[] for _ in range(pat.m)]
+    for u, lev in enumerate(levels):
+        members[lev].append(u)
+    bit = [0] * len(levels)  # u's bit within its level
+    for mem in members:
+        for j, u in enumerate(mem):
+            bit[u] = 1 << j
+    weight = [{} for _ in members]  # per level: bits of both ends -> weight
+    for a, b, w in edges:
+        lev = levels[a]
+        if lev == levels[b]:
+            ends = bit[a] | bit[b]
+            weight[lev][ends] = weight[lev].get(ends, 0) + bottom * w
     net = _vertex_net(levels, edges)
-    for i in range(pat.m):
-        members = [u for u, lev in enumerate(levels) if lev == i]
+    for i, mem in enumerate(members):
+        if len(mem) == 1:
+            continue
         sigma = pat.level_sign(i)
-        centre = [sigma * top * mu[u] - bottom * net[u] for u in members]
-        radius = [0 if sigma else top * mu[u] for u in members]
-        bit = {u: 1 << j for j, u in enumerate(members)}
-        inner = [(bit[a] | bit[b], bottom * w) for a, b, w in edges
-                 if levels[a] == i == levels[b]]
-        for subset in range(1, 1 << len(members)):
-            cut = sum(c for ends, c in inner if subset & ends not in (0, ends))
-            picked = [j for j in range(len(members)) if subset >> j & 1]
-            if abs(sum(centre[j] for j in picked)) > cut + sum(
-                    radius[j] for j in picked):
+        full = (1 << len(mem)) - 1
+        c_sum = [0] * full
+        cap = [0] * full  # w(S, L - S) + r(S)
+        for u in mem:
+            c_sum[bit[u]] = sigma * top * mu[u] - bottom * net[u]
+            if not sigma:
+                cap[bit[u]] = top * mu[u]
+        pairs = weight[i]
+        for ends, c in pairs.items():
+            low = ends & -ends
+            cap[low] += c
+            cap[ends ^ low] += c
+        low_weight = [0] * full  # w(lowest bit of S, rest of S)
+        for subset in range(1, full):
+            low = subset & -subset
+            rest = subset ^ low
+            if rest:
+                k = rest & -rest
+                x = low_weight[subset] = low_weight[subset ^ k] + pairs.get(low | k, 0)
+                c_sum[subset] = c_sum[rest] + c_sum[low]
+                cap[subset] = cap[rest] + cap[low] - 2 * x
+            if abs(c_sum[subset]) > cap[subset]:
                 return False
     return True
 

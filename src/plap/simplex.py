@@ -1,20 +1,36 @@
-"""Exact two-phase simplex over rationals.
+"""Exact two-phase simplex over integer rows.
 
-Solves min c.x subject to A x = b, x >= 0 with Fraction arithmetic and
-Bland's anti-cycling rule.  Sized for the small feasibility systems of the
-set-valued p = 1 eigenproblem (tens of variables), not general LP work: it
-decides and witnesses the selections of `one_laplacian`'s verifier, and the
-tests use it as the independent oracle of the enumeration, which itself
-solves no LP.
+Solves min c.x subject to A x = b, x >= 0 exactly, with Bland's
+anti-cycling rule.  Rational inputs are scaled to ints row by row, and
+every tableau row, the right-hand side last, is held as Python ints over
+one positive row denominator, so no `Fraction` is made until the result:
+a row's values are its ints divided by the coefficient of its basic
+variable, which is the row's entry in that column once an original
+variable is basic there.  A pivot takes each other row to piv * row - a *
+pivot row, a positive multiple of the rational update, and divides it by
+the gcd of its entries.  The objective rows (the phase-1 sum of the
+artificials and the cost) are pivoted along with the constraint rows, so
+their entries are the reduced costs times a positive factor: the Bland
+entering column is the first one whose entry is negative, and the ratio
+test compares b_i / a_i by cross-multiplying, with ties broken to the
+lowest basic index.  These are the pivots of the rational tableau, so the
+result is its result.  The artificial columns are never read, so they
+are not stored.
+
+Sized for the small feasibility systems of the set-valued p = 1
+eigenproblem (tens of variables), not general LP work: it decides and
+witnesses the selections of `one_laplacian`'s verifier, one level at a
+time, and the tests use it on the two-LP reference of the enumeration,
+which itself solves no LP.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -24,93 +40,103 @@ class LPResult:
     value: Fraction | None           # objective value when optimal
 
 
-def _pivot(tab, b, basis, row, col):
-    piv = tab[row][col]
-    inv = ONE / piv
-    # zero pivot-row entries leave every entry of their column as it is
-    prow = tab[row] = [v * inv if v else v for v in tab[row]]
-    b[row] *= inv
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            factor = tab[i][col]
-            tab[i] = [vi - factor * vr if vr else vi for vi, vr in zip(tab[i], prow)]
-            b[i] -= factor * b[row]
+def _int_row(values) -> tuple[list[int], int]:
+    """values (ints or rationals) times the lcm of their denominators, and
+    that lcm."""
+    fracs = [v if isinstance(v, int) else Fraction(v) for v in values]
+    scale = math.lcm(*(1 if isinstance(v, int) else v.denominator for v in fracs))
+    return [v * scale if isinstance(v, int)
+            else v.numerator * (scale // v.denominator) for v in fracs], scale
+
+
+def _pivot(tab, objs, basis, row, col):
+    prow = tab[row]
+    piv = prow[col]
+    if piv < 0:
+        prow = tab[row] = [-v for v in prow]
+        piv = -piv
+    for rows in (tab, objs):
+        for i, cur in enumerate(rows):
+            a = cur[col]
+            if a and cur is not prow:
+                new = [piv * v - a * p if p else piv * v for v, p in zip(cur, prow)]
+                g = math.gcd(*new)
+                rows[i] = [v // g for v in new] if g > 1 else new
     basis[row] = col
 
 
-def _run_phase(tab, b, basis, cost, allowed):
-    """Bland-rule simplex on the current tableau; returns 'optimal'/'unbounded'."""
-    m = len(tab)
+def _run_phase(tab, objs, basis, n):
+    """Bland-rule simplex with objs[0] as the phase's objective row; returns
+    'optimal'/'unbounded'."""
     while True:
-        # reduced costs r_j = c_j - cB . column_j
-        entering = -1
-        for j in allowed:
-            r = cost[j]
-            for i in range(m):
-                cb = cost[basis[i]]
-                if cb != 0 and tab[i][j] != 0:
-                    r -= cb * tab[i][j]
-            if r < 0:
-                entering = j
-                break
+        obj = objs[0]
+        entering = next((j for j in range(n) if obj[j] < 0), -1)
         if entering < 0:
             return "optimal"
         leaving = -1
-        best = None
-        for i in range(m):
-            a = tab[i][entering]
+        for i, cur in enumerate(tab):
+            a = cur[entering]
             if a > 0:
-                ratio = b[i] / a
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
+                if leaving < 0:
+                    leaving, num, den = i, cur[-1], a
+                    continue
+                lhs, rhs = cur[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving, num, den = i, cur[-1], a
         if leaving < 0:
             return "unbounded"
-        _pivot(tab, b, basis, leaving, entering)
+        _pivot(tab, objs, basis, leaving, entering)
 
 
 def lp_solve(a_rows, b_vec, c_vec) -> LPResult:
     """Minimize c.x subject to A x = b, x >= 0, exactly."""
     m = len(a_rows)
     n = len(c_vec)
-    tab = [[Fraction(v) for v in row] for row in a_rows]
-    b = [Fraction(v) for v in b_vec]
-    cost = [Fraction(v) for v in c_vec]
-    for i in range(m):
-        if b[i] < 0:
-            tab[i] = [-v for v in tab[i]]
-            b[i] = -b[i]
-    # artificial columns n..n+m-1
-    for i in range(m):
-        tab[i] += [ONE if j == i else ZERO for j in range(m)]
+    # each row [A_i | b_i] scaled to ints, with b_i >= 0; the artificial of
+    # row i has its scale as coefficient there
+    tab, scales = [], []
+    for row, bi in zip(a_rows, b_vec):
+        cur, scale = _int_row([*row, bi])
+        tab.append([-v for v in cur] if cur[-1] < 0 else cur)
+        scales.append(scale)
+    # phase 1 minimises the sum of the artificials: its reduced costs are
+    # minus the column sums of the rows, each divided by its scale
+    common = math.lcm(*scales)
+    phase1 = [0] * (n + 1)
+    for cur, scale in zip(tab, scales):
+        k = common // scale
+        phase1 = [acc - k * v for acc, v in zip(phase1, cur)]
+    objs = [phase1, _int_row([*c_vec, 0])[0]]
+    for i, cur in enumerate(tab):
+        g = math.gcd(*cur)
+        if g > 1:
+            tab[i] = [v // g for v in cur]
     basis = list(range(n, n + m))
 
-    phase1_cost = [ZERO] * n + [ONE] * m
-    status = _run_phase(tab, b, basis, phase1_cost, range(n))
+    status = _run_phase(tab, objs, basis, n)
     assert status == "optimal"  # phase 1 is bounded below by 0
-    infeasibility = sum((b[i] for i in range(m) if basis[i] >= n), ZERO)
-    if infeasibility > 0:
+    if any(basis[i] >= n and tab[i][-1] for i in range(m)):
         return LPResult(status="infeasible", x=None, value=None)
 
     # drive residual artificials out of the basis; drop redundant rows
+    objs = objs[1:]
     keep = []
     for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            col = next((j for j in range(n) if tab[i][j]), None)
             if col is None:
                 continue  # redundant constraint
-            _pivot(tab, b, basis, i, col)
+            _pivot(tab, objs, basis, i, col)
         keep.append(i)
-    tab = [tab[i][:n] for i in keep]
-    b = [b[i] for i in keep]
+    tab = [tab[i] for i in keep]
     basis = [basis[i] for i in keep]
 
-    status = _run_phase(tab, b, basis, cost, range(n))
+    status = _run_phase(tab, objs, basis, n)
     if status == "unbounded":
         return LPResult(status="unbounded", x=None, value=None)
     x = [ZERO] * n
-    for i, bi in enumerate(basis):
-        x[bi] = b[i]
+    for cur, bi in zip(tab, basis):
+        x[bi] = Fraction(cur[-1], cur[bi])
+    cost = [Fraction(v) for v in c_vec]
     value = sum((cost[j] * x[j] for j in range(n) if cost[j] != 0), ZERO)
     return LPResult(status="optimal", x=tuple(x), value=value)

@@ -16,14 +16,16 @@ from plap.graph import components, is_canonical_path, path_graph
 from plap.nodal import MAX_SIGN_PATTERN_DOMAINS, NODAL_SPACE_SAMPLES, NodalDecomposition
 from plap.one_laplacian import (
     EigenvalueRecord,
+    OneLapCertificate,
     OrderPattern,
     _integer_graph,
     _level_sums,
     _levels_feasible,
     _pinned_lambda,
     _rational_graph,
+    _vertex_net,
 )
-from plap.simplex import lp_solve
+from plap.simplex import LPResult, lp_solve
 
 
 def p2_path_eigenvalues(n):
@@ -291,12 +293,12 @@ def ordered_partitions(n):
     return out
 
 
-def pattern_lambda_range_lp(mu, edges, n, pat):
-    """Feasible lambda interval of one order pattern by two full LPs, or None.
+def pattern_lambda_lps(mu, edges, n, pat):
+    """The two full LPs of one order pattern: (rows, rhs, cmin, cmax).
 
-    The reference for the level-sum pinning: lambda is an LP variable, each
-    zero vertex carries a split y = a - b with |y| <= lambda encoding
-    lambda s(u), and the interval ends are min and max lambda.
+    lambda is an LP variable, each zero vertex carries a split y = a - b
+    with |y| <= lambda encoding lambda s(u); cmin minimises lambda and cmax
+    maximises it.
     """
     def vertex_sign(u):
         return pat.level_sign(pat.levels[u])
@@ -358,12 +360,22 @@ def pattern_lambda_range_lp(mu, edges, n, pat):
     total = nvars + extra
     cmin = [zero] * total
     cmin[lam_col] = one
-    res_min = lp_solve(padded, full_rhs, cmin)
-    if res_min.status != "optimal":
-        return None
     cmax = [zero] * total
     cmax[lam_col] = -one
-    res_max = lp_solve(padded, full_rhs, cmax)
+    return padded, full_rhs, cmin, cmax
+
+
+def pattern_lambda_range_lp(mu, edges, n, pat):
+    """Feasible lambda interval of one order pattern by two full LPs, or None.
+
+    The reference for the level-sum pinning: the interval ends are the min
+    and the max of lambda over `pattern_lambda_lps`.
+    """
+    rows, rhs, cmin, cmax = pattern_lambda_lps(mu, edges, n, pat)
+    res_min = lp_solve(rows, rhs, cmin)
+    if res_min.status != "optimal":
+        return None
+    res_max = lp_solve(rows, rhs, cmax)
     assert res_max.status == "optimal", "lambda unbounded for a nonzero pattern"
     return res_min.value, -res_max.value
 
@@ -421,6 +433,143 @@ def enumerate_1lap_every_position(g):
                 records.append(EigenvalueRecord(lam, pat))
     records.sort(key=lambda r: r.lam)
     return records
+
+
+def _fraction_pivot(tab, b, basis, row, col):
+    piv = tab[row][col]
+    inv = 1 / piv
+    # zero pivot-row entries leave every entry of their column as it is
+    prow = tab[row] = [v * inv if v else v for v in tab[row]]
+    b[row] *= inv
+    for i in range(len(tab)):
+        if i != row and tab[i][col] != 0:
+            factor = tab[i][col]
+            tab[i] = [vi - factor * vr if vr else vi for vi, vr in zip(tab[i], prow)]
+            b[i] -= factor * b[row]
+    basis[row] = col
+
+
+def _fraction_phase(tab, b, basis, cost, allowed):
+    """Bland-rule simplex on the current tableau; returns 'optimal'/'unbounded'."""
+    m = len(tab)
+    while True:
+        # reduced costs r_j = c_j - cB . column_j
+        entering = -1
+        for j in allowed:
+            r = cost[j]
+            for i in range(m):
+                cb = cost[basis[i]]
+                if cb != 0 and tab[i][j] != 0:
+                    r -= cb * tab[i][j]
+            if r < 0:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal"
+        leaving = -1
+        best = None
+        for i in range(m):
+            a = tab[i][entering]
+            if a > 0:
+                ratio = b[i] / a
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leaving]):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            return "unbounded"
+        _fraction_pivot(tab, b, basis, leaving, entering)
+
+
+def fraction_lp_solve(a_rows, b_vec, c_vec):
+    """`simplex.lp_solve` on a `Fraction` tableau: the two-phase Bland-rule
+    simplex with its reduced costs recomputed from the basis at every step
+    and the artificial columns kept."""
+    zero, one = Fraction(0), Fraction(1)
+    m = len(a_rows)
+    n = len(c_vec)
+    tab = [[Fraction(v) for v in row] for row in a_rows]
+    b = [Fraction(v) for v in b_vec]
+    cost = [Fraction(v) for v in c_vec]
+    for i in range(m):
+        if b[i] < 0:
+            tab[i] = [-v for v in tab[i]]
+            b[i] = -b[i]
+    # artificial columns n..n+m-1
+    for i in range(m):
+        tab[i] += [one if j == i else zero for j in range(m)]
+    basis = list(range(n, n + m))
+
+    phase1_cost = [zero] * n + [one] * m
+    status = _fraction_phase(tab, b, basis, phase1_cost, range(n))
+    assert status == "optimal"  # phase 1 is bounded below by 0
+    infeasibility = sum((b[i] for i in range(m) if basis[i] >= n), zero)
+    if infeasibility > 0:
+        return LPResult(status="infeasible", x=None, value=None)
+
+    # drive residual artificials out of the basis; drop redundant rows
+    keep = []
+    for i in range(m):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is None:
+                continue  # redundant constraint
+            _fraction_pivot(tab, b, basis, i, col)
+        keep.append(i)
+    tab = [tab[i][:n] for i in keep]
+    b = [b[i] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    status = _fraction_phase(tab, b, basis, cost, range(n))
+    if status == "unbounded":
+        return LPResult(status="unbounded", x=None, value=None)
+    x = [zero] * n
+    for i, bi in enumerate(basis):
+        x[bi] = b[i]
+    value = sum((cost[j] * x[j] for j in range(n) if cost[j] != 0), zero)
+    return LPResult(status="optimal", x=tuple(x), value=value)
+
+
+def selection_lp(mu, edges, n, fvals, lam):
+    """`verify_1lap_eigenpair` as one selection LP over the whole graph,
+    solved by `fraction_lp_solve`, on rational graph data.
+
+    The distinct values of f are ranked as levels, and `_vertex_net` sums the
+    fixed z at each vertex.  Each free selection is x - 1 with x in [0, 2]:
+    the columns are the free z in edge order, the free s in vertex order,
+    then one slack per free selection; the rows are the vertex equations,
+    sum of +-w z over u's free edges - lambda mu_u s_u = lambda sigma_u mu_u
+    - net_u, with sigma_u the sign of f(u) and the s term only where f(u) = 0,
+    then x + slack = 2 per free selection.
+    """
+    zero, one, two = Fraction(0), Fraction(1), Fraction(2)
+    rank = {x: i for i, x in enumerate(sorted(set(fvals)))}
+    net = _vertex_net([rank[x] for x in fvals], edges)
+    sign = [(x > 0) - (x < 0) for x in fvals]
+    free_z = [(u, v, w) for u, v, w in edges if fvals[u] == fvals[v]]
+    free_s = [u for u in range(n) if fvals[u] == 0]
+    nvars = len(free_z) + len(free_s)
+    rows = [[zero] * (2 * nvars) for _ in range(n + nvars)]
+    rhs = [sign[u] * lam * mu[u] - net[u] for u in range(n)] + [two] * nvars
+    for j, (u, v, w) in enumerate(free_z):
+        rows[u][j], rows[v][j] = w, -w
+        rhs[u] += w
+        rhs[v] -= w
+    for j, u in enumerate(free_s, len(free_z)):
+        rows[u][j] = -lam * mu[u]
+        rhs[u] -= lam * mu[u]
+    for j in range(nvars):
+        rows[n + j][j] = rows[n + j][nvars + j] = one
+    result = fraction_lp_solve(rows, rhs, [zero] * (2 * nvars))
+    if result.status != "optimal":
+        return OneLapCertificate(feasible=False, lam=lam, z={}, s={})
+    # the free values come in column order: the free z, then the free s
+    free = iter(result.x)
+    z = {(u + 1, v + 1): next(free) - one if fvals[u] == fvals[v]
+         else one if fvals[u] > fvals[v] else -one for u, v, _ in edges}
+    s = {u + 1: next(free) - one if x == 0 else Fraction(sign[u])
+         for u, x in enumerate(fvals)}
+    return OneLapCertificate(feasible=True, lam=lam, z=z, s=s)
 
 
 def fd_gradient(g, f, p, h=1e-6):

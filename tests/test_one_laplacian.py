@@ -23,7 +23,6 @@ from plap.one_laplacian import (
     _pinned_lambda,
     _rational_graph,
     _screen,
-    _selection_lp,
     _weak_orderings,
     check_certificate,
     to_fraction,
@@ -34,7 +33,10 @@ from .oracles import (
     enumerate_1lap_every_position,
     exact_multiway_cheeger,
     enumerate_1lap_lp,
+    fraction_lp_solve,
     ordered_partitions,
+    pattern_lambda_lps,
+    selection_lp,
 )
 from .util import MU_MODES, random_connected_graph
 
@@ -71,6 +73,63 @@ def test_lp_exactness():
     res = lp_solve([[F(1, 3), F(1)]], [F(1, 7)], [F(1), F(3)])
     assert res.status == "optimal"
     assert res.value == F(3, 7)  # all-slack... x2 = 1/7 costs exactly 3/7
+
+
+def _random_lp(rng):
+    """A small LP with nonzero costs: random small entries, half of them
+    rationals, and then, drawn at random, nothing more, a row repeated at a
+    multiple (redundant), a row repeated with another right-hand side
+    (infeasible) or a zero right-hand side (degenerate)."""
+    m, n = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+
+    def entry():
+        v = F(int(rng.integers(-3, 4)))
+        return v / int(rng.integers(1, 4)) if rng.random() < 0.5 else v
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    rhs = [entry() for _ in range(m)]
+    cost = [entry() for _ in range(n)]
+    if not any(cost):
+        cost[0] = F(-1)
+    i = int(rng.integers(0, m))
+    kind = int(rng.integers(0, 4))
+    if kind == 1:
+        rows.append([2 * v for v in rows[i]])
+        rhs.append(2 * rhs[i])
+    elif kind == 2:
+        rows.append(list(rows[i]))
+        rhs.append(rhs[i] + 1)
+    elif kind == 3:
+        rhs[i] = F(0)
+    return rows, rhs, cost
+
+
+def test_lp_matches_fraction_simplex():
+    # the integer-row simplex against the Fraction tableau of the oracle: the
+    # same pivots give the same status, x and value
+    systems = [
+        ([[F(1), F(1)]], [F(2)], [F(1), F(0)]),
+        ([[F(1)], [F(1)]], [F(1), F(2)], [F(0)]),
+        ([[F(1), F(-1)]], [F(1)], [F(0), F(-1)]),
+        ([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)], [F(-1), F(0)]),
+        ([[F(1, 3), F(1)]], [F(1, 7)], [F(1), F(3)]),
+    ]
+    # the two-LP reference's LPs of a sample of the patterns that pin a
+    # lambda, most of them feasible, so that phase 2 runs on both costs
+    rng = np.random.default_rng(9)
+    for g in _reference_graphs():
+        mu, edges = _rational_graph(g)
+        pinned = [pat for _, pat, _, _ in _pinned_patterns([g])]
+        for i in rng.choice(len(pinned), size=min(8, len(pinned)), replace=False):
+            rows, rhs, cmin, cmax = pattern_lambda_lps(mu, edges, g.n, pinned[i])
+            systems += [(rows, rhs, cmin), (rows, rhs, cmax)]
+    systems += [_random_lp(rng) for _ in range(600)]
+    statuses = set()
+    for rows, rhs, cost in systems:
+        res = lp_solve(rows, rhs, cost)
+        assert res == fraction_lp_solve(rows, rhs, cost), (rows, rhs, cost)
+        statuses.add(res.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
 # ---------------------------------------------------------------------------
@@ -317,35 +376,64 @@ def _cut_test_graphs():
     return graphs
 
 
-def test_cut_test_matches_selection_lp():
-    # every pattern whose level sums pin a lambda, both twins of each sign
-    # flip, decided by the per-level cut test and by the selection LP
-    outcomes = set()
-    for g in _cut_test_graphs():
-        mu, edges = _rational_graph(g)
-        int_mu, int_edges = _integer_graph(g)
+def _pinned_patterns(graphs):
+    """(g, pattern, lambda, cut test verdict) for every pattern of the graphs
+    whose level sums pin a lambda, both twins of each sign flip."""
+    for g in graphs:
+        mu, edges = _integer_graph(g)
         for levels, m in ordered_partitions(g.n):
-            net, mass = _level_sums(levels, m, int_mu, int_edges)
+            net, mass = _level_sums(levels, m, mu, edges)
             for zero_pos in range(2 * m + 1):
                 if m == 1 and zero_pos == 1:
                     continue
                 pat = OrderPattern(levels=levels, m=m, zero_pos=zero_pos)
                 lam = _pinned_lambda(net, mass, pat)
-                if lam is None:
-                    continue
-                cut = _levels_feasible(pat, lam, int_mu, int_edges)
-                f = pat.example_function()
-                # cubing keeps f's order and zeros and makes its gaps uneven:
-                # the verifier must rank levels from any values, not only
-                # from the example's
-                for vals in (f, [x ** 3 for x in f]):
-                    cert = _selection_lp(mu, edges, g.n, vals, lam)
-                    assert cert.feasible == cut, (g.edges_u, g.edges_v, pat,
-                                                  lam, vals)
-                    assert not cut or check_certificate(g, vals, lam, cert)
-                outcomes.add(cut)
+                if lam is not None:
+                    yield g, pat, lam, _levels_feasible(pat, lam, mu, edges)
+
+
+def _example_values(pat):
+    """The pattern's example function and its cube: cubing keeps f's order
+    and zeros and makes its gaps uneven, so the verifier must rank levels
+    from any values, not only from the example's."""
+    f = pat.example_function()
+    return f, [x ** 3 for x in f]
+
+
+def test_cut_test_matches_selection_lp():
+    # every pattern whose level sums pin a lambda, decided by the per-level
+    # cut test and by the single selection LP of the oracle
+    outcomes = set()
+    for g, pat, lam, cut in _pinned_patterns(_cut_test_graphs()):
+        mu, edges = _rational_graph(g)
+        for vals in _example_values(pat):
+            cert = selection_lp(mu, edges, g.n, vals, lam)
+            assert cert.feasible == cut, (g.edges_u, g.edges_v, pat, lam, vals)
+            assert not cut or check_certificate(g, vals, lam, cert)
+        outcomes.add(cut)
     # pinned patterns the cut test rejects fail on a proper subset of a level
     assert outcomes == {False, True}
+
+
+def test_verifier_matches_selection_lp():
+    # the verifier's one LP per level against the oracle's one LP over the
+    # whole graph, at each pinned lambda and one percent either side of it;
+    # the last graph has an isolated vertex, whose equation only s = 0 meets
+    graphs = _cut_test_graphs()
+    graphs.append(build_graph(4, [(1, 2, 1.0), (2, 3, 2.0)]))
+    verdicts = set()
+    for g, pat, lam, _ in _pinned_patterns(graphs):
+        mu, edges = _rational_graph(g)
+        for vals in _example_values(pat):
+            for x in (lam, lam * F(99, 100), lam * F(101, 100)):
+                cert = verify_1lap_eigenpair(g, vals, x)
+                want = selection_lp(mu, edges, g.n, vals, x)
+                assert cert.feasible == want.feasible, (g.edges_u, g.edges_v,
+                                                        pat, x, vals)
+                assert not cert.feasible or check_certificate(g, vals, x, cert)
+                verdicts.add((x == lam, cert.feasible))
+    # a pattern pins one lambda, so one percent off it no pattern holds
+    assert verdicts == {(True, True), (True, False), (False, False)}
 
 
 def test_enumerate_solves_no_lp(monkeypatch):
