@@ -46,8 +46,10 @@ ordering; a block at a time, int64 level sums and float ratios drop the
 (ordering, zero position) pairs that cannot pin a lambda, with a margin no
 exact tie can cross.  Only the pairs left go, in order, to the exact
 Python-int pinning and cut tests, so the records are those of the plain
-loop over all orderings.  The exact simplex serves only the verifier,
-which solves one small integer LP per level that has free selections.
+loop over all orderings.  The verifier decides the same per-level
+problems by the constructive face of Gale's theorem: one integer max flow
+per level that has free selections (Ford & Fulkerson 1956), whose arc
+flows are the selections.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graph import Graph
-from .simplex import lp_solve
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -128,12 +129,15 @@ def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
     level; those selections enter each vertex equation as the vertex's
     level net (`_vertex_net`).  The free selections, z on edges with
     f(u) = f(v) and s where f(u) = 0, occur only inside one level, so the
-    vertex equations split into one system per level: `_level_lp` decides
-    and witnesses each level that has free selections, and a level without
-    any holds iff each of its vertex equations holds as it stands.  Every
-    equation is taken times the `_integer_graph` factor and lambda's
-    denominator, so all the data are ints.  The test is exact on any graph,
-    so g need not be connected.
+    vertex equations split into one system per level: one integer max flow
+    (`lp_solve`) decides and witnesses each level that has free selections,
+    and a level without any holds iff each of its vertex equations holds as
+    it stands.  Every equation is taken times the `_integer_graph` factor
+    and lambda's denominator, so all the data are ints.  A lambda < 0 is
+    refused before any flow is built: the sum over a strong nodal domain D
+    in the module docstring gives lambda mu(D) = w(D, V - D) >= 0, and
+    refusing it keeps every capacity nonnegative.  The test is exact on any
+    graph, so g need not be connected.
     """
     mu, edges = _integer_graph(g)
     fvals = [to_fraction(x) for x in f]
@@ -142,6 +146,9 @@ def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
     if all(x == 0 for x in fvals):
         raise ValueError("the zero function is not an eigenfunction")
     lam = to_fraction(lam)
+    infeasible = OneLapCertificate(feasible=False, lam=lam, z={}, s={})
+    if lam < 0:
+        return infeasible
     top, bottom = lam.numerator, lam.denominator
     rank = {x: i for i, x in enumerate(sorted(set(fvals)))}
     levels = [rank[x] for x in fvals]
@@ -164,12 +171,12 @@ def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
         elif inner[lev]:
             radius = {}
         elif any(demand[u] for u in mem):
-            return OneLapCertificate(feasible=False, lam=lam, z={}, s={})
+            return infeasible
         else:
             continue
-        values = _level_lp(mem, inner[lev], radius, demand)
+        values = lp_solve(mem, inner[lev], radius, demand)
         if values is None:
-            return OneLapCertificate(feasible=False, lam=lam, z={}, s={})
+            return infeasible
         free.update(values)
     z = {(u + 1, v + 1): free[u, v] if levels[u] == levels[v]
          else ONE if levels[u] > levels[v] else -ONE for u, v, _ in edges}
@@ -178,36 +185,75 @@ def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
     return OneLapCertificate(feasible=True, lam=lam, z=z, s=s)
 
 
-def _level_lp(members, inner, radius, demand) -> dict | None:
+def lp_solve(members, inner, radius, demand) -> dict | None:
     """Free selections of one level that meet its vertex equations, or None.
 
-    inner holds the level's edges (u, v, c) with c their scaled weight, and
-    radius the scaled lambda mu_u of each member that has a free s (all of
-    them on the zero level, none elsewhere).  Each free selection is x - 1
-    with x in [0, 2]: the columns are the free z in edge order, the free s
-    in member order, then one slack per free selection; the rows are the
-    members' equations, sum of +-c z over u's inner edges - radius_u s_u =
-    demand_u, then x + slack = 2 per free selection.  One exact phase-1
-    simplex decides them; the result maps (u, v) to z(u -> v) and u to s(u).
+    A max flow solves the level's selection LP.  inner holds the level's
+    edges (u, v, c), c their scaled weight, and radius the scaled lambda
+    mu_u >= 0 of each member with a free s (every member of the zero level).
+    Edge (u, v) is an arc u -> v of capacity 2c, z(u -> v) = y / c - 1 for
+    its flow y; a free s is an arc of capacity 2r_u from a ground node,
+    s_u = t / r_u - 1 (or 0 when r_u = 0 drops s_u from the equation).  u's
+    equation asks u to send out b_u = demand_u + c(arcs out of u) - c(arcs
+    into u) - r_u more than it takes in, and the ground -sum b_u.  Edmonds
+    and Karp's shortest augmenting paths (Ford & Fulkerson 1956), whose
+    number does not depend on the Python-int capacities, saturate these
+    supplies iff the level is feasible.  The result maps (u, v) to
+    z(u -> v) and u to s(u).  perfbench's tracer wraps this name, one span
+    per level with free selections; ROADMAP item 23 may rename it.
     """
-    row_of = {u: i for i, u in enumerate(members)}
-    keys = [(u, v) for u, v, _ in inner] + list(radius)
-    nvars = len(keys)
-    rows = [[0] * (2 * nvars) for _ in range(len(members) + nvars)]
-    rhs = [demand[u] for u in members] + [2] * nvars
-    for j, (u, v, c) in enumerate(inner):
-        rows[row_of[u]][j], rows[row_of[v]][j] = c, -c
-        rhs[row_of[u]] += c
-        rhs[row_of[v]] -= c
-    for j, (u, r) in enumerate(radius.items(), len(inner)):
-        rows[row_of[u]][j] = -r
-        rhs[row_of[u]] -= r
-    for j in range(nvars):
-        rows[len(members) + j][j] = rows[len(members) + j][nvars + j] = 1
-    result = lp_solve(rows, rhs, [0] * (2 * nvars))
-    if result.status != "optimal":
-        return None
-    return {key: x - ONE for key, x in zip(keys, result.x)}
+    node = {u: i for i, u in enumerate(members)}
+    ground, source, sink = len(members), len(members) + 1, len(members) + 2
+    head, cap, out = [], [], [[] for _ in range(len(members) + 3)]
+
+    def arc(a, b, c):  # arc 2k and its residual twin 2k + 1
+        out[a].append(len(head))
+        out[b].append(len(head) + 1)
+        head.extend((b, a))
+        cap.extend((c, 0))
+
+    supply = [demand[u] - radius.get(u, 0) for u in members]
+    for u, v, c in inner:
+        supply[node[u]] += c
+        supply[node[v]] -= c
+        arc(node[u], node[v], 2 * c)
+    for u, r in radius.items():
+        arc(ground, node[u], 2 * r)
+    supply.append(-sum(supply))
+    for a, b in enumerate(supply):
+        if b > 0:
+            arc(source, a, b)
+        elif b < 0:
+            arc(a, sink, -b)
+    need = sum(b for b in supply if b > 0)
+    while need:
+        into = {source: None}  # node -> the residual arc that reached it
+        queue = [source]
+        for a in queue:
+            for k in out[a]:
+                if cap[k] and head[k] not in into:
+                    into[head[k]] = k
+                    queue.append(head[k])
+            if sink in into:
+                break
+        else:
+            return None
+        path = []
+        a = sink
+        while a != source:
+            path.append(into[a])
+            a = head[into[a] ^ 1]
+        push = min(cap[k] for k in path)
+        for k in path:
+            cap[k] -= push
+            cap[k ^ 1] += push
+        need -= push
+    # the flow on arc 2k is the residual capacity of its twin
+    values = {(u, v): Fraction(cap[2 * k + 1], c) - ONE
+              for k, (u, v, c) in enumerate(inner)}
+    for k, (u, r) in enumerate(radius.items(), len(inner)):
+        values[u] = Fraction(cap[2 * k + 1], r) - ONE if r else ZERO
+    return values
 
 
 def _in_sign(x: Fraction, v: Fraction) -> bool:

@@ -27,13 +27,13 @@ from plap.one_laplacian import (
     check_certificate,
     to_fraction,
 )
-from plap.simplex import lp_solve
 
 from .oracles import (
     enumerate_1lap_every_position,
     exact_multiway_cheeger,
     enumerate_1lap_lp,
     fraction_lp_solve,
+    lp_solve,
     ordered_partitions,
     pattern_lambda_lps,
     selection_lp,
@@ -416,16 +416,24 @@ def test_cut_test_matches_selection_lp():
 
 
 def test_verifier_matches_selection_lp():
-    # the verifier's one LP per level against the oracle's one LP over the
-    # whole graph, at each pinned lambda and one percent either side of it;
-    # the last graph has an isolated vertex, whose equation only s = 0 meets
+    # the verifier's one flow per level against the oracle's one LP over the
+    # whole graph, at each pinned lambda, one percent either side of it and
+    # its negative; of the last two graphs, one has weights and measures
+    # over 2^-30..2^30, so its capacities pass 2^62, and one has an isolated
+    # vertex, whose equation only s = 0 meets
+    rng = np.random.default_rng(13)
+    shape = random_connected_graph(rng, 5)
+    wide = build_graph(5, [(int(u) + 1, int(v) + 1, 2.0 ** rng.uniform(-30, 30))
+                           for u, v in zip(shape.edges_u, shape.edges_v)],
+                       mu=2.0 ** rng.uniform(-30, 30, 5), mu_mode="explicit")
+    assert max(w for _, _, w in _integer_graph(wide)[1]) > 1 << 62
     graphs = _cut_test_graphs()
-    graphs.append(build_graph(4, [(1, 2, 1.0), (2, 3, 2.0)]))
+    graphs += [wide, build_graph(4, [(1, 2, 1.0), (2, 3, 2.0)])]
     verdicts = set()
     for g, pat, lam, _ in _pinned_patterns(graphs):
         mu, edges = _rational_graph(g)
         for vals in _example_values(pat):
-            for x in (lam, lam * F(99, 100), lam * F(101, 100)):
+            for x in (lam, lam * F(99, 100), lam * F(101, 100), -lam):
                 cert = verify_1lap_eigenpair(g, vals, x)
                 want = selection_lp(mu, edges, g.n, vals, x)
                 assert cert.feasible == want.feasible, (g.edges_u, g.edges_v,
@@ -438,7 +446,7 @@ def test_verifier_matches_selection_lp():
 
 def test_enumerate_solves_no_lp(monkeypatch):
     def no_lp(*args):
-        raise AssertionError("enumeration called the simplex")
+        raise AssertionError("enumeration called the level solve")
 
     monkeypatch.setattr(one_laplacian, "lp_solve", no_lp)
     rng = np.random.default_rng(3)
