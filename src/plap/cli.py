@@ -243,7 +243,26 @@ def _cmd_cheeger(args) -> int:
 # ---------------------------------------------------------------------------
 # certify
 
-def _kernel_inequality_check(rng) -> dict:
+# Seeds whose seed-only samples `certify` keeps between calls in one
+# process: the power-inequality suite and, per nodal-space stream seed + i,
+# the largest draw made so far.  A graph past EXACT_HK_CAP is refused before
+# sampling, so one seed keeps at most EXACT_HK_CAP streams of EXACT_HK_CAP
+# rows of NODAL_SPACE_SAMPLES floats, about 1.6 MB.
+KEPT_SEEDS = 1
+_kept: dict[int, dict] = {}   # seed -> {"suite": dict, "rows": {i: array}}
+
+
+def _kept_for(seed: int) -> dict:
+    """The samples kept for seed; past KEPT_SEEDS seeds the others are dropped."""
+    kept = _kept.get(seed)
+    if kept is None:
+        if len(_kept) >= KEPT_SEEDS:
+            _kept.clear()
+        kept = _kept[seed] = {"rows": {}}
+    return kept
+
+
+def _power_inequality_suite(rng) -> dict:
     """Random suite for the two-term power inequality behind the nodal bounds.
 
     Each of the 20000 draws is tested at its own exponent p in [1, 4).  The
@@ -262,6 +281,33 @@ def _kernel_inequality_check(rng) -> dict:
     worst = float(np.max(gap))
     return {"draws": draws, "max_normalized_gap": round(max(0.0, worst), 13),
             "pass": bool(worst <= 1e-12)}
+
+
+def _kernel_inequality_check(seed: int) -> dict:
+    """The report's power-inequality suite: `_power_inequality_suite` of
+    `default_rng(seed)`, computed once per kept seed.  It depends on the seed
+    alone, so a kept result is the one a fresh process computes; each call
+    returns its own copy."""
+    kept = _kept_for(seed)
+    if "suite" not in kept:
+        kept["suite"] = _power_inequality_suite(np.random.default_rng(seed))
+    return dict(kept["suite"])
+
+
+def _nodal_space_rows(seed: int, i: int, m: int) -> np.ndarray:
+    """`nodal.nodal_space_normals(seed + i, m)`, read-only.
+
+    Stream seed + i is kept at the most rows drawn so far and redrawn when m
+    exceeds them.  Numpy fills a draw in C order, so the first m rows of a
+    larger draw are the draw of m rows.
+    """
+    rows = _kept_for(seed)["rows"]
+    block = rows.get(i)
+    if block is None or len(block) < m:
+        block = nodal.nodal_space_normals(seed + i, m)
+        block.flags.writeable = False
+        rows[i] = block
+    return block[:m]
 
 
 def _operator_checks(g: Graph, p: float, rng) -> dict:
@@ -340,25 +386,24 @@ def _one_laplacian_section(g: Graph, h2: float | None) -> tuple[dict, bool]:
     example = None
     example_ok = True
     if noncon:
-        lowest = [r for r in records
-                  if not r.pattern.constant and r.lam == noncon[0]]
-
-        def strong_count(r):
-            f = [float(x) for x in r.pattern.example_function()]
-            return nodal.strong_nodal_domains(g, f).count
-
         # showcase the nodal-count bound: among the smallest nonzero
-        # eigenvalue's patterns, report the one with the most strong domains
-        rep = max(lowest, key=strong_count)
-        fvals = rep.pattern.example_function()
-        cert = one_laplacian.verify_1lap_eigenpair(g, fvals, rep.lam)
+        # eigenvalue's patterns, report the first with the most strong domains
+        strong = None
+        for r in records:
+            if r.pattern.constant or r.lam != noncon[0]:
+                continue
+            fvals = r.pattern.example_function()
+            f = [float(x) for x in fvals]
+            dec = nodal.strong_nodal_domains(g, f)
+            if strong is None or dec.count > strong.count:
+                rep, rep_fvals, rep_f, strong = r, fvals, f, dec
+        cert = one_laplacian.verify_1lap_eigenpair(g, rep_fvals, rep.lam)
         example_ok = cert.feasible and one_laplacian.check_certificate(
-            g, fvals, rep.lam, cert)
-        strong = nodal.strong_nodal_domains(g, [float(x) for x in fvals])
-        weak = nodal.weak_nodal_domains(g, [float(x) for x in fvals])
+            g, rep_fvals, rep.lam, cert)
+        weak = nodal.weak_nodal_domains(g, rep_f)
         example = {
             "lambda": str(rep.lam),
-            "f": [str(x) for x in fvals],
+            "f": [str(x) for x in rep_fvals],
             "feasible": bool(cert.feasible),
             "strong_domains": strong.count,
             "weak_domains": weak.count,
@@ -400,7 +445,6 @@ def _cmd_certify(args) -> int:
             raise ValueError(f"--p {name} is given more than once (exponents "
                              f"must differ at 6 significant digits)")
     g = _load_graph(args.graph, args.mu)
-    rng = np.random.default_rng(args.seed)
     if args.one_laplacian and g.n > one_laplacian.ENUMERATION_CAP:
         raise ValueError(f"--one-laplacian requires n <= "
                          f"{one_laplacian.ENUMERATION_CAP}, got n = {g.n}")
@@ -409,7 +453,7 @@ def _cmd_certify(args) -> int:
     checks = []
     runs = []
     t0 = time.perf_counter()
-    kernel_check = _kernel_inequality_check(rng)
+    kernel_check = _kernel_inequality_check(args.seed)
     checks.append({"name": "power_inequality_suite", "pass": kernel_check["pass"]})
     spectra = []
     for p in p_list:
@@ -417,12 +461,12 @@ def _cmd_certify(args) -> int:
         spectra.append(_solve_for_certify(g, p, hk))
         print(f"certify: p = {p:g} solved in {time.perf_counter() - t1:.3f}s",
               file=sys.stderr)
-    # pair i reads stream seed + i at every p, drawn once with as many rows
-    # as its largest space has domains
+    # pair i reads stream seed + i at every p, with as many rows as its
+    # largest space has domains
     normals = []
     for i in range(g.n):
         m = max(dec.count for sp in spectra for dec in sp.decompositions[i])
-        normals.append(nodal.nodal_space_normals(args.seed + i, m))
+        normals.append(_nodal_space_rows(args.seed, i, m))
     for sp in spectra:
         run, ok = _certify_spectrum(sp, args.seed, hk, normals)
         runs.append(run)
@@ -560,8 +604,14 @@ def _run(args) -> int:
         return EXIT_USAGE
 
 
+_parser = None   # built on the first `main` call and kept for the process
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = _run(args)

@@ -37,10 +37,10 @@ def _unit_path(n: int) -> str:
     return f"n {n}\n" + "".join(f"{i} {i + 1} 1.0\n" for i in range(1, n))
 
 
-def _random_graph(seed: int, mu_mode: str) -> str:
-    """`random_connected_graph(default_rng(seed), 5, mu_mode)` without mu
+def _random_graph(seed: int, mu_mode: str, n: int = 5) -> str:
+    """`random_connected_graph(default_rng(seed), n, mu_mode)` without mu
     lines; certify rebuilds its measure from --mu."""
-    g = random_connected_graph(np.random.default_rng(seed), 5, mu_mode)
+    g = random_connected_graph(np.random.default_rng(seed), n, mu_mode)
     return f"n {g.n}\n" + "".join(f"{u + 1} {v + 1} {float(w)!r}\n" for u, v, w
                                   in zip(g.edges_u, g.edges_v, g.edges_w))
 
@@ -48,12 +48,16 @@ def _random_graph(seed: int, mu_mode: str) -> str:
 # name: (graph file text, certify options).  Odd paths have a zero middle
 # vertex, so their weak spaces differ from the strong ones; the path n = 13
 # has spaces of 12 domains (the most with sign patterns) and of 13 (none).
+# path9_seed5 samples other streams than path9; random0_unit12 is an n = 12
+# graph at p = 2, whose spectrum is the dense symmetric eigensolver's.
 INPUTS = {
     "path5": (_unit_path(5), ()),
     "path8": (_unit_path(8), ()),
     "path9": (_unit_path(9), ()),
+    "path9_seed5": (_unit_path(9), ("--seed", "5")),
     "path13": (_unit_path(13), ("--p", "2")),
     "random0_unit": (_random_graph(0, "unit"), ("--p", "2", "--one-laplacian")),
+    "random0_unit12": (_random_graph(0, "unit", 12), ("--p", "2")),
     "random1_degree": (_random_graph(1, "degree"),
                        ("--mu", "degree", "--p", "2", "--one-laplacian")),
 }

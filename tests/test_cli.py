@@ -479,8 +479,9 @@ def test_certify_deterministic(tmp_path):
 
 
 def test_certify_calls_share_no_state(tmp_path):
-    # a call on another graph in between changes nothing: each call draws
-    # its own samples and shoots its own path
+    # a call on another graph in between changes nothing: the samples kept
+    # between calls depend on the seed alone, and the n = 6 graph draws
+    # longer streams that the path then reads a prefix of
     gfile, other = tmp_path / "p5.txt", tmp_path / "g.txt"
     gfile.write_text(PATH5)
     other.write_text(serialize_graph(random_connected_graph(
@@ -638,9 +639,11 @@ def test_certify_weak_space_matches_direct_sampling(tmp_path):
 
 
 def test_power_inequality_gap_reported_as_zero():
+    # the kept suite of each seed is the one computed afresh
     import plap.cli as cli
     for seed in range(200):
-        check = cli._kernel_inequality_check(np.random.default_rng(seed))
+        check = cli._kernel_inequality_check(seed)
+        assert check == cli._power_inequality_suite(np.random.default_rng(seed))
         assert repr(check["max_normalized_gap"]) == "0.0", seed
         assert check["pass"] is True
 
@@ -654,9 +657,44 @@ def test_power_inequality_gap_rounding(monkeypatch, gap, reported, passed):
     from plap import plaplacian
     monkeypatch.setattr(plaplacian, "ax_by_gap", lambda p, a, b, x, y: np.full(
         p.shape, gap) * (np.abs(a * x) + np.abs(b * y) + 1.0) ** p)
-    check = cli._kernel_inequality_check(np.random.default_rng(0))
+    check = cli._power_inequality_suite(np.random.default_rng(0))
     assert repr(check["max_normalized_gap"]) == reported
     assert check["pass"] is passed
+
+
+def test_kept_samples_are_copies_or_read_only():
+    import plap.cli as cli
+    from plap import nodal
+    check = cli._kernel_inequality_check(0)
+    check["pass"] = False
+    assert cli._kernel_inequality_check(0)["pass"] is True
+    rows = cli._nodal_space_rows(0, 2, 3)
+    assert np.array_equal(rows, nodal.nodal_space_normals(2, 3))
+    with pytest.raises(ValueError):
+        rows[0, 0] = 1.0
+    # a longer draw of the stream is kept, and the short block stays as it was
+    longer = cli._nodal_space_rows(0, 2, 5)
+    assert np.array_equal(longer, nodal.nodal_space_normals(2, 5))
+    assert np.array_equal(longer[:3], rows)
+    with pytest.raises(ValueError):
+        longer[4, 0] = 1.0
+
+
+def test_kept_samples_stay_within_their_bound(tmp_path):
+    import plap.cli as cli
+    from plap.nodal import NODAL_SPACE_SAMPLES
+    small, large = tmp_path / "p5.txt", tmp_path / "cap.txt"
+    small.write_text(PATH5)
+    large.write_text(serialize_graph(path_graph(EXACT_HK_CAP, "unit")))
+    for seed in range(40):
+        graph = large if seed % 10 == 0 else small
+        assert main(["certify", str(graph), "--p", "2", "--seed", str(seed),
+                     "--json", str(tmp_path / "r.json")]) == 0
+        assert seed in cli._kept
+        assert len(cli._kept) <= cli.KEPT_SEEDS
+        for kept in cli._kept.values():
+            assert sum(block.nbytes for block in kept["rows"].values()) <= (
+                EXACT_HK_CAP ** 2 * NODAL_SPACE_SAMPLES * 8)
 
 
 def _count_hk_and_repair_calls(monkeypatch):

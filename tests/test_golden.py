@@ -16,3 +16,12 @@ def test_certify_report_matches_golden(name, tmp_path):
     out = tmp_path / "report.json"
     assert certify(name, out) == 0
     assert out.read_bytes() == (HERE / f"{name}.json").read_bytes()
+
+
+def test_reports_do_not_depend_on_earlier_calls(tmp_path):
+    # one process certifies at seeds 0, 5 and 0 again, after graphs of fewer
+    # (path5) and more (path13) vertices drew the same streams at seed 0
+    for name in ("path5", "path9", "path13", "path9", "path9_seed5", "path9"):
+        out = tmp_path / "report.json"
+        assert certify(name, out) == 0
+        assert out.read_bytes() == (HERE / f"{name}.json").read_bytes(), name
