@@ -24,7 +24,7 @@ import numpy as np
 
 from plap import cli
 
-from ..util import random_connected_graph
+from ..util import MU_MODES, random_connected_graph
 
 HERE = Path(__file__).resolve().parent
 
@@ -45,11 +45,34 @@ def _random_graph(seed: int, mu_mode: str, n: int = 5) -> str:
                                   in zip(g.edges_u, g.edges_v, g.edges_w))
 
 
+def _exact_p1_graphs(seed: int = 0) -> list[tuple[str, str]]:
+    """(graph text, measure mode) of the n = 5 graphs with m = 4, 5, 6, 7
+    edges that perfbench's `exact_p1` corpus draws at this seed: the same
+    draws in the same order, and its file format, with mu lines only for
+    the explicit measure."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i, m in enumerate((4, 5, 6, 7)):
+        mode = MU_MODES[i % 3]
+        g = random_connected_graph(rng, 5, mode)
+        while g.m != m:
+            g = random_connected_graph(rng, 5, mode)
+        lines = [f"n {g.n}"]
+        if mode == "explicit":
+            lines += [f"mu {u + 1} {float(x)!r}" for u, x in enumerate(g.mu)]
+        lines += [f"{u + 1} {v + 1} {float(w)!r}" for u, v, w
+                  in zip(g.edges_u, g.edges_v, g.edges_w)]
+        out.append(("\n".join(lines) + "\n", mode))
+    return out
+
+
 # name: (graph file text, certify options).  Odd paths have a zero middle
 # vertex, so their weak spaces differ from the strong ones; the path n = 13
 # has spaces of 12 domains (the most with sign patterns) and of 13 (none).
 # path9_seed5 samples other streams than path9; random0_unit12 is an n = 12
 # graph at p = 2, whose spectrum is the dense symmetric eigensolver's.
+# exact0_m4..m7 are the seed-0 `exact_p1` benchmark inputs, which pin the
+# exact p = 1 section on graphs of every measure mode.
 INPUTS = {
     "path5": (_unit_path(5), ()),
     "path8": (_unit_path(8), ()),
@@ -60,6 +83,8 @@ INPUTS = {
     "random0_unit12": (_random_graph(0, "unit", 12), ("--p", "2")),
     "random1_degree": (_random_graph(1, "degree"),
                        ("--mu", "degree", "--p", "2", "--one-laplacian")),
+    **{f"exact0_m{m}": (text, ("--mu", mode, "--one-laplacian", "--p", "2"))
+       for m, (text, mode) in zip((4, 5, 6, 7), _exact_p1_graphs())},
 }
 
 
