@@ -38,7 +38,6 @@ from .nodal import (
 from .one_laplacian import (
     OneLapCertificate,
     enumerate_1lap_eigenvalues,
-    merged_eigenvalues,
     verify_1lap_eigenpair,
 )
 from .plaplacian import (
@@ -74,7 +73,6 @@ __all__ = [
     "enumerate_1lap_eigenvalues",
     "graph_digest",
     "is_connected",
-    "merged_eigenvalues",
     "multiway_cheeger_all",
     "nodal_space_max_rq",
     "parse_graph",

@@ -376,37 +376,26 @@ def _certify_spectrum(sp, seed, hk, normals):
 
 
 def _one_laplacian_section(g: Graph, h2: float | None) -> tuple[dict, bool]:
-    records = one_laplacian.enumerate_1lap_eigenvalues(g)
-    merged = one_laplacian.merged_eigenvalues(records)
-    noncon = one_laplacian.merged_eigenvalues(records, nonconstant_only=True)
-    h2_member = False
-    if h2 is not None:
-        h2_member = any(float(v) - 1e-9 <= h2 <= float(v) + 1e-9
-                        for v in merged)
+    found = one_laplacian.enumerate_1lap_eigenvalues(g)
+    merged, noncon = found.eigenvalues, found.nonconstant
+    h2_member = h2 is not None and any(
+        float(v) - 1e-9 <= h2 <= float(v) + 1e-9 for v in merged)
     example = None
     example_ok = True
     if noncon:
-        # showcase the nodal-count bound: among the smallest nonzero
-        # eigenvalue's patterns, report the first with the most strong domains
-        strong = None
-        for r in records:
-            if r.pattern.constant or r.lam != noncon[0]:
-                continue
-            fvals = r.pattern.example_function()
-            f = [float(x) for x in fvals]
-            dec = nodal.strong_nodal_domains(g, f)
-            if strong is None or dec.count > strong.count:
-                rep, rep_fvals, rep_f, strong = r, fvals, f, dec
-        cert = one_laplacian.verify_1lap_eigenpair(g, rep_fvals, rep.lam)
+        # showcase the nodal-count bound: an eigenfunction of the smallest
+        # nonconstant eigenvalue with the most strong domains
+        lam, fvals = noncon[0], found.example
+        f = [float(x) for x in fvals]
+        cert = one_laplacian.verify_1lap_eigenpair(g, fvals, lam)
         example_ok = cert.feasible and one_laplacian.check_certificate(
-            g, rep_fvals, rep.lam, cert)
-        weak = nodal.weak_nodal_domains(g, rep_f)
+            g, fvals, lam, cert)
         example = {
-            "lambda": str(rep.lam),
-            "f": [str(x) for x in rep_fvals],
+            "lambda": str(lam),
+            "f": [str(x) for x in fvals],
             "feasible": bool(cert.feasible),
-            "strong_domains": strong.count,
-            "weak_domains": weak.count,
+            "strong_domains": nodal.strong_nodal_domains(g, f).count,
+            "weak_domains": nodal.weak_nodal_domains(g, f).count,
         }
     section = {
         "eigenvalues": [[str(v), str(v)] for v in merged],
@@ -445,9 +434,6 @@ def _cmd_certify(args) -> int:
             raise ValueError(f"--p {name} is given more than once (exponents "
                              f"must differ at 6 significant digits)")
     g = _load_graph(args.graph, args.mu)
-    if args.one_laplacian and g.n > one_laplacian.ENUMERATION_CAP:
-        raise ValueError(f"--one-laplacian requires n <= "
-                         f"{one_laplacian.ENUMERATION_CAP}, got n = {g.n}")
     # past EXACT_HK_CAP this raises the cap error before any solve
     hk = cheeger.multiway_cheeger_all(g, g.n)
     checks = []
@@ -565,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "default 1.1 1.5 2 3)")
     p_cert.add_argument("--one-laplacian", action="store_true",
                         help="also enumerate and verify the exact p = 1 "
-                             f"eigenvalues (n <= {one_laplacian.ENUMERATION_CAP})")
+                             "eigenvalues")
     p_cert.add_argument("--csv", metavar="PATH",
                         help="per-pair table (p, k, lambda, residual, counts)")
     p_cert.set_defaults(func=_cmd_certify)

@@ -23,33 +23,27 @@ z(uv) = 1.  The left side is therefore w(D, V - D), and w(D, V - D) =
 lambda mu(D).  The m strong nodal domains are disjoint and nonempty, so
 they form a family that h_m minimises over, and h_m <= max_D w(D, V - D) /
 mu(D) = lambda.  `test_exact_p1_cheeger_statements` checks the bound
-exactly on the enumerated eigenpairs.
+exactly on the eigenpairs of the weak-ordering enumeration in
+`tests/oracles.py`.
 
-Besides verifying a declared eigenpair on any graph, connected or not, the
-module enumerates the full eigenvalue set of tiny graphs (n <= 8,
-ENUMERATION_CAP) by case analysis over weak orderings of the vertex values
-with a designated zero level; each ordering fixes all Sign sets, leaving a
-linear feasibility problem in (z, s, lambda).  Its feasible lambda set is a
-single point: summing the vertex equations over a level set L cancels the
-antisymmetric z of the edges inside L, so a level of sign sigma gives
-w(L -> lower levels) - w(L -> higher levels) = lambda sigma mu(L), and every
-ordering but the all-zero one has a nonzero level.  That lambda is computed
-exactly from these sums.  At it the free selections (z inside a level, s on
-the zero level) split into one flow problem per level, which Gale's
-supply-demand theorem decides by one integer inequality per subset of the
-level; no LP is solved.  When some level sum is nonzero, lambda > 0 and
-every level off zero takes the sign of its sum, which leaves at most three
-zero positions per ordering.
+Lemma: if (lambda, f) is an eigenpair and D a strong nodal domain of f with
+f > 0 on D, then f's own selections make (lambda, 1_D) an eigenpair.  Inside
+D, z(uv) lies in Sign(f(u) - f(v)), within [-1, 1] = Sign(1_D(u) - 1_D(v)).
+On D's boundary z = 1 = Sign(1 - 0), as above.  Off D every z and s lies
+in [-1, 1] = Sign(0), and s = 1 = Sign(1) on D.  So every selection stays
+admissible and every vertex equation holds as it did.  Domain by domain,
+the same check makes sum_i sigma_i 1_{D_i} over f's strong nodal domains,
+sigma_i the sign of f on D_i, an eigenfunction at lambda with f's signs,
+and so with f's strong and weak nodal domains.
 
-The enumeration screens, then decides.  One numpy table holds every weak
-ordering; a block at a time, int64 level sums and float ratios drop the
-(ordering, zero position) pairs that cannot pin a lambda, with a margin no
-exact tie can cross.  Only the pairs left go, in order, to the exact
-Python-int pinning and cut tests, so the records are those of the plain
-loop over all orderings.  The verifier decides the same per-level
-problems by the constructive face of Gale's theorem: one integer max flow
-per level that has free selections (Ford & Fulkerson 1956), whose arc
-flows are the selections.
+So the eigenvalues are 0, of the constant functions, and the w(D, V - D) /
+mu(D) of the connected D != V whose 1_D is an eigenfunction at it (a
+negative D is a positive one of -f, and (lambda, -f) is an eigenpair with
+every selection turned).  A nonconstant eigenfunction f has a strong nodal
+domain D != V: were V its only one, V would be connected and f of one sign,
+the sum over V would give lambda = 0, and the sum over f's top level set L,
+whose edges to lower levels have z = 1, would give w(L, V - L) = 0, so
+L = V and f would be constant.
 """
 
 from __future__ import annotations
@@ -57,21 +51,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-import numpy as np
-
+from .cheeger import EXACT_HK_CAP, ExactCapExceeded
 from .graph import Graph
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-ENUMERATION_CAP = 8
-
-# Orderings per block of the level-sum screen; bounds its arrays at n = 8.
-SCREEN_BLOCK = 1 << 13
-# Relative slack of the screen's float comparisons: 8 machine epsilons.
-SCREEN_MARGIN = 2.0 ** -49
 
 
 @dataclass(frozen=True)
@@ -113,7 +99,7 @@ def _rational_graph(g: Graph):
 def _integer_graph(g: Graph):
     """mu and the edges with every measure and weight times the lcm of their
     denominators, as ints; one positive factor on all of them leaves every
-    pinned lambda and every cut test as it is."""
+    lambda and every flow decision as it is."""
     mu, edges = _rational_graph(g)
     scale = math.lcm(*(x.denominator for x in mu),
                      *(w.denominator for _, _, w in edges))
@@ -124,16 +110,9 @@ def _integer_graph(g: Graph):
 def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
     """Decide exactly whether (lambda, f) is a p = 1 eigenpair of g.
 
-    The distinct values of f are ranked as levels, as in the enumeration.
-    f's signs fix z on the edges between its levels and s off its zero
-    level; those selections enter each vertex equation as the vertex's
-    level net (`_vertex_net`).  The free selections, z on edges with
-    f(u) = f(v) and s where f(u) = 0, occur only inside one level, so the
-    vertex equations split into one system per level: one integer max flow
-    (`lp_solve`) decides and witnesses each level that has free selections,
-    and a level without any holds iff each of its vertex equations holds as
-    it stands.  Every equation is taken times the `_integer_graph` factor
-    and lambda's denominator, so all the data are ints.  A lambda < 0 is
+    The distinct values of f are ranked as levels, and `_free_selections`
+    decides the selections one level at a time, on `_integer_graph` data
+    with every equation times lambda's denominator.  A lambda < 0 is
     refused before any flow is built: the sum over a strong nodal domain D
     in the module docstring gives lambda mu(D) = w(D, V - D) >= 0, and
     refusing it keeps every capacity nonnegative.  The test is exact on any
@@ -146,21 +125,39 @@ def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
     if all(x == 0 for x in fvals):
         raise ValueError("the zero function is not an eigenfunction")
     lam = to_fraction(lam)
-    infeasible = OneLapCertificate(feasible=False, lam=lam, z={}, s={})
-    if lam < 0:
-        return infeasible
-    top, bottom = lam.numerator, lam.denominator
     rank = {x: i for i, x in enumerate(sorted(set(fvals)))}
     levels = [rank[x] for x in fvals]
     sign = [(x > 0) - (x < 0) for x in fvals]
+    free = None if lam < 0 else _free_selections(
+        levels, sign, mu, edges, lam.numerator, lam.denominator)
+    if free is None:
+        return OneLapCertificate(feasible=False, lam=lam, z={}, s={})
+    z = {(u + 1, v + 1): free[u, v] if levels[u] == levels[v]
+         else ONE if levels[u] > levels[v] else -ONE for u, v, _ in edges}
+    s = {u + 1: free[u] if sigma == 0 else Fraction(sigma)
+         for u, sigma in enumerate(sign)}
+    return OneLapCertificate(feasible=True, lam=lam, z=z, s=s)
+
+
+def _free_selections(levels, sign, mu, edges, top, bottom) -> dict | None:
+    """The free selections that meet every vertex equation at lambda = top /
+    bottom >= 0, or None.
+
+    levels ranks f's value at each vertex and sign is its sign; mu and edges
+    are `_integer_graph` data, and every equation is taken times bottom.
+    f's signs fix z between levels and s off the zero level, which enter each
+    equation as the vertex's level net (`_vertex_net`).  The free z and s lie
+    inside one level each, so one integer max flow (`lp_solve`) decides each
+    level that has any, and a level without any holds iff its equations do.
+    """
     net = _vertex_net(levels, edges)
-    # what u's free selections must supply, lambda sigma_u mu_u - net_u, times
-    # lambda's denominator
-    demand = [sign[u] * top * mu[u] - bottom * net[u] for u in range(g.n)]
-    members = [[] for _ in rank]
+    # what u's free selections must supply, lambda sigma_u mu_u - net_u,
+    # times bottom
+    demand = [sigma * top * x - bottom * y for sigma, x, y in zip(sign, mu, net)]
+    members = [[] for _ in range(max(levels) + 1)]
     for u, lev in enumerate(levels):
         members[lev].append(u)
-    inner = [[] for _ in rank]
+    inner = [[] for _ in members]
     for u, v, w in edges:
         if levels[u] == levels[v]:
             inner[levels[u]].append((u, v, bottom * w))
@@ -171,18 +168,14 @@ def verify_1lap_eigenpair(g: Graph, f: Sequence, lam) -> OneLapCertificate:
         elif inner[lev]:
             radius = {}
         elif any(demand[u] for u in mem):
-            return infeasible
+            return None
         else:
             continue
         values = lp_solve(mem, inner[lev], radius, demand)
         if values is None:
-            return infeasible
+            return None
         free.update(values)
-    z = {(u + 1, v + 1): free[u, v] if levels[u] == levels[v]
-         else ONE if levels[u] > levels[v] else -ONE for u, v, _ in edges}
-    s = {u + 1: free[u] if sigma == 0 else Fraction(sigma)
-         for u, sigma in enumerate(sign)}
-    return OneLapCertificate(feasible=True, lam=lam, z=z, s=s)
+    return free
 
 
 def lp_solve(members, inner, radius, demand) -> dict | None:
@@ -287,73 +280,9 @@ def check_certificate(g: Graph, f: Sequence, lam, cert: OneLapCertificate) -> bo
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive eigenvalue enumeration for tiny graphs
+# Exact eigenvalue enumeration from connected indicators
 
-@dataclass(frozen=True)
-class OrderPattern:
-    """A weak ordering of the vertices plus the position of zero.
-
-    levels[u] is the rank (0-based, ascending value) of vertex u+1 among the
-    m distinct levels.  zero_pos indexes the interleaved sequence
-    gap_0, level_0, gap_1, ..., level_{m-1}, gap_m: even values place zero
-    strictly between levels (or outside), odd value 2i+1 puts level i at
-    zero.
-    """
-    levels: tuple[int, ...]
-    m: int
-    zero_pos: int
-
-    @property
-    def constant(self) -> bool:
-        return self.m == 1
-
-    def level_sign(self, i: int) -> int:
-        pos = 2 * i + 1
-        if pos > self.zero_pos:
-            return 1
-        if pos < self.zero_pos:
-            return -1
-        return 0
-
-    def example_function(self) -> tuple[Fraction, ...]:
-        """One rational vertex function realizing the pattern."""
-        zero_rank = Fraction(self.zero_pos, 2)  # level i sits at rank i + 1/2
-        return tuple(Fraction(2 * lev + 1, 2) - zero_rank for lev in self.levels)
-
-
-@dataclass(frozen=True)
-class EigenvalueRecord:
-    """The exact eigenvalue one sign/order pattern pins."""
-    lam: Fraction
-    pattern: OrderPattern
-
-
-def _weak_orderings(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every weak ordering of vertices 0..n-1 as rows of levels, with m.
-
-    Vertex u either joins one of the current m blocks (choice c < m) or opens
-    a new block at rank c - m, shifting the blocks at or above it up one;
-    each row expands into its 2m + 1 children in choice order, so the rows
-    come out depth first, as from the recursion that makes those choices
-    (`tests/oracles.ordered_partitions`).
-    """
-    levels = np.zeros((1, 0), dtype=np.int8)
-    m = np.zeros(1, dtype=np.int8)
-    for _ in range(n):
-        kids = 2 * m.astype(np.int64) + 1
-        choice = np.arange(kids.sum()) - np.repeat(np.cumsum(kids) - kids, kids)
-        levels = np.repeat(levels, kids, axis=0)
-        m = np.repeat(m, kids)
-        rank = choice - m
-        new = rank >= 0
-        levels += new[:, None] & (levels >= rank[:, None])
-        levels = np.column_stack(
-            (levels, np.where(new, rank, choice).astype(np.int8)))
-        m += new
-    return levels, m
-
-
-def _vertex_net(levels: tuple[int, ...], edges) -> list:
+def _vertex_net(levels, edges) -> list:
     """net[u] = w(u -> lower levels) - w(u -> higher levels)."""
     net = [0] * len(levels)
     for a, b, w in edges:
@@ -365,218 +294,154 @@ def _vertex_net(levels: tuple[int, ...], edges) -> list:
     return net
 
 
-def _level_sums(levels: tuple[int, ...], m: int, mu, edges):
-    """Per level i: net[i] = w(L_i -> lower levels) - w(L_i -> higher levels)
-    and mass[i] = mu(L_i)."""
-    net = [0] * m
-    mass = [0] * m
-    for lev, x, flow in zip(levels, mu, _vertex_net(levels, edges)):
-        net[lev] += flow
-        mass[lev] += x
-    return net, mass
+@dataclass(frozen=True)
+class OneLapEigenvalues:
+    """The exact p = 1 eigenvalues of the nonconstant eigenfunctions,
+    ascending, and an eigenfunction at the lowest with the most strong nodal
+    domains, or None when every eigenfunction is constant."""
+    nonconstant: tuple[Fraction, ...]
+    example: tuple[Fraction, ...] | None
+
+    @property
+    def eigenvalues(self) -> list[Fraction]:
+        """Every eigenvalue, ascending: the constant functions add 0."""
+        return sorted({ZERO, *self.nonconstant})
 
 
-def _pinned_lambda(net, mass, pat: OrderPattern) -> Fraction | None:
-    """The one lambda the level sums admit for a pattern, or None.
+def enumerate_1lap_eigenvalues(g: Graph) -> OneLapEigenvalues:
+    """All p = 1 eigenvalues of a graph, connected or not, of n <= EXACT_HK_CAP.
 
-    net[i] equals lambda sigma_i mu(L_i) on a level of sign sigma_i != 0 and
-    lies in [-lambda mu(L_0), lambda mu(L_0)] on the zero level L_0.  Ratios
-    are compared by cross-multiplying, so integer sums stay integers.
+    By the module docstring's lemma they are 0 and the lambda_S = w(S, V -
+    S) / mu(S) of the connected S != V whose 1_S is an eigenfunction.  One
+    pass over the subsets in bit order builds each one's cut and measure in
+    ints from the subset without its lowest bit j: the cut adds j's degree
+    less 2 w(j, S - j), and w(j, S - j) is w(j, S - j - k) + w(j, k) for k
+    the second lowest bit of S, read off S - k, whose lowest bit is also j.
+    A search from j inside S tells whether S is connected.  Each lambda_S,
+    in ascending order, is an eigenvalue iff one of its 1_S passes the int
+    tests of `passes` and then the flows of `_free_selections`.
     """
-    signed = [(sigma * net[i], mass[i]) for i in range(pat.m)
-              if (sigma := pat.level_sign(i))]
-    top, bottom = signed[0]  # lambda = top / bottom
-    if top < 0 or any(t * bottom != top * b for t, b in signed[1:]):
-        return None
-    if pat.zero_pos % 2:
-        i = pat.zero_pos // 2
-        if abs(net[i]) * bottom > top * mass[i]:
-            return None
-    return Fraction(top, bottom)
-
-
-def _levels_feasible(pat: OrderPattern, lam: Fraction, mu, edges) -> bool:
-    """Whether a pattern's free selections meet its vertex equations at lambda.
-
-    The free selections are z on the edges inside a level and s on the zero
-    level, so the selection LP splits into one flow problem per level L: z in
-    [-1, 1] on L's internal edges with sum_v w(uv) z(uv) = b_u at each u in L,
-    where b_u = lambda sigma mu_u - net_u and net_u = w(u -> lower levels) -
-    w(u -> higher levels); on the zero level b_u may be anything within
-    lambda mu_u of -net_u.  By Gale's supply-demand theorem (1957), with the
-    box form of the cut function's base polytope, such a z exists iff
-    |c(S)| <= w(S, L - S) + r(S) for every nonempty S in L, where c is the
-    centre and r the radius of b's range (r = 0 off the zero level).  S = L
-    is the level-sum condition `_pinned_lambda` has decided, so it is not
-    tested again, and neither is a level of one vertex, whose only subset
-    is L.  Every quantity is taken times lambda's denominator, so integer mu
-    and w keep the test in ints.
-
-    The subsets of a level are visited in increasing bit order, and each
-    one's sums come from the subset without its lowest bit j: c adds j's
-    centre, and w(S, L - S) + r(S) adds j's degree inside L plus its radius
-    less 2 w(j, S - j).  w(j, S - j) in turn is w(j, S - j - k) + w(j, k)
-    for k the second lowest bit of S, read off the subset S - k, whose
-    lowest bit is also j.
-    """
-    top, bottom = lam.numerator, lam.denominator
-    levels = pat.levels
-    members = [[] for _ in range(pat.m)]
-    for u, lev in enumerate(levels):
-        members[lev].append(u)
-    bit = [0] * len(levels)  # u's bit within its level
-    for mem in members:
-        for j, u in enumerate(mem):
-            bit[u] = 1 << j
-    weight = [{} for _ in members]  # per level: bits of both ends -> weight
-    for a, b, w in edges:
-        lev = levels[a]
-        if lev == levels[b]:
-            ends = bit[a] | bit[b]
-            weight[lev][ends] = weight[lev].get(ends, 0) + bottom * w
-    net = _vertex_net(levels, edges)
-    for i, mem in enumerate(members):
-        if len(mem) == 1:
-            continue
-        sigma = pat.level_sign(i)
-        full = (1 << len(mem)) - 1
-        c_sum = [0] * full
-        cap = [0] * full  # w(S, L - S) + r(S)
-        for u in mem:
-            c_sum[bit[u]] = sigma * top * mu[u] - bottom * net[u]
-            if not sigma:
-                cap[bit[u]] = top * mu[u]
-        pairs = weight[i]
-        for ends, c in pairs.items():
-            low = ends & -ends
-            cap[low] += c
-            cap[ends ^ low] += c
-        low_weight = [0] * full  # w(lowest bit of S, rest of S)
-        for subset in range(1, full):
-            low = subset & -subset
-            rest = subset ^ low
-            if rest:
-                k = rest & -rest
-                x = low_weight[subset] = low_weight[subset ^ k] + pairs.get(low | k, 0)
-                c_sum[subset] = c_sum[rest] + c_sum[low]
-                cap[subset] = cap[rest] + cap[low] - 2 * x
-            if abs(c_sum[subset]) > cap[subset]:
-                return False
-    return True
-
-
-def _screen(levels, m, last, mu, edges):
-    """The (row, zero_pos) pairs of a block of orderings that their level sums
-    leave open, in row order and then zero_pos order.
-
-    Each ordering offers the zero positions of the rule in
-    `enumerate_1lap_eigenvalues`.  A pair is dropped only if the exact
-    `_pinned_lambda` must return None for it: a signed level whose net has
-    the wrong sign (an exact int test), or float ratios r_i = |net_i| /
-    mass_i that miss a common lambda by more than SCREEN_MARGIN.  The nets
-    and masses are ints below 2^62, so each converts to float64 within a
-    relative u = 2^-53 and each r_i is within (1 + u)^3 of its exact value.
-    Where the exact test pins lambda, every signed r_i is within 3u (plus
-    O(u^2)) of lambda, and so is their largest, r_max: their spread is at most
-    about 6u r_max and the zero level's ratio at most about (1 + 6u) r_max,
-    while SCREEN_MARGIN = 16u, and the threshold r_max (1 + 16u) loses at
-    most one more rounding.  No exact tie is dropped; near ties pass to the
-    exact test.
-    """
-    rows, n = levels.shape
-    vnet = np.zeros((rows, n), dtype=np.int64)
-    for a, b, w in edges:
-        flow = np.sign(levels[:, a] - levels[:, b]).astype(np.int64) * w
-        vnet[:, a] += flow
-        vnet[:, b] -= flow
-    net = np.zeros((rows, n), dtype=np.int64)
-    mass = np.zeros((rows, n), dtype=np.int64)
-    row = np.arange(rows)
-    for u in range(n):
-        net[row, levels[:, u]] += vnet[:, u]
-        mass[row, levels[:, u]] += mu[u]
-    ratio = np.divide(np.abs(net), mass, out=np.zeros((rows, n)),
-                      where=mass > 0)
-
-    # when a net is nonzero, lambda > 0 and every level off zero takes its
-    # net's sign, so zero sits just after the a leading negative nets: at the
-    # gap after them, or at the level on either side of that gap
-    nonzero = net.any(axis=1)
-    a = np.argmax(net >= 0, axis=1)
-    lo = np.where(nonzero, np.maximum(2 * a - 1, 0), 0)
-    hi = np.where(nonzero, np.minimum(2 * a + 1, last), last)
-    hi = np.where(m == 1, 0, hi)  # zero_pos 1 of one level is f = 0
-    count = np.maximum(hi - lo + 1, 0)
-    cand = np.repeat(row, count)
-    zero_pos = (np.arange(cand.shape[0])
-                + np.repeat(lo - (np.cumsum(count) - count), count))
-
-    sigma = np.sign(2 * np.arange(n) + 1 - zero_pos[:, None]).astype(np.int8)
-    signed = (sigma != 0) & (np.arange(n) < m[cand, None])
-    ratio = ratio[cand]
-    r_max = np.where(signed, ratio, 0.0).max(axis=1)
-    r_min = np.where(signed, ratio, np.inf).min(axis=1)
-    r_zero = np.where(sigma == 0, ratio, 0.0).max(axis=1)
-    slack = r_max * SCREEN_MARGIN
-    keep = ~(sigma * np.sign(net).astype(np.int8)[cand] < 0).any(axis=1)
-    keep &= r_max - r_min <= slack
-    keep &= r_zero <= r_max + slack
-    return cand[keep], zero_pos[keep]
-
-
-def enumerate_1lap_eigenvalues(g: Graph) -> list[EigenvalueRecord]:
-    """All p = 1 eigenvalues of a tiny graph with representative patterns.
-
-    Weak orderings are enumerated up to the global sign flip f -> -f; the
-    all-zero pattern is skipped.  Every record's eigenvalue is exact.
-
-    The orderings are screened a block at a time by `_screen`, and only the
-    pairs it leaves open are decided exactly, in ordering order and then
-    zero_pos order, by `_pinned_lambda` and `_levels_feasible` on Python
-    ints.  The screen's sums are int64: when the scaled total weight or
-    measure reaches 2^62 it is given no edges and unit measures, so every
-    net is 0 and it offers every zero position and drops none.
-    """
-    if g.n > ENUMERATION_CAP:
-        raise ValueError(
-            f"exhaustive enumeration capped at n <= {ENUMERATION_CAP}, got {g.n}")
+    if g.n > EXACT_HK_CAP:
+        raise ExactCapExceeded(
+            f"exact enumeration capped at n <= {EXACT_HK_CAP}, got n = {g.n}")
     mu, edges = _integer_graph(g)
-    screen_mu, screen_edges = mu, edges
-    if max(sum(mu), sum(w for _, _, w in edges)) >= 1 << 62:
-        screen_mu, screen_edges = [1] * g.n, []
-    table, ms = _weak_orderings(g.n)
-    # skip an ordering greater than its flip, which covers all of its
-    # patterns; f -> -f maps zero_pos to 2m - zero_pos, so on an ordering that
-    # is its own flip that pairs the patterns up within it
-    flipped = ms[:, None] - 1 - table
-    differ = table != flipped
-    first = differ.argmax(axis=1)
-    rows = np.arange(table.shape[0])
-    keep = table[rows, first] <= flipped[rows, first]
-    last = np.where(differ.any(axis=1), 2 * ms, ms)
-    table, ms, last = table[keep], ms[keep], last[keep]
+    n, full, total = g.n, (1 << g.n) - 1, sum(mu)
+    cut, mass, low_weight, near = ([0] * full for _ in range(4))
+    pair = {}  # the bits of both ends -> the weight
+    for u, v, w in edges:
+        cut[1 << u] += w  # one vertex's cut is its degree
+        cut[1 << v] += w
+        near[1 << u] |= 1 << v
+        near[1 << v] |= 1 << u
+        pair[1 << u | 1 << v] = w
+    subsets = {}  # lambda_S -> the connected S != V, in bit order
+    for s in range(1, full):
+        low = s & -s
+        rest = s ^ low
+        k = rest & -rest  # 0 when S is one vertex, and w(j, S - j) = 0
+        low_weight[s] = low_weight[s ^ k] + pair.get(low | k, 0)
+        cut[s] = cut[rest] + cut[low] - 2 * low_weight[s]
+        mass[s] = mass[rest] + mu[low.bit_length() - 1]
+        near[s] = near[rest] | near[low]  # every neighbour of a vertex of S
+        reach = low  # grows inside S by all its neighbours at once
+        while (grown := reach | near[reach] & s) != reach:
+            reach = grown
+        if reach == s:
+            subsets.setdefault(Fraction(cut[s], mass[s]), []).append(s)
 
-    records = []
-    for start in range(0, table.shape[0], SCREEN_BLOCK):
-        block = slice(start, start + SCREEN_BLOCK)
-        cand, zero_pos = _screen(table[block], ms[block], last[block],
-                                 screen_mu, screen_edges)
-        prev = -1
-        for row, pos in zip((cand + start).tolist(), zero_pos.tolist()):
-            if row != prev:
-                prev = row
-                levels, m = tuple(table[row].tolist()), int(ms[row])
-                net, mass = _level_sums(levels, m, mu, edges)
-            pat = OrderPattern(levels=levels, m=m, zero_pos=pos)
-            lam = _pinned_lambda(net, mass, pat)
-            if lam is not None and _levels_feasible(pat, lam, mu, edges):
-                records.append(EigenvalueRecord(lam, pat))
-    records.sort(key=lambda r: r.lam)
-    return records
+    def passes(s):
+        # Gale's condition times mu(S) for 1_S at lambda_S: u in S needs
+        # lambda mu_u - w(u, V - S) from its z inside S, at most w(u, S - u)
+        # either way; u off S needs w(u, S), at most w(u, V - S - u) + lambda
+        # mu_u; and V - S needs w(S, V - S) <= lambda mu(V - S)
+        c, m = cut[s], mass[s]
+        if c and 2 * m > total:
+            return False
+        into = [0] * n  # w(u, S)
+        for u, v, w in edges:
+            into[u] += w * (s >> v & 1)
+            into[v] += w * (s >> u & 1)
+        for u, x in enumerate(mu):
+            out = cut[1 << u] - into[u]
+            if (abs(c * x - m * out) > m * into[u] if s >> u & 1
+                    else m * (into[u] - out) > c * x):
+                return False
+        return True
+
+    def holds(s):
+        inside = [s >> u & 1 for u in range(n)]
+        return passes(s) and _free_selections(
+            inside, inside, mu, edges, cut[s], mass[s]) is not None
+
+    nonconstant = [lam for lam in sorted(subsets) if any(map(holds, subsets[lam]))]
+    example = None
+    if nonconstant:
+        domains = list(filter(passes, subsets[nonconstant[0]]))
+        example = _example(n, near, domains, nonconstant[0], mu, edges)
+    return OneLapEigenvalues(tuple(nonconstant), example)
 
 
-def merged_eigenvalues(records: Iterable[EigenvalueRecord],
-                       nonconstant_only: bool = False) -> list[Fraction]:
-    """The distinct eigenvalues of the records, sorted."""
-    return sorted({r.lam for r in records
-                   if not (nonconstant_only and r.pattern.constant)})
+def _example(n, near, domains, lam, mu, edges) -> tuple[Fraction, ...]:
+    """An eigenfunction at lambda with the most strong nodal domains.
+
+    By the lemma it is some nonconstant sum_i sigma_i 1_{D_i} of disjoint
+    candidate domains, same-sign domains not adjacent.  The sums of k
+    domains grow vertex by vertex: the lowest vertex not yet covered stays
+    zero or starts a domain of either sign, the first one positive, as f and
+    -f are one candidate.  From the largest k down, the sums are decided in
+    the order of `_candidate`'s key, and the first that holds is returned
+    with level i at i + 1/2 - zero_pos / 2 (halved when no vertex is zero).
+    """
+    full = (1 << n) - 1
+    by_low = [[] for _ in range(n)]  # the domains by their lowest vertex
+    for d in domains:
+        by_low[(d & -d).bit_length() - 1].append(d)
+    for k in range(min(n, len(domains)), 0, -1):
+        found = []
+
+        def grow(v, pos, neg, count):
+            free = full >> v << v & ~(pos | neg)  # vertices v.. not covered
+            if count == k:
+                if neg or pos != full:
+                    found.append(_candidate(pos, neg, n))
+            elif count + free.bit_count() >= k:
+                v = (free & -free).bit_length() - 1
+                for d in by_low[v]:
+                    if d & ~free:
+                        continue
+                    if not d & near[pos]:
+                        grow(v + 1, pos | d, neg, count + 1)
+                    if pos and not d & near[neg]:
+                        grow(v + 1, pos, neg | d, count + 1)
+                grow(v + 1, pos, neg, count)
+
+        grow(0, 0, 0, 0)
+        for (_, zero_pos), levels, sign in sorted(found):
+            if _free_selections(levels, sign, mu, edges,
+                                lam.numerator, lam.denominator) is not None:
+                return tuple(Fraction(2 * lev + 1 - zero_pos, 2) for lev in levels)
+
+
+def _candidate(pos, neg, n):
+    """(key, levels, signs) of 1_pos - 1_neg or of its negative, whichever
+    has the lexicographically smaller level ranks.
+
+    The key places the pattern (levels, zero position) in the depth-first
+    recursion where each vertex joins a block of the vertices before it or
+    opens a new one, each by rank, as `tests/oracles.py` enumerates weak
+    orderings: the example is the first that enumeration reports whenever
+    that one takes values in {-1, 0, 1}.
+    """
+    def pattern(p, q):
+        sign = [(p >> u & 1) - (q >> u & 1) for u in range(n)]
+        values = sorted(set(sign))
+        return [values.index(x) for x in sign], sign, values
+
+    levels, sign, values = min(pattern(pos, neg), pattern(neg, pos))
+    zero_pos = 2 * values.index(0) + 1 if 0 in values else 2
+    seen, choices = set(), []
+    for lev in levels:  # join the block of rank r, or open one at rank r
+        below = sum(x < lev for x in seen)
+        choices.append(below if lev in seen else len(seen) + below)
+        seen.add(lev)
+    return (choices, zero_pos), levels, sign

@@ -16,17 +16,7 @@ from plap import kernels, plaplacian, rayleigh_quotient
 from plap.eigensolver import PATH_RESIDUAL_TOL, BracketError, Spectrum
 from plap.graph import components, is_canonical_path, path_graph
 from plap.nodal import MAX_SIGN_PATTERN_DOMAINS, NODAL_SPACE_SAMPLES, NodalDecomposition
-from plap.one_laplacian import (
-    EigenvalueRecord,
-    OneLapCertificate,
-    OrderPattern,
-    _integer_graph,
-    _level_sums,
-    _levels_feasible,
-    _pinned_lambda,
-    _rational_graph,
-    _vertex_net,
-)
+from plap.one_laplacian import OneLapCertificate, _integer_graph, _rational_graph, _vertex_net
 
 
 def p2_path_eigenvalues(n):
@@ -294,6 +284,159 @@ def ordered_partitions(n):
     return out
 
 
+# ---------------------------------------------------------------------------
+# The weak-ordering enumeration of the p = 1 eigenvalues
+#
+# Case analysis over weak orderings of the vertex values with a designated
+# zero level: each ordering fixes all Sign sets, leaving a linear
+# feasibility problem in (z, s, lambda).  Its feasible lambda set is a
+# single point: summing the vertex equations over a level set L cancels the
+# antisymmetric z of the edges inside L, so a level of sign sigma gives
+# w(L -> lower levels) - w(L -> higher levels) = lambda sigma mu(L), and
+# every ordering but the all-zero one has a nonzero level.  That lambda is
+# computed exactly from these sums, and at it the free selections split into
+# one flow problem per level, which Gale's supply-demand theorem decides by
+# one integer inequality per subset of the level.
+
+@dataclass(frozen=True)
+class OrderPattern:
+    """A weak ordering of the vertices plus the position of zero.
+
+    levels[u] is the rank (0-based, ascending value) of vertex u+1 among the
+    m distinct levels.  zero_pos indexes the interleaved sequence
+    gap_0, level_0, gap_1, ..., level_{m-1}, gap_m: even values place zero
+    strictly between levels (or outside), odd value 2i+1 puts level i at
+    zero.
+    """
+    levels: tuple[int, ...]
+    m: int
+    zero_pos: int
+
+    @property
+    def constant(self) -> bool:
+        return self.m == 1
+
+    def level_sign(self, i: int) -> int:
+        pos = 2 * i + 1
+        if pos > self.zero_pos:
+            return 1
+        if pos < self.zero_pos:
+            return -1
+        return 0
+
+    def example_function(self) -> tuple[Fraction, ...]:
+        """One rational vertex function realizing the pattern."""
+        zero_rank = Fraction(self.zero_pos, 2)  # level i sits at rank i + 1/2
+        return tuple(Fraction(2 * lev + 1, 2) - zero_rank for lev in self.levels)
+
+
+@dataclass(frozen=True)
+class EigenvalueRecord:
+    """The exact eigenvalue one sign/order pattern pins."""
+    lam: Fraction
+    pattern: OrderPattern
+
+
+def level_sums(levels: tuple[int, ...], m: int, mu, edges):
+    """Per level i: net[i] = w(L_i -> lower levels) - w(L_i -> higher levels)
+    and mass[i] = mu(L_i)."""
+    net = [0] * m
+    mass = [0] * m
+    for lev, x, flow in zip(levels, mu, _vertex_net(levels, edges)):
+        net[lev] += flow
+        mass[lev] += x
+    return net, mass
+
+
+def pinned_lambda(net, mass, pat: OrderPattern) -> Fraction | None:
+    """The one lambda the level sums admit for a pattern, or None.
+
+    net[i] equals lambda sigma_i mu(L_i) on a level of sign sigma_i != 0 and
+    lies in [-lambda mu(L_0), lambda mu(L_0)] on the zero level L_0.  Ratios
+    are compared by cross-multiplying, so integer sums stay integers.
+    """
+    signed = [(sigma * net[i], mass[i]) for i in range(pat.m)
+              if (sigma := pat.level_sign(i))]
+    top, bottom = signed[0]  # lambda = top / bottom
+    if top < 0 or any(t * bottom != top * b for t, b in signed[1:]):
+        return None
+    if pat.zero_pos % 2:
+        i = pat.zero_pos // 2
+        if abs(net[i]) * bottom > top * mass[i]:
+            return None
+    return Fraction(top, bottom)
+
+
+def levels_feasible(pat: OrderPattern, lam: Fraction, mu, edges) -> bool:
+    """Whether a pattern's free selections meet its vertex equations at lambda.
+
+    The free selections are z on the edges inside a level and s on the zero
+    level, so the selection LP splits into one flow problem per level L: z in
+    [-1, 1] on L's internal edges with sum_v w(uv) z(uv) = b_u at each u in L,
+    where b_u = lambda sigma mu_u - net_u and net_u = w(u -> lower levels) -
+    w(u -> higher levels); on the zero level b_u may be anything within
+    lambda mu_u of -net_u.  By Gale's supply-demand theorem (1957), with the
+    box form of the cut function's base polytope, such a z exists iff
+    |c(S)| <= w(S, L - S) + r(S) for every nonempty S in L, where c is the
+    centre and r the radius of b's range (r = 0 off the zero level).  S = L
+    is the level-sum condition `pinned_lambda` has decided, so it is not
+    tested again, and neither is a level of one vertex, whose only subset
+    is L.  Every quantity is taken times lambda's denominator, so integer mu
+    and w keep the test in ints.
+
+    The subsets of a level are visited in increasing bit order, and each
+    one's sums come from the subset without its lowest bit j: c adds j's
+    centre, and w(S, L - S) + r(S) adds j's degree inside L plus its radius
+    less 2 w(j, S - j).  w(j, S - j) in turn is w(j, S - j - k) + w(j, k)
+    for k the second lowest bit of S, read off the subset S - k, whose
+    lowest bit is also j.
+    """
+    top, bottom = lam.numerator, lam.denominator
+    levels = pat.levels
+    members = [[] for _ in range(pat.m)]
+    for u, lev in enumerate(levels):
+        members[lev].append(u)
+    bit = [0] * len(levels)  # u's bit within its level
+    for mem in members:
+        for j, u in enumerate(mem):
+            bit[u] = 1 << j
+    weight = [{} for _ in members]  # per level: bits of both ends -> weight
+    for a, b, w in edges:
+        lev = levels[a]
+        if lev == levels[b]:
+            ends = bit[a] | bit[b]
+            weight[lev][ends] = weight[lev].get(ends, 0) + bottom * w
+    net = _vertex_net(levels, edges)
+    for i, mem in enumerate(members):
+        if len(mem) == 1:
+            continue
+        sigma = pat.level_sign(i)
+        full = (1 << len(mem)) - 1
+        c_sum = [0] * full
+        cap = [0] * full  # w(S, L - S) + r(S)
+        for u in mem:
+            c_sum[bit[u]] = sigma * top * mu[u] - bottom * net[u]
+            if not sigma:
+                cap[bit[u]] = top * mu[u]
+        pairs = weight[i]
+        for ends, c in pairs.items():
+            low = ends & -ends
+            cap[low] += c
+            cap[ends ^ low] += c
+        low_weight = [0] * full  # w(lowest bit of S, rest of S)
+        for subset in range(1, full):
+            low = subset & -subset
+            rest = subset ^ low
+            if rest:
+                k = rest & -rest
+                x = low_weight[subset] = low_weight[subset ^ k] + pairs.get(low | k, 0)
+                c_sum[subset] = c_sum[rest] + c_sum[low]
+                cap[subset] = cap[rest] + cap[low] - 2 * x
+            if abs(c_sum[subset]) > cap[subset]:
+                return False
+    return True
+
+
 def pattern_lambda_lps(mu, edges, n, pat):
     """The two full LPs of one order pattern: (rows, rhs, cmin, cmax).
 
@@ -388,13 +531,14 @@ def flip_pattern(levels, m, zero_pos):
 
 
 def enumerate_1lap_lp(g):
-    """enumerate_1lap_eigenvalues with every pattern decided by two full LPs.
+    """`enumerate_1lap_every_position` with every pattern decided by two full
+    LPs.
 
     Each feasible pattern gives a (lo, hi, pattern) tuple: the least and the
     greatest lambda its LP admits, so a point is lo == hi.
 
     The weak orderings come from the recursion above, and every pattern is
-    offered, so nothing here shares code with the enumerator's screen.
+    offered.
     """
     mu, edges = _rational_graph(g)
     records = []
@@ -413,24 +557,26 @@ def enumerate_1lap_lp(g):
 
 
 def enumerate_1lap_every_position(g):
-    """enumerate_1lap_eigenvalues with every zero position of every ordering
-    offered to the module's own pinned-lambda and cut tests.
+    """The p = 1 eigenvalues by the weak-ordering case analysis above, as
+    EigenvalueRecords sorted by lambda.
 
-    The orderings and zero positions are independent of the code under test,
-    and no pattern goes through its level-sum screen.
+    Every ordering is offered every zero position, up to the flip f -> -f,
+    and the constant pattern is kept, so its record gives the eigenvalue 0.
+    Nothing here shares code with `enumerate_1lap_eigenvalues`, which
+    searches indicator functions instead.
     """
     mu, edges = _integer_graph(g)
     records = []
     for levels, m in ordered_partitions(g.n):
-        net, mass = _level_sums(levels, m, mu, edges)
+        net, mass = level_sums(levels, m, mu, edges)
         for zero_pos in range(2 * m + 1):
             if m == 1 and zero_pos == 1:
                 continue
             if (levels, zero_pos) > flip_pattern(levels, m, zero_pos):
                 continue
             pat = OrderPattern(levels=levels, m=m, zero_pos=zero_pos)
-            lam = _pinned_lambda(net, mass, pat)
-            if lam is not None and _levels_feasible(pat, lam, mu, edges):
+            lam = pinned_lambda(net, mass, pat)
+            if lam is not None and levels_feasible(pat, lam, mu, edges):
                 records.append(EigenvalueRecord(lam, pat))
     records.sort(key=lambda r: r.lam)
     return records

@@ -14,7 +14,6 @@ from plap import (
     certify_cheeger,
     certify_nodal_bounds,
     enumerate_1lap_eigenvalues,
-    merged_eigenvalues,
     multiway_cheeger_all,
     nodal_space_max_rq,
     path_graph,
@@ -172,9 +171,7 @@ def test_criterion_5_nodal_space_bound():
 def test_criterion_6_one_laplacian_p3():
     t0 = time.perf_counter()
     g = path_graph(3, "degree")
-    records = enumerate_1lap_eigenvalues(g)
-    noncon = merged_eigenvalues(records, nonconstant_only=True)
-    assert noncon == [Fraction(1)]
+    assert enumerate_1lap_eigenvalues(g).nonconstant == (Fraction(1),)
 
     f = [1, -1, 1]
     cert = verify_1lap_eigenpair(g, f, 1)

@@ -7,7 +7,6 @@ from plap import build_graph, parse_graph, path_graph, serialize_graph
 from plap.cheeger import EXACT_HK_CAP
 from plap.cli import main
 from plap.plaplacian import RESIDUAL_LIMIT
-from plap.one_laplacian import ENUMERATION_CAP
 
 from .util import random_connected_graph
 
@@ -397,8 +396,20 @@ def test_certify_one_laplacian_example_goes_through_verifier(tmp_path,
 
 def test_certify_one_laplacian_cap(tmp_path):
     gfile = tmp_path / "path.txt"
-    gfile.write_text(serialize_graph(path_graph(ENUMERATION_CAP + 1)))
+    gfile.write_text(serialize_graph(path_graph(EXACT_HK_CAP + 1)))
     assert main(["certify", str(gfile), "--p", "2", "--one-laplacian"]) == 2
+
+
+def test_certify_one_laplacian_n12(tmp_path):
+    # past the reach of an enumeration over weak orderings, below the cap
+    gfile = tmp_path / "r12.txt"
+    g = random_connected_graph(np.random.default_rng(0), 12, "unit")
+    gfile.write_text(serialize_graph(g))
+    out = tmp_path / "r.json"
+    assert main(["certify", str(gfile), "--p", "2", "--one-laplacian",
+                 "--json", str(out)]) == 0
+    ol = _load(out)["one_laplacian"]
+    assert ol["h2_is_eigenvalue"] is True and ol["example"]["feasible"] is True
 
 
 def test_certify_one_laplacian_path8(tmp_path):

@@ -8,34 +8,32 @@ from plap import (
     build_graph,
     enumerate_1lap_eigenvalues,
     is_connected,
-    merged_eigenvalues,
     multiway_cheeger_all,
     path_graph,
     strong_nodal_domains,
     verify_1lap_eigenpair,
 )
-from plap import one_laplacian
+from plap.cheeger import EXACT_HK_CAP
+from plap.graph import components
 from plap.one_laplacian import (
-    OrderPattern,
     _integer_graph,
-    _level_sums,
-    _levels_feasible,
-    _pinned_lambda,
     _rational_graph,
-    _screen,
-    _weak_orderings,
     check_certificate,
     to_fraction,
 )
 
 from .oracles import (
+    OrderPattern,
     enumerate_1lap_every_position,
     exact_multiway_cheeger,
     enumerate_1lap_lp,
     fraction_lp_solve,
+    level_sums,
+    levels_feasible,
     lp_solve,
     ordered_partitions,
     pattern_lambda_lps,
+    pinned_lambda,
     selection_lp,
 )
 from .util import MU_MODES, random_connected_graph
@@ -227,51 +225,77 @@ def test_verify_interior_zero_eigenfunction():
 # ---------------------------------------------------------------------------
 # enumeration
 
+def _sets(records):
+    """The eigenvalues and the nonconstant eigenvalues of oracle records."""
+    return (sorted({r.lam for r in records}),
+            sorted({r.lam for r in records if not r.pattern.constant}))
+
+
+def _reverifies(g, found):
+    """The example goes through the verifier and the recheck, and so does
+    1_S at w(S, V - S) / mu(S) for every connected S != V; the lambdas of
+    those accepted are the nonconstant eigenvalues."""
+    if found.nonconstant:
+        lam, f = found.nonconstant[0], found.example
+        cert = verify_1lap_eigenpair(g, f, lam)
+        assert cert.feasible and check_certificate(g, f, lam, cert), f
+    mu, edges = _rational_graph(g)
+    held = set()
+    for s in range(1, (1 << g.n) - 1):
+        inside = [s >> u & 1 for u in range(g.n)]
+        if len(components(g, inside)) > 1:
+            continue
+        cut = sum(w for u, v, w in edges if inside[u] != inside[v])
+        lam = cut / sum(x for x, i in zip(mu, inside) if i)
+        cert = verify_1lap_eigenpair(g, inside, lam)
+        if cert.feasible:
+            assert check_certificate(g, inside, lam, cert), inside
+            held.add(lam)
+    assert sorted(held) == list(found.nonconstant)
+
+
 def test_enumerate_p3_degree_reproduces_case_analysis():
     g = path_graph(3, "degree")
-    records = enumerate_1lap_eigenvalues(g)
-    assert merged_eigenvalues(records) == [F(0), F(1)]
-    assert merged_eigenvalues(records, nonconstant_only=True) == [F(1)]
+    found = enumerate_1lap_eigenvalues(g)
+    assert found.eigenvalues == [F(0), F(1)]
+    assert found.nonconstant == (F(1),)
 
 
 def test_enumerate_p2_single_edge():
     g = path_graph(2, "degree")
-    records = enumerate_1lap_eigenvalues(g)
-    noncon = merged_eigenvalues(records, nonconstant_only=True)
-    assert noncon == [F(1)]
+    noncon = enumerate_1lap_eigenvalues(g).nonconstant
+    assert noncon == (F(1),)
     h2 = multiway_cheeger_all(g, 2)[1][0]
     assert float(noncon[0]) == pytest.approx(h2)
 
 
 def test_enumerate_constant_pattern_gives_zero():
+    # 0 is the eigenvalue of the constant functions, the oracle's constant
+    # pattern; on a connected graph no nonconstant function has it
     g = path_graph(4, "unit")
-    records = enumerate_1lap_eigenvalues(g)
-    assert any(r.lam == 0 and r.pattern.constant for r in records)
+    found = enumerate_1lap_eigenvalues(g)
+    assert found.eigenvalues[0] == 0 and 0 not in found.nonconstant
+    assert any(r.lam == 0 and r.pattern.constant
+               for r in enumerate_1lap_every_position(g))
 
 
 def test_enumerate_includes_h2():
     for g in (path_graph(3, "degree"), path_graph(4, "unit"),
               build_graph(4, [(1, 2, 1.0), (1, 3, 1.0), (1, 4, 1.0)],
                           mu_mode="degree")):
-        records = enumerate_1lap_eigenvalues(g)
+        eigenvalues = enumerate_1lap_eigenvalues(g).eigenvalues
         h2 = multiway_cheeger_all(g, 2)[1][0]
         assert any(float(v) - 1e-12 <= h2 <= float(v) + 1e-12
-                   for v in merged_eigenvalues(records))
+                   for v in eigenvalues)
 
 
 def test_enumerate_certificates_reverify():
     g = path_graph(3, "degree")
-    for rec in enumerate_1lap_eigenvalues(g):
-        if rec.pattern.constant:
-            continue
-        f = rec.pattern.example_function()
-        cert = verify_1lap_eigenpair(g, f, rec.lam)
-        assert cert.feasible
-        assert check_certificate(g, f, rec.lam, cert)
+    _reverifies(g, enumerate_1lap_eigenvalues(g))
 
 
 def test_enumerate_cap():
-    g = path_graph(one_laplacian.ENUMERATION_CAP + 1)
+    g = path_graph(EXACT_HK_CAP + 1)
     with pytest.raises(ValueError, match="capped"):
         enumerate_1lap_eigenvalues(g)
 
@@ -299,8 +323,40 @@ def _reference_graphs():
 def test_enumerate_matches_two_lp_reference():
     for g in _reference_graphs():
         # the two LPs bound lambda from both sides: a point is lo == hi
-        assert [(r.lam, r.lam, r.pattern) for r in enumerate_1lap_eigenvalues(g)] \
-            == enumerate_1lap_lp(g)
+        records = enumerate_1lap_every_position(g)
+        assert [(r.lam, r.lam, r.pattern) for r in records] == enumerate_1lap_lp(g)
+        found = enumerate_1lap_eigenvalues(g)
+        assert (found.eigenvalues, list(found.nonconstant)) == _sets(records)
+
+
+def _matches_oracle(g):
+    """The indicator search against the weak-ordering oracle: the same
+    sets, and an example with the oracle's most strong domains at the lowest
+    nonconstant eigenvalue, which the verifier accepts."""
+    records = enumerate_1lap_every_position(g)
+    found = enumerate_1lap_eigenvalues(g)
+    assert (found.eigenvalues, list(found.nonconstant)) == _sets(records)
+    if found.nonconstant:
+        lam = found.nonconstant[0]
+        most = max(strong_nodal_domains(g, [float(x) for x in r.pattern.example_function()]).count
+                   for r in records if r.lam == lam and not r.pattern.constant)
+        assert strong_nodal_domains(g, [float(x) for x in found.example]).count == most
+    _reverifies(g, found)
+
+
+def test_enumerate_sets_match_ordering_oracle():
+    # on this path the subsets {1} and {3} have cut ratios 1 and 1 + 2^-52,
+    # one float64 step apart; the second graph's weights and measures take
+    # its integer data far past 2^62
+    heavy = 1.0 + 2.0 ** -52
+    near_tie = build_graph(3, [(1, 2, 1.0), (2, 3, heavy)], mu=[1.0, 1.0, 1.0],
+                           mu_mode="explicit")
+    wide = build_graph(5, [(1, 2, 1e-300), (2, 3, 1e300), (3, 4, 1.0),
+                           (4, 5, 0.3), (1, 5, 2.0)],
+                       mu=[1e-300, 1e300, 1.0, 2.0, 0.7], mu_mode="explicit")
+    assert sum(_integer_graph(wide)[0]) > 1 << 62
+    for g in (near_tie, wide, *_reference_graphs()):
+        _matches_oracle(g)
 
 
 def _relabelled(g, perm):
@@ -325,10 +381,10 @@ def test_exact_p1_cheeger_statements():
         exact = exact_multiway_cheeger(g, g.n)
         for (h, _), want in zip(multiway_cheeger_all(g, g.n), exact):
             assert abs(F(h) - want) <= want / 10**12, (gi, h, want)
-        records = enumerate_1lap_eigenvalues(g)
+        found = enumerate_1lap_eigenvalues(g)
         if is_connected(g):
-            assert merged_eigenvalues(records, nonconstant_only=True)[0] == exact[1], gi
-        for rec in records:
+            assert found.nonconstant[0] == exact[1], gi
+        for rec in enumerate_1lap_every_position(g):
             if rec.pattern.constant:
                 continue
             f = [float(x) for x in rec.pattern.example_function()]
@@ -336,34 +392,58 @@ def test_exact_p1_cheeger_statements():
             assert exact[m - 1] <= rec.lam, (gi, rec)
         h = _relabelled(g, rng.permutation(g.n))
         assert exact_multiway_cheeger(h, h.n) == exact, gi
-        assert merged_eigenvalues(enumerate_1lap_eigenvalues(h)) \
-            == merged_eigenvalues(records), gi
+        assert enumerate_1lap_eigenvalues(h).eigenvalues == found.eigenvalues, gi
     assert sum(not is_connected(g) for g in graphs) == 1
 
 
 def test_enumerate_offers_each_ordering_its_possible_zero_positions():
-    # when a level net is nonzero, only the zero positions next to the
-    # leading negative nets can pin a lambda, and the level-sum screen drops
-    # only patterns that pin none; the records must not change
+    # the oracle offers every weak ordering every zero position; on seeded
+    # n = 6 and 7 graphs in every measure mode, a disconnected graph and a
+    # path, the indicator search must find its sets
     rng = np.random.default_rng(8)
-    graphs = [random_connected_graph(rng, 6, mode) for mode in MU_MODES]
-    graphs.append(build_graph(6, [(1, 2, 1.0), (3, 4, 0.5), (4, 5, 2.0)]))
-    graphs += [random_connected_graph(rng, 7, "degree"), path_graph(7)]
+    graphs = [random_connected_graph(rng, n, mode) for n in (6, 7) for mode in MU_MODES]
+    graphs += [build_graph(6, [(1, 2, 1.0), (3, 4, 0.5), (4, 5, 2.0)]), path_graph(6)]
     for g in graphs:
-        assert enumerate_1lap_eigenvalues(g) == enumerate_1lap_every_position(g)
+        _matches_oracle(g)
 
 
 def test_enumerate_at_cap_reverifies():
     rng = np.random.default_rng(6)
     g = random_connected_graph(rng, 6, "degree")
-    records = enumerate_1lap_eigenvalues(g)
-    for rec in records:
-        f = rec.pattern.example_function()
-        cert = verify_1lap_eigenpair(g, f, rec.lam)
-        assert check_certificate(g, f, rec.lam, cert)
+    found = enumerate_1lap_eigenvalues(g)
+    _reverifies(g, found)
     h2 = multiway_cheeger_all(g, 2)[1][0]
     assert any(float(v) - 1e-12 <= h2 <= float(v) + 1e-12
-               for v in merged_eigenvalues(records))
+               for v in found.eigenvalues)
+
+
+def _grid(rows, cols):
+    def at(i, j):
+        return i * cols + j + 1
+    edges = [(at(i, j), at(i, j + 1), 1.0) for i in range(rows) for j in range(cols - 1)]
+    edges += [(at(i, j), at(i + 1, j), 1.0) for i in range(rows - 1) for j in range(cols)]
+    return build_graph(rows * cols, edges)
+
+
+def test_lowest_nonconstant_eigenvalue_is_h2_past_old_cap():
+    # lambda_2 = h_2 at p = 1 on connected graphs of n = 12 and 14
+    rng = np.random.default_rng(14)
+    graphs = [_cycle(12), _cycle(14), _grid(2, 6), _grid(2, 7),
+              random_connected_graph(rng, 12, "degree"),
+              random_connected_graph(rng, 14, "degree")]
+    for g in graphs:
+        lam2 = enumerate_1lap_eigenvalues(g).nonconstant[0]
+        h2 = multiway_cheeger_all(g, 2)[1][0]
+        assert abs(float(lam2) - h2) <= 1e-12 * h2, (g.n, lam2, h2)
+
+
+def test_enumerate_ignores_vertex_labels():
+    rng = np.random.default_rng(10)
+    g = random_connected_graph(rng, 10, "explicit")
+    found = enumerate_1lap_eigenvalues(g)
+    relabelled = enumerate_1lap_eigenvalues(_relabelled(g, rng.permutation(10)))
+    assert relabelled.nonconstant == found.nonconstant
+    assert len(found.nonconstant) > 10
 
 
 def _cut_test_graphs():
@@ -382,14 +462,14 @@ def _pinned_patterns(graphs):
     for g in graphs:
         mu, edges = _integer_graph(g)
         for levels, m in ordered_partitions(g.n):
-            net, mass = _level_sums(levels, m, mu, edges)
+            net, mass = level_sums(levels, m, mu, edges)
             for zero_pos in range(2 * m + 1):
                 if m == 1 and zero_pos == 1:
                     continue
                 pat = OrderPattern(levels=levels, m=m, zero_pos=zero_pos)
-                lam = _pinned_lambda(net, mass, pat)
+                lam = pinned_lambda(net, mass, pat)
                 if lam is not None:
-                    yield g, pat, lam, _levels_feasible(pat, lam, mu, edges)
+                    yield g, pat, lam, levels_feasible(pat, lam, mu, edges)
 
 
 def _example_values(pat):
@@ -442,59 +522,3 @@ def test_verifier_matches_selection_lp():
                 verdicts.add((x == lam, cert.feasible))
     # a pattern pins one lambda, so one percent off it no pattern holds
     assert verdicts == {(True, True), (True, False), (False, False)}
-
-
-def test_enumerate_solves_no_lp(monkeypatch):
-    def no_lp(*args):
-        raise AssertionError("enumeration called the level solve")
-
-    monkeypatch.setattr(one_laplacian, "lp_solve", no_lp)
-    rng = np.random.default_rng(3)
-    for g in (path_graph(5, "degree"), _complete(5),
-              random_connected_graph(rng, 6, "explicit"),
-              build_graph(4, [(1, 2, 1.0), (3, 4, 1.0)])):
-        assert enumerate_1lap_eigenvalues(g)
-
-
-# ---------------------------------------------------------------------------
-# the level-sum screen
-
-def test_weak_orderings_match_recursion():
-    for n in range(1, 8):
-        levels, m = _weak_orderings(n)
-        assert list(zip(map(tuple, levels.tolist()), m.tolist())) == \
-            ordered_partitions(n)
-
-
-def test_screen_leaves_near_tie_to_exact_test():
-    # the two end levels of f = (-1, 0, 1) on this path have nets -1 and
-    # 1 + 2^-52 on unit masses, so their ratios are one float64 step apart;
-    # the screen must keep the pattern and the exact test must reject it
-    heavy = 1.0 + 2.0 ** -52
-    g = build_graph(3, [(1, 2, 1.0), (2, 3, heavy)], mu=[1.0, 1.0, 1.0],
-                    mu_mode="explicit")
-    mu, edges = _integer_graph(g)
-    levels, m = (0, 1, 2), 3
-    net, mass = _level_sums(levels, m, mu, edges)
-    assert net[0] != -net[2] and float(-net[0]) / mass[0] == pytest.approx(
-        float(net[2]) / mass[2], rel=1e-15)
-    pat = OrderPattern(levels=levels, m=m, zero_pos=3)
-    assert _pinned_lambda(net, mass, pat) is None
-    table, ms = _weak_orderings(3)
-    row = table.tolist().index(list(levels))
-    cand, zero_pos = _screen(table, ms, 2 * ms, mu, edges)
-    assert (row, 3) in zip(cand.tolist(), zero_pos.tolist())
-    records = enumerate_1lap_eigenvalues(g)
-    assert records == enumerate_1lap_every_position(g)
-    assert all(r.pattern != pat for r in records)
-
-
-def test_screen_passes_everything_past_int64():
-    # weights and measures whose common scale takes the integer sums far
-    # past 2^62; the screen must drop nothing and the records stay exact
-    g = build_graph(5, [(1, 2, 1e-300), (2, 3, 1e300), (3, 4, 1.0),
-                        (4, 5, 0.3), (1, 5, 2.0)],
-                    mu=[1e-300, 1e300, 1.0, 2.0, 0.7], mu_mode="explicit")
-    mu, edges = _integer_graph(g)
-    assert sum(mu) > 1 << 62
-    assert enumerate_1lap_eigenvalues(g) == enumerate_1lap_every_position(g)
