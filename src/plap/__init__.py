@@ -5,6 +5,7 @@ from .cheeger import (
     certify_cheeger,
     cut_ratio,
     multiway_cheeger_all,
+    multiway_cheeger_values,
     sweep_bound,
     sweep_cut,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "graph_digest",
     "is_connected",
     "multiway_cheeger_all",
+    "multiway_cheeger_values",
     "nodal_space_max_rq",
     "parse_graph",
     "path_graph",

@@ -8,21 +8,19 @@ min-max packing recursion over about 3^n / 2 (mask, submask) pairs per
 layer), capped at n <= 14; beyond the cap a greedy spectral heuristic is
 available and clearly labeled non-exact.
 
-The recursion is the vectorized `kernels.family_minmax_dp`.  It first finds
-the best family of j subsets whose union is exactly each mask, choosing only
-the subset that holds the mask's lowest vertex, so every family is visited
-once; one subset-min pass over the table then gives the best family inside
-each mask.  Each mask splits into high bits and L = min(n, 9) low bits, and
-one (high mask, high submask) pair is a maximum and a `minimum.reduceat`
-over a low-bit table of at most (3^L - 1) / 2 entries.  The table is pruned
-by popcount: a family of j - 1 disjoint nonempty subsets needs j - 1
-vertices, so layer j only visits the masks left over by the chosen subset
-that hold at least j - 1 bits.  Its cost by n is given beside
-`EXACT_HK_CAP`; `python3 perfbench/run.py` times it inside the whole
-pipeline.  The optimal family is read back from the subsets whose ratio is
-at most h_k, dropping those that meet each pick, and taking the smallest
-by a base-3 rank table whose integer order is the order of sorted vertex
-tuples.
+The recursion is `kernels.family_minmax_dp`: layer j holds, for every mask,
+the best family of j subsets inside it, at a cost that falls with j as
+popcount pruning drops the small masks.  `multiway_cheeger_values` runs the
+layers up to ceil(n/2) only and finishes each larger k with one pass over
+the 2^n masks M: floor(k/2) subsets inside M and ceil(k/2) inside V - M.
+`multiway_cheeger_all` runs every layer and reads each optimal family back
+from the subsets whose ratio is at most h_k, dropping those that meet each
+pick, and taking the smallest by a base-3 rank table whose integer order is
+the order of sorted vertex tuples.  `plap certify` reads the values, and
+builds the families at most once, when a repair pass of
+`eigensolver.variational_spectrum` asks for indicator seeds; `plap cheeger`
+reports both.  Costs by n are given beside `EXACT_HK_CAP`; `python3
+perfbench/run.py` times them inside the whole pipeline.
 """
 
 from __future__ import annotations
@@ -38,10 +36,10 @@ from .graph import Graph, subset_indices, tau
 if TYPE_CHECKING:
     from .eigensolver import Spectrum
 
-# `multiway_cheeger_all` for every k, with layer j of the DP skipping the
-# leftover masks of fewer than j - 1 bits, takes about 0.014, 0.033, 0.091,
-# 0.25 and 0.53 s at n = 12..16, with a tracemalloc peak of 1.4, 1.9, 3.3,
-# 6.3 and 12.6 MB (fresh process, seeded random graphs, 2-core x86-64 VM).
+# Warm, on seeded random graphs (2-core x86-64 VM): `multiway_cheeger_values`
+# takes 0.004, 0.011, 0.034, 0.10 and 0.28 s at n = 12..16 (tracemalloc peak
+# 0.7-5.8 MB), `multiway_cheeger_all` 0.006, 0.016, 0.044, 0.12 and 0.32 s
+# (0.9-12.6 MB), and a whole `certify --p 2` 7, 14 and 35 ms at n = 12..14.
 # The cap stays at 14 until whole `certify` calls are timed past it.
 EXACT_HK_CAP = 14
 BOUND_TOL_BASE = 1e-9  # the additive part of `bound_tol`
@@ -61,6 +59,9 @@ def cut_ratio(g: Graph, subset: Iterable[int]) -> float:
 
 
 def _ratio_table(g: Graph) -> np.ndarray:
+    if g.n > EXACT_HK_CAP:
+        raise ExactCapExceeded(
+            f"exact enumeration capped at n <= {EXACT_HK_CAP}, got n = {g.n}")
     cut, mass = kernels.subset_tables(g.n, g.edges_u, g.edges_v, g.edges_w, g.mu)
     ratio = np.empty(1 << g.n)
     ratio[0] = np.inf  # the empty subset is not a valid family member
@@ -115,9 +116,6 @@ def multiway_cheeger_all(g: Graph, kmax: int | None = None):
     kmax = g.n if kmax is None else kmax
     if not 1 <= kmax <= g.n:
         raise ValueError(f"k must satisfy 1 <= k <= {g.n}, got {kmax}")
-    if g.n > EXACT_HK_CAP:
-        raise ExactCapExceeded(
-            f"exact enumeration capped at n <= {EXACT_HK_CAP}, got n = {g.n}")
     ratio = _ratio_table(g)
     dp = kernels.family_minmax_dp(ratio, kmax)
     rank = _subset_rank(g.n)
@@ -127,6 +125,19 @@ def multiway_cheeger_all(g: Graph, kmax: int | None = None):
         out.append((float(dp[k, (1 << g.n) - 1]),
                     tuple(_mask_to_subset(m) for m in masks)))
     return out
+
+
+def multiway_cheeger_values(g: Graph) -> list[float]:
+    """Exact h_1..h_n, the values of `multiway_cheeger_all(g)` bit for bit:
+    the DP to layer ceil(n/2), then for each larger k the least over masks M
+    of max(dp[floor(k/2)][M], dp[ceil(k/2)][V - M]), which takes min and max
+    of the same floats."""
+    dp = kernels.family_minmax_dp(_ratio_table(g), (g.n + 1) // 2)
+    values = dp[1:, -1].tolist()
+    for k in range(len(values) + 1, g.n + 1):
+        # dp[j][::-1][M] is dp[j][V - M]
+        values.append(float(np.maximum(dp[k // 2], dp[k - k // 2][::-1]).min()))
+    return values
 
 
 def multiway_cheeger_greedy(g: Graph, k: int):
@@ -240,8 +251,8 @@ def certify_cheeger(spectrum: "Spectrum",
     """Evaluate the two-sided isoperimetric bound for every pair in a spectrum.
 
     Pass tolerance is `bound_tol` on each side, and m is each pair's strong
-    count from `spectrum.decompositions`.  hk may carry the list that
-    `multiway_cheeger_all(g, g.n)` returns, to avoid re-enumeration.
+    count from `spectrum.decompositions`.  hk may carry the list h_1..h_n
+    that `multiway_cheeger_values(g)` returns, to avoid re-enumeration.
     """
     g = spectrum.graph
     p = spectrum.p
@@ -252,14 +263,14 @@ def certify_cheeger(spectrum: "Spectrum",
             raise ValueError(f"pair residual {pair.residual:.3g} exceeds "
                              f"{plaplacian.RESIDUAL_LIMIT:g}")
     if hk is None:
-        hk = multiway_cheeger_all(g, g.n)
+        hk = multiway_cheeger_values(g)
     t = tau(g)
     certs = []
     for i, pair in enumerate(spectrum.pairs):
         k = i + 1
         m = spectrum.decompositions[i][0].count
-        h_k = float(hk[k - 1][0])
-        h_m = float(hk[m - 1][0])
+        h_k = float(hk[k - 1])
+        h_m = float(hk[m - 1])
         lower = lower_bound(p, t, h_m)
         upper = upper_bound(p, h_k)
         tol = bound_tol(pair.lam)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -72,14 +73,14 @@ def _load_vertex_function(path: str, n: int) -> np.ndarray:
     return np.array(vals)
 
 
-def _spectrum_for(g: Graph, p: float, hk=None) -> Spectrum:
+def _spectrum_for(g: Graph, p: float, hk=None, families=None) -> Spectrum:
     if p == 2.0:
         return solve_p2_spectrum(g)
     if g.n > 1 and is_unit_path(g):
         # a unit path read with explicit unit mu lines is the same operator;
         # the spectrum belongs to the caller's graph
         return dataclasses.replace(path_spectrum(g.n, p), graph=g)
-    return variational_spectrum(g, p, hk=hk)
+    return variational_spectrum(g, p, hk=hk, families=families)
 
 
 def _spectrum_rows(sp: Spectrum, with_f: bool):
@@ -321,8 +322,8 @@ def _operator_checks(g: Graph, p: float, rng) -> dict:
             "pass": bool(sum_zero and scale_inv)}
 
 
-def _solve_for_certify(g, p, hk) -> Spectrum:
-    sp = _spectrum_for(g, p, hk=hk)
+def _solve_for_certify(g, p, hk, families) -> Spectrum:
+    sp = _spectrum_for(g, p, hk=hk, families=families)
     # the certificates refuse pairs above the residual limit; only the path
     # solver's conditioning floor lets one through, and that is a solver miss
     for k, pair in enumerate(sp.pairs, 1):
@@ -435,7 +436,10 @@ def _cmd_certify(args) -> int:
                              f"must differ at 6 significant digits)")
     g = _load_graph(args.graph, args.mu)
     # past EXACT_HK_CAP this raises the cap error before any solve
-    hk = cheeger.multiway_cheeger_all(g, g.n)
+    hk = cheeger.multiway_cheeger_values(g)
+    # built once, and only if a repair pass asks for indicator seeds
+    families = functools.cache(
+        lambda: [fam for _, fam in cheeger.multiway_cheeger_all(g)])
     checks = []
     runs = []
     t0 = time.perf_counter()
@@ -444,7 +448,7 @@ def _cmd_certify(args) -> int:
     spectra = []
     for p in p_list:
         t1 = time.perf_counter()
-        spectra.append(_solve_for_certify(g, p, hk))
+        spectra.append(_solve_for_certify(g, p, hk, families))
         print(f"certify: p = {p:g} solved in {time.perf_counter() - t1:.3f}s",
               file=sys.stderr)
     # pair i reads stream seed + i at every p, with as many rows as its
@@ -459,7 +463,7 @@ def _cmd_certify(args) -> int:
         checks.append({"name": f"certificates[p={sp.p:g}]", "pass": bool(ok)})
     one_lap_section = None
     if args.one_laplacian:
-        h2 = hk[1][0] if g.n >= 2 else None
+        h2 = hk[1] if g.n >= 2 else None
         one_lap_section, ol_ok = _one_laplacian_section(g, h2)
         checks.append({"name": "one_laplacian", "pass": bool(ol_ok)})
     all_pass = all(c["pass"] for c in checks)

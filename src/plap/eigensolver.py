@@ -558,7 +558,7 @@ def _upper_violations(p: float, hk, pairs) -> list[tuple[int, float]]:
     """(k, 2^(p-1) h_k) for every lambda_k of the ascending pairs above it."""
     found = []
     for k, pr in enumerate(pairs, 1):
-        upper = cheeger.upper_bound(p, hk[k - 1][0])
+        upper = cheeger.upper_bound(p, hk[k - 1])
         if pr.lam > upper + cheeger.bound_tol(pr.lam):
             found.append((k, upper))
     return found
@@ -568,6 +568,7 @@ def variational_spectrum(
     g: Graph,
     p: float,
     hk: Sequence | None = None,
+    families=None,
 ) -> Spectrum:
     """The variational eigenvalue sequence at the target p.
 
@@ -581,9 +582,10 @@ def variational_spectrum(
     lower bound of the paper holds for every eigenpair and the upper bound
     2^(p-1) h_k only gets harder to meet as lambda_k grows.  Anything still
     violating the upper bound stays flagged in the diagnostics.  hk is the
-    (h_k, optimal family) list for k = 1..n, as
-    `cheeger.multiway_cheeger_all(g, g.n)` returns it; without it the
-    constants are enumerated once here.
+    list h_1..h_n, as `cheeger.multiway_cheeger_values(g)` returns it;
+    without it the constants are enumerated once here.  families, called
+    only by a repair pass, returns the optimal families of k = 1..n; without
+    it that pass builds them with `cheeger.multiway_cheeger_all`.
     """
     if p <= 1:
         raise ValueError(f"variational spectrum requires p > 1, got {p}")
@@ -607,7 +609,7 @@ def variational_spectrum(
         pool.append((pair, diag))
 
     if hk is None and g.n <= cheeger.EXACT_HK_CAP:
-        hk = cheeger.multiway_cheeger_all(g, g.n)
+        hk = cheeger.multiway_cheeger_values(g)
 
     certified = hk is not None and g.n > 1
     lowest = sorted((pr for pr, _ in pool), key=lambda x: x.lam)[:g.n]
@@ -619,7 +621,9 @@ def variational_spectrum(
         # adding 0.0 folds -0.0 to +0.0 in the bytes
         rng = np.random.default_rng(12961)
         started: set[bytes] = set()
-        for f0 in _indicator_seeds(g, [fam for _, fam in hk[1:]], rng):
+        fams = (families() if families is not None else
+                [fam for _, fam in cheeger.multiway_cheeger_all(g)])
+        for f0 in _indicator_seeds(g, fams[1:], rng):
             key = (f0 + 0.0).tobytes()
             if key in started:
                 continue

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import plaplacian
+from . import kernels, plaplacian
 from .graph import Graph, components, is_connected
 
 if TYPE_CHECKING:
@@ -125,13 +125,22 @@ def nodal_space_max_rq(
     cols = [i for i, dom in enumerate(decomposition.domains) for _ in dom]
     basis = np.zeros((g.n, m))
     basis[rows, cols] = pair.f[rows]
-    coeffs = [normals[:m]]
-    if m <= MAX_SIGN_PATTERN_DOMAINS:
-        bits = (np.arange(1 << (m - 1))[:, None] >> np.arange(m)[None, :]) & 1
-        coeffs.insert(0, (2.0 * bits - 1.0).T)
-    gmat = basis @ np.concatenate(coeffs, axis=1)  # (n, samples)
+    patterns = 1 << (m - 1) if m <= MAX_SIGN_PATTERN_DOMAINS else 0
+    coeffs = kernels.work("nodal_coeffs", (m, patterns + NODAL_SPACE_SAMPLES))
+    if patterns:
+        # column c is the pattern of the bits of c: +1 where bit j is set
+        coeffs[:, :patterns] = -1.0
+        for j in range(m - 1):
+            coeffs[j, :patterns].reshape(-1, 2, 1 << j)[:, 1] = 1.0
+    coeffs[:, patterns:] = normals[:m]
+    gmat = np.matmul(basis, coeffs,
+                     out=kernels.work("nodal_gmat", (g.n, coeffs.shape[1])))
     p = pair.p
-    diff = gmat[g.edges_u, :] - gmat[g.edges_v, :]
+    diff = kernels.work("edges_a", (g.m, coeffs.shape[1]))
+    other = kernels.work("edges_b", diff.shape)
+    gmat.take(g.edges_u, axis=0, out=diff, mode="clip")
+    gmat.take(g.edges_v, axis=0, out=other, mode="clip")
+    diff -= other
     np.abs(diff, out=diff)
     diff **= p
     diff *= g.edges_w[:, None]

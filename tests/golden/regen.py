@@ -45,11 +45,20 @@ def _random_graph(seed: int, mu_mode: str, n: int = 5) -> str:
                                   in zip(g.edges_u, g.edges_v, g.edges_w))
 
 
+def _corpus_text(g) -> str:
+    """perfbench's graph file format: mu lines only for the explicit measure."""
+    lines = [f"n {g.n}"]
+    if g.mu_mode == "explicit":
+        lines += [f"mu {u + 1} {float(x)!r}" for u, x in enumerate(g.mu)]
+    lines += [f"{u + 1} {v + 1} {float(w)!r}" for u, v, w
+              in zip(g.edges_u, g.edges_v, g.edges_w)]
+    return "\n".join(lines) + "\n"
+
+
 def _exact_p1_graphs(seed: int = 0) -> list[tuple[str, str]]:
     """(graph text, measure mode) of the n = 5 graphs with m = 4, 5, 6, 7
     edges that perfbench's `exact_p1` corpus draws at this seed: the same
-    draws in the same order, and its file format, with mu lines only for
-    the explicit measure."""
+    draws in the same order, in its file format."""
     rng = np.random.default_rng(seed)
     out = []
     for i, m in enumerate((4, 5, 6, 7)):
@@ -57,13 +66,18 @@ def _exact_p1_graphs(seed: int = 0) -> list[tuple[str, str]]:
         g = random_connected_graph(rng, 5, mode)
         while g.m != m:
             g = random_connected_graph(rng, 5, mode)
-        lines = [f"n {g.n}"]
-        if mode == "explicit":
-            lines += [f"mu {u + 1} {float(x)!r}" for u, x in enumerate(g.mu)]
-        lines += [f"{u + 1} {v + 1} {float(w)!r}" for u, v, w
-                  in zip(g.edges_u, g.edges_v, g.edges_w)]
-        out.append(("\n".join(lines) + "\n", mode))
+        out.append((_corpus_text(g), mode))
     return out
+
+
+def _cheeger_cap_graphs(seed: int = 0, count: int = 3) -> list[tuple[str, str]]:
+    """(graph text, measure mode) of the first count n = 12 graphs that
+    perfbench's `cheeger_cap` corpus draws at this seed, one per measure
+    mode, in its file format."""
+    rng = np.random.default_rng(seed)
+    modes = [MU_MODES[i % 3] for i in range(count)]
+    return [(_corpus_text(random_connected_graph(rng, 12, mode)), mode)
+            for mode in modes]
 
 
 # name: (graph file text, certify options).  Odd paths have a zero middle
@@ -72,7 +86,9 @@ def _exact_p1_graphs(seed: int = 0) -> list[tuple[str, str]]:
 # path9_seed5 samples other streams than path9; random0_unit12 is an n = 12
 # graph at p = 2, whose spectrum is the dense symmetric eigensolver's.
 # exact0_m4..m7 are the seed-0 `exact_p1` benchmark inputs, which pin the
-# exact p = 1 section on graphs of every measure mode.
+# exact p = 1 section on graphs of every measure mode.  cap0_g000..g002 are
+# the first seed-0 `cheeger_cap` benchmark inputs (n = 12, unit, degree and
+# explicit measure), which pin the exact h_k of every k at p = 2.
 INPUTS = {
     "path5": (_unit_path(5), ()),
     "path8": (_unit_path(8), ()),
@@ -85,6 +101,8 @@ INPUTS = {
                        ("--mu", "degree", "--p", "2", "--one-laplacian")),
     **{f"exact0_m{m}": (text, ("--mu", mode, "--one-laplacian", "--p", "2"))
        for m, (text, mode) in zip((4, 5, 6, 7), _exact_p1_graphs())},
+    **{f"cap0_g{i:03d}": (text, ("--mu", mode, "--p", "2"))
+       for i, (text, mode) in enumerate(_cheeger_cap_graphs())},
 }
 
 

@@ -6,6 +6,7 @@ from plap import (
     certify_cheeger,
     cut_ratio,
     multiway_cheeger_all,
+    multiway_cheeger_values,
     path_graph,
     rayleigh_quotient,
     solve_p2_spectrum,
@@ -15,7 +16,7 @@ from plap import (
     variational_spectrum,
 )
 from plap import cheeger, kernels
-from plap.cheeger import ExactCapExceeded, multiway_cheeger_greedy
+from plap.cheeger import EXACT_HK_CAP, ExactCapExceeded, multiway_cheeger_greedy
 
 from .oracles import (
     naive_multiway,
@@ -164,6 +165,28 @@ def test_multiway_matches_recorded_values_past_the_loop_oracle():
         want = [(h, tuple(cheeger._mask_to_subset(m) for m in masks))
                 for h, masks in recorded]
         assert multiway_cheeger_all(g) == want, g.n
+        assert multiway_cheeger_values(g) == [h for h, _ in recorded], g.n
+
+
+def test_values_match_the_full_enumeration_bit_for_bit():
+    # the DP to layer ceil(n/2) and the split of each larger k into two
+    # halves take min and max of the same floats as the full DP
+    rng = np.random.default_rng(71)
+    graphs = [build_graph(1, []), build_graph(1, [], mu=[2.0], mu_mode="explicit")]
+    graphs += [random_connected_graph(rng, n, mu_mode)
+               for n in range(2, EXACT_HK_CAP + 1) for mu_mode in MU_MODES]
+    # ties: a unit-weight path, and K7 and the 3-cube under the degree measure
+    graphs.append(path_graph(11))
+    graphs.append(build_graph(7, [(u, v, 1.0) for u in range(1, 8)
+                                  for v in range(u + 1, 8)], mu_mode="degree"))
+    graphs.append(build_graph(8, [(u + 1, (u | 1 << b) + 1, 1.0) for u in range(8)
+                                  for b in range(3) if not u >> b & 1],
+                              mu_mode="degree"))
+    graphs.append(build_graph(7, [(1, 2, 1.5), (2, 3, 0.5), (4, 5, 2.0),
+                                  (6, 7, 1.0)], mu_mode="degree"))
+    for g in graphs:
+        assert multiway_cheeger_values(g) == [h for h, _ in multiway_cheeger_all(g)], (
+            g.n, g.mu_mode)
 
 
 def test_subset_rank_orders_like_sorted_vertex_tuples():
@@ -189,6 +212,8 @@ def test_multiway_cap_and_greedy():
     g = random_connected_graph(rng, 15)
     with pytest.raises(ExactCapExceeded):
         multiway_cheeger_all(g, 2)
+    with pytest.raises(ExactCapExceeded):
+        multiway_cheeger_values(g)
     h, fam = multiway_cheeger_greedy(g, 3)
     validate_family(g, fam)
     assert len(fam) == 3

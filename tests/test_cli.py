@@ -708,9 +708,25 @@ def test_kept_samples_stay_within_their_bound(tmp_path):
                 EXACT_HK_CAP ** 2 * NODAL_SPACE_SAMPLES * 8)
 
 
+def test_kept_work_arrays_stay_within_their_bound(tmp_path):
+    # a complete graph at the cap has the most edges, a path at the cap the
+    # largest nodal spaces; each kept array stops at the largest size asked
+    from plap import kernels
+    n = EXACT_HK_CAP
+    complete = build_graph(n, [(u, v, 1.0) for u in range(1, n + 1)
+                               for v in range(u + 1, n + 1)])
+    for i, g in enumerate((complete, path_graph(n), complete, path_graph(5))):
+        gfile = tmp_path / f"g{i}.txt"
+        gfile.write_text(serialize_graph(g))
+        assert main(["certify", str(gfile), "--p", "2",
+                     "--json", str(tmp_path / "r.json")]) == 0
+        # the ceiling stated beside `kernels.work`
+        assert sum(buf.nbytes for buf in kernels._work.values()) <= 5.31e6
+
+
 def _count_hk_and_repair_calls(monkeypatch):
     from plap import cheeger, eigensolver
-    calls = {"hk": 0, "repair": 0}
+    calls = {"hk": 0, "repair": 0, "families": 0}
 
     def counted(name, module, key):
         fn = getattr(module, name)
@@ -720,32 +736,52 @@ def _count_hk_and_repair_calls(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(module, name, wrapper)
 
-    counted("multiway_cheeger_all", cheeger, "hk")
+    counted("multiway_cheeger_values", cheeger, "hk")
+    counted("multiway_cheeger_all", cheeger, "families")
     counted("solve_from_guess", eigensolver, "repair")
     return calls
 
 
+def test_certify_p2_builds_no_family(tmp_path, monkeypatch):
+    # no p = 2 report field reads an optimal family
+    from plap import cheeger
+    calls = _count_hk_and_repair_calls(monkeypatch)
+    reconstructed = []
+    reconstruct = cheeger._reconstruct_family
+    monkeypatch.setattr(cheeger, "_reconstruct_family",
+                        lambda *a: reconstructed.append(a) or reconstruct(*a))
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(serialize_graph(random_connected_graph(
+        np.random.default_rng(3), 12, "degree")))
+    assert main(["certify", str(gfile), "--p", "2", "--one-laplacian",
+                 "--json", str(tmp_path / "r.json")]) == 0
+    assert calls == {"hk": 1, "repair": 0, "families": 0}
+    assert not reconstructed
+
+
 def test_certify_repair_reuses_hk_families(tmp_path, monkeypatch):
-    # found by a seeded search: at p = 1.1 the continued spectrum of this
-    # graph sends the repair pass to seed from the optimal h_k families
+    # found by a seeded search: at the default exponents the continued
+    # spectra of this graph send the repair pass to seed from the optimal
+    # h_k families at p = 1.1 and 1.5, and certify builds them once
     calls = _count_hk_and_repair_calls(monkeypatch)
     g = random_connected_graph(np.random.default_rng(24), 4)
     gfile = tmp_path / "g.txt"
     gfile.write_text(serialize_graph(g))
-    assert main(["certify", str(gfile), "--p", "1.1",
-                 "--json", str(tmp_path / "r.json")]) == 0
+    assert main(["certify", str(gfile), "--json", str(tmp_path / "r.json")]) == 0
     assert calls["repair"] > 0
     assert calls["hk"] == 1
+    assert calls["families"] == 1
 
 
 def test_variational_spectrum_enumerates_hk_once(monkeypatch):
-    # the graph of the test above: without an hk list the library call
-    # enumerates once, and its repair pass seeds from that enumeration
+    # the graph of the test above: without hk and families the library call
+    # enumerates the values once, and its repair pass builds the families
     from plap.eigensolver import variational_spectrum
     calls = _count_hk_and_repair_calls(monkeypatch)
     variational_spectrum(random_connected_graph(np.random.default_rng(24), 4), 1.1)
     assert calls["repair"] > 0
     assert calls["hk"] == 1
+    assert calls["families"] == 1
 
 
 @pytest.mark.parametrize("argv", [

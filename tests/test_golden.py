@@ -20,8 +20,12 @@ def test_certify_report_matches_golden(name, tmp_path):
 
 def test_reports_do_not_depend_on_earlier_calls(tmp_path):
     # one process certifies at seeds 0, 5 and 0 again, after graphs of fewer
-    # (path5) and more (path13) vertices drew the same streams at seed 0
-    for name in ("path5", "path9", "path13", "path9", "path9_seed5", "path9"):
+    # (path5) and more (path13) vertices drew the same streams at seed 0; the
+    # n = 12 inputs between them grow and reuse the kept work arrays across
+    # n, edge count, measure, exponents and seed
+    for name in ("path5", "cap0_g000", "path9", "path13", "cap0_g001",
+                 "exact0_m5", "cap0_g002", "path9", "path9_seed5", "cap0_g000",
+                 "path9"):
         out = tmp_path / "report.json"
         assert certify(name, out) == 0
         assert out.read_bytes() == (HERE / f"{name}.json").read_bytes(), name

@@ -55,6 +55,21 @@ def test_family_dp_matches_loop(monkeypatch):
             monkeypatch.undo()
 
 
+def test_tables_share_no_memory_with_the_kept_work_arrays():
+    # the kept arrays are written again by the next call; what a kernel
+    # returns stays as it was
+    rng = np.random.default_rng(5)
+    eu, ev = np.array([0, 1, 2]), np.array([1, 2, 3])
+    cut, mass = kernels.subset_tables(4, eu, ev, rng.uniform(1, 2, 3), np.ones(4))
+    dp = kernels.family_minmax_dp(np.append(np.inf, cut[1:] / mass[1:]), 3)
+    kept = [x.copy() for x in (cut, mass, dp)]
+    for x in (cut, mass, dp):
+        assert not any(np.shares_memory(x, buf) for buf in kernels._work.values())
+    kernels.subset_tables(4, eu, ev, rng.uniform(1, 2, 3), rng.uniform(1, 2, 4))
+    kernels.family_minmax_dp(rng.uniform(0, 1, 16), 3)
+    assert all(np.array_equal(x, y) for x, y in zip((cut, mass, dp), kept))
+
+
 def test_low_submask_pairs_hold_lowest_bit():
     for low in range(1, kernels.LOW_BITS + 1):
         sub, rest, starts = kernels._low_submask_pairs(low)
