@@ -53,12 +53,7 @@ EXIT_SOLVER = 3
 
 def _load_graph(path: str, mu_mode: str | None) -> Graph:
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    if mu_mode is None:
-        has_mu = any(line.split("#", 1)[0].split()[:1] == ["mu"]
-                     for line in text.splitlines())
-        mu_mode = "explicit" if has_mu else "unit"
-    return parse_graph(text, mu_mode)
+        return parse_graph(fh.read(), mu_mode)
 
 
 def _load_vertex_function(path: str, n: int) -> np.ndarray:
@@ -244,25 +239,6 @@ def _cmd_cheeger(args) -> int:
 # ---------------------------------------------------------------------------
 # certify
 
-# Seeds whose seed-only samples `certify` keeps between calls in one
-# process: the power-inequality suite and, per nodal-space stream seed + i,
-# the largest draw made so far.  A graph past EXACT_HK_CAP is refused before
-# sampling, so one seed keeps at most EXACT_HK_CAP streams of EXACT_HK_CAP
-# rows of NODAL_SPACE_SAMPLES floats, about 1.6 MB.
-KEPT_SEEDS = 1
-_kept: dict[int, dict] = {}   # seed -> {"suite": dict, "rows": {i: array}}
-
-
-def _kept_for(seed: int) -> dict:
-    """The samples kept for seed; past KEPT_SEEDS seeds the others are dropped."""
-    kept = _kept.get(seed)
-    if kept is None:
-        if len(_kept) >= KEPT_SEEDS:
-            _kept.clear()
-        kept = _kept[seed] = {"rows": {}}
-    return kept
-
-
 def _power_inequality_suite(rng) -> dict:
     """Random suite for the two-term power inequality behind the nodal bounds.
 
@@ -284,31 +260,26 @@ def _power_inequality_suite(rng) -> dict:
             "pass": bool(worst <= 1e-12)}
 
 
+@functools.lru_cache(maxsize=1)
+def _seed_suite(seed: int) -> dict:
+    return _power_inequality_suite(np.random.default_rng(seed))
+
+
 def _kernel_inequality_check(seed: int) -> dict:
     """The report's power-inequality suite: `_power_inequality_suite` of
-    `default_rng(seed)`, computed once per kept seed.  It depends on the seed
-    alone, so a kept result is the one a fresh process computes; each call
-    returns its own copy."""
-    kept = _kept_for(seed)
-    if "suite" not in kept:
-        kept["suite"] = _power_inequality_suite(np.random.default_rng(seed))
-    return dict(kept["suite"])
+    `default_rng(seed)`.  It depends on the seed alone, so the process keeps
+    the last seed's result; each call returns its own copy."""
+    return dict(_seed_suite(seed))
 
 
-def _nodal_space_rows(seed: int, i: int, m: int) -> np.ndarray:
-    """`nodal.nodal_space_normals(seed + i, m)`, read-only.
-
-    Stream seed + i is kept at the most rows drawn so far and redrawn when m
-    exceeds them.  Numpy fills a draw in C order, so the first m rows of a
-    larger draw are the draw of m rows.
-    """
-    rows = _kept_for(seed)["rows"]
-    block = rows.get(i)
-    if block is None or len(block) < m:
-        block = nodal.nodal_space_normals(seed + i, m)
-        block.flags.writeable = False
-        rows[i] = block
-    return block[:m]
+@functools.lru_cache(maxsize=cheeger.EXACT_HK_CAP)
+def _nodal_stream(stream_seed: int) -> np.ndarray:
+    """`nodal_space_normals(stream_seed, EXACT_HK_CAP)`, read-only; pair i
+    reads stream seed + i.  `certify` refuses larger graphs before sampling,
+    and a space of m domains reads the first m rows, the draw of m rows."""
+    rows = nodal.nodal_space_normals(stream_seed, cheeger.EXACT_HK_CAP)
+    rows.flags.writeable = False
+    return rows
 
 
 def _operator_checks(g: Graph, p: float, rng) -> dict:
@@ -325,7 +296,9 @@ def _operator_checks(g: Graph, p: float, rng) -> dict:
 def _solve_for_certify(g, p, hk, families) -> Spectrum:
     sp = _spectrum_for(g, p, hk=hk, families=families)
     # the certificates refuse pairs above the residual limit; only the path
-    # solver's conditioning floor lets one through, and that is a solver miss
+    # solver's conditioning floor lets one through, and that is a solver miss.
+    # This is the refusal `certify` reaches: the residual checks in
+    # `certify_cheeger` and `nodal_space_max_rq` guard direct library callers
     for k, pair in enumerate(sp.pairs, 1):
         if pair.residual > plaplacian.RESIDUAL_LIMIT:
             raise BracketError(f"p = {p}: pair k = {k} residual "
@@ -334,17 +307,20 @@ def _solve_for_certify(g, p, hk, families) -> Spectrum:
     return sp
 
 
-def _certify_spectrum(sp, seed, hk, normals):
+def _certify_spectrum(sp, seed, hk):
     g, p = sp.graph, sp.p
     nrep = nodal.certify_nodal_bounds(sp)
     certs = cheeger.certify_cheeger(sp, hk=hk)
     span_checks = []
+    # drawn before the checks grow their work arrays, so that a first call
+    # keeps its streams side by side on the heap and its peak RSS lower
+    streams = [_nodal_stream(seed + i) for i in range(len(sp.pairs))]
     for i, (pair, (strong, weak)) in enumerate(zip(sp.pairs, sp.decompositions)):
-        strong_rq = nodal.nodal_space_max_rq(g, pair, strong, normals[i])
+        strong_rq = nodal.nodal_space_max_rq(g, pair, strong, streams[i])
         # with no zero vertex the weak domains are the strong ones, and the
         # same basis and rows give the same float
         weak_rq = (strong_rq if weak.domains == strong.domains else
-                   nodal.nodal_space_max_rq(g, pair, weak, normals[i]))
+                   nodal.nodal_space_max_rq(g, pair, weak, streams[i]))
         entry = {"k": i + 1}
         for kind, mx in (("strong", strong_rq), ("weak", weak_rq)):
             entry[kind] = {"max_rq": float(mx),
@@ -445,22 +421,14 @@ def _cmd_certify(args) -> int:
     t0 = time.perf_counter()
     kernel_check = _kernel_inequality_check(args.seed)
     checks.append({"name": "power_inequality_suite", "pass": kernel_check["pass"]})
-    spectra = []
     for p in p_list:
         t1 = time.perf_counter()
-        spectra.append(_solve_for_certify(g, p, hk, families))
+        sp = _solve_for_certify(g, p, hk, families)
         print(f"certify: p = {p:g} solved in {time.perf_counter() - t1:.3f}s",
               file=sys.stderr)
-    # pair i reads stream seed + i at every p, with as many rows as its
-    # largest space has domains
-    normals = []
-    for i in range(g.n):
-        m = max(dec.count for sp in spectra for dec in sp.decompositions[i])
-        normals.append(_nodal_space_rows(args.seed, i, m))
-    for sp in spectra:
-        run, ok = _certify_spectrum(sp, args.seed, hk, normals)
+        run, ok = _certify_spectrum(sp, args.seed, hk)
         runs.append(run)
-        checks.append({"name": f"certificates[p={sp.p:g}]", "pass": bool(ok)})
+        checks.append({"name": f"certificates[p={p:g}]", "pass": bool(ok)})
     one_lap_section = None
     if args.one_laplacian:
         h2 = hk[1] if g.n >= 2 else None
@@ -518,6 +486,7 @@ def _exponent(text: str) -> float:
     return p
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="plap",
@@ -594,14 +563,8 @@ def _run(args) -> int:
         return EXIT_USAGE
 
 
-_parser = None   # built on the first `main` call and kept for the process
-
-
 def main(argv=None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = _run(args)

@@ -129,13 +129,15 @@ def build_graph(
                  edges_w=edges_w, mu_mode=mu_mode)
 
 
-def parse_graph(text: str, mu_mode: str = "unit") -> Graph:
+def parse_graph(text: str, mu_mode: str | None = "unit") -> Graph:
     """Parse an edge-list document.
 
     Format: a header line ``n <count>``, optional ``mu <vertex> <value>``
-    lines, and edge lines ``<u> <v> <w>``.  ``#`` starts a comment.
+    lines, and edge lines ``<u> <v> <w>``.  ``#`` starts a comment.  With
+    mu_mode None the measure is explicit when the document has a mu line
+    and unit otherwise.
     """
-    if mu_mode not in MU_MODES:
+    if mu_mode is not None and mu_mode not in MU_MODES:
         raise GraphParseError(f"unknown mu_mode {mu_mode!r}")
     n = None
     mu_seen: dict[int, float] = {}
@@ -191,6 +193,8 @@ def parse_graph(text: str, mu_mode: str = "unit") -> Graph:
         edges.append((u, v, w))
     if n is None:
         raise GraphParseError("line 1: empty document, expected header 'n <count>'")
+    if mu_mode is None:
+        mu_mode = "explicit" if mu_seen else "unit"
     mu = None
     if mu_mode == "explicit":
         missing = [v for v in range(1, n + 1) if v not in mu_seen]

@@ -5,7 +5,10 @@ A strong nodal domain is a maximal connected component of {f > 0} or
 or {f <= 0}.  Numeric eigenfunctions carry solver noise, so membership is
 decided against a zero tolerance of 1e-9 * max|f|.  The nodal-space
 checks read their random coefficients from rows the caller draws with
-`nodal_space_normals`, so the module holds no sampling state.
+`nodal_space_normals`, so the module holds no sampling state.  A space of
+m domains reads the first m rows, and those are the draw of m rows, so
+`plap certify` draws each stream once at the exact cap's 14 rows and keeps
+it for the process.
 """
 
 from __future__ import annotations

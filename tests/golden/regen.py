@@ -88,12 +88,14 @@ def _cheeger_cap_graphs(seed: int = 0, count: int = 3) -> list[tuple[str, str]]:
 # exact0_m4..m7 are the seed-0 `exact_p1` benchmark inputs, which pin the
 # exact p = 1 section on graphs of every measure mode.  cap0_g000..g002 are
 # the first seed-0 `cheeger_cap` benchmark inputs (n = 12, unit, degree and
-# explicit measure), which pin the exact h_k of every k at p = 2.
+# explicit measure), which pin the exact h_k of every k at p = 2.  The unit
+# paths n = 4..12 at the default exponents are the path calls of the seed-0
+# `certify_mixed` benchmark corpus.
 INPUTS = {
-    "path5": (_unit_path(5), ()),
-    "path8": (_unit_path(8), ()),
+    **{f"path{n}": (_unit_path(n), ()) for n in (4, 5, 6, 7, 8)},
     "path9": (_unit_path(9), ()),
     "path9_seed5": (_unit_path(9), ("--seed", "5")),
+    **{f"path{n}": (_unit_path(n), ()) for n in (10, 11, 12)},
     "path13": (_unit_path(13), ("--p", "2")),
     "random0_unit": (_random_graph(0, "unit"), ("--p", "2", "--one-laplacian")),
     "random0_unit12": (_random_graph(0, "unit", 12), ("--p", "2")),

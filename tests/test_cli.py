@@ -679,16 +679,16 @@ def test_kept_samples_are_copies_or_read_only():
     check = cli._kernel_inequality_check(0)
     check["pass"] = False
     assert cli._kernel_inequality_check(0)["pass"] is True
-    rows = cli._nodal_space_rows(0, 2, 3)
-    assert np.array_equal(rows, nodal.nodal_space_normals(2, 3))
+    rows = cli._nodal_stream(2)
+    assert cli._nodal_stream(2) is rows
+    assert rows.shape == (EXACT_HK_CAP, nodal.NODAL_SPACE_SAMPLES)
     with pytest.raises(ValueError):
         rows[0, 0] = 1.0
-    # a longer draw of the stream is kept, and the short block stays as it was
-    longer = cli._nodal_space_rows(0, 2, 5)
-    assert np.array_equal(longer, nodal.nodal_space_normals(2, 5))
-    assert np.array_equal(longer[:3], rows)
     with pytest.raises(ValueError):
-        longer[4, 0] = 1.0
+        rows[:3][2, 0] = 1.0
+    # the first m rows of the kept stream are a fresh draw of m rows
+    for m in range(1, EXACT_HK_CAP + 1):
+        assert np.array_equal(rows[:m], nodal.nodal_space_normals(2, m)), m
 
 
 def test_kept_samples_stay_within_their_bound(tmp_path):
@@ -698,14 +698,37 @@ def test_kept_samples_stay_within_their_bound(tmp_path):
     small.write_text(PATH5)
     large.write_text(serialize_graph(path_graph(EXACT_HK_CAP, "unit")))
     for seed in range(40):
-        graph = large if seed % 10 == 0 else small
+        graph, n = (large, EXACT_HK_CAP) if seed % 10 == 0 else (small, 5)
         assert main(["certify", str(graph), "--p", "2", "--seed", str(seed),
                      "--json", str(tmp_path / "r.json")]) == 0
-        assert seed in cli._kept
-        assert len(cli._kept) <= cli.KEPT_SEEDS
-        for kept in cli._kept.values():
-            assert sum(block.nbytes for block in kept["rows"].values()) <= (
-                EXACT_HK_CAP ** 2 * NODAL_SPACE_SAMPLES * 8)
+        # the call's suite and streams are kept: fetching them draws nothing
+        suites, streams = cli._seed_suite.cache_info(), cli._nodal_stream.cache_info()
+        cli._kernel_inequality_check(seed)
+        for i in range(n):
+            assert cli._nodal_stream(seed + i).nbytes == (
+                EXACT_HK_CAP * NODAL_SPACE_SAMPLES * 8)
+        assert cli._seed_suite.cache_info().misses == suites.misses
+        assert cli._nodal_stream.cache_info().misses == streams.misses
+        assert suites.currsize == 1
+        assert streams.currsize <= streams.maxsize == EXACT_HK_CAP
+
+
+def test_report_after_eviction_is_the_first_one(tmp_path):
+    # seed 20 reads streams 20..33 and so evicts every stream of seed 0;
+    # seed 0 then draws its streams again, and they are the ones it had
+    import plap.cli as cli
+    graph = tmp_path / "cap.txt"
+    graph.write_text(serialize_graph(path_graph(EXACT_HK_CAP, "unit")))
+    reports = []
+    for seed in (0, 20, 0):
+        out = tmp_path / f"r{len(reports)}.json"
+        assert main(["certify", str(graph), "--seed", str(seed),
+                     "--json", str(out)]) == 0
+        reports.append(out.read_bytes())
+        if seed == 20:
+            misses = cli._nodal_stream.cache_info().misses
+    assert cli._nodal_stream.cache_info().misses == misses + EXACT_HK_CAP
+    assert reports[2] == reports[0]
 
 
 def test_kept_work_arrays_stay_within_their_bound(tmp_path):

@@ -6,6 +6,8 @@ The reports in tests/golden are the known-right answers of their inputs;
 
 import pytest
 
+from plap import parse_graph
+
 from .golden.regen import HERE, INPUTS, certify
 
 
@@ -29,3 +31,13 @@ def test_reports_do_not_depend_on_earlier_calls(tmp_path):
         out = tmp_path / "report.json"
         assert certify(name, out) == 0
         assert out.read_bytes() == (HERE / f"{name}.json").read_bytes(), name
+
+
+def test_graph_files_parse_to_the_measure_of_their_mu_lines():
+    # with no --mu, a file with a mu line reads as explicit, else as unit
+    for name in INPUTS:
+        text = (HERE / f"{name}.txt").read_text(encoding="utf-8")
+        has_mu = any(line.split("#", 1)[0].split()[:1] == ["mu"]
+                     for line in text.splitlines())
+        assert parse_graph(text, None) == parse_graph(
+            text, "explicit" if has_mu else "unit"), name

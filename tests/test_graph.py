@@ -106,6 +106,21 @@ def test_parse_comments_and_blank_lines():
     assert g.m == 1 and g.edges_w[0] == 1.5
 
 
+def test_parse_chooses_the_measure_from_mu_lines():
+    # a mu line inside a comment is no mu line
+    commented = "n 2\n# mu 1 2.0\n1 2 1.0  # mu 2 0.5\n"
+    assert parse_graph(commented, None) == parse_graph(commented, "unit")
+    text = "n 2\nmu 1 2.0\nmu 2 0.5  # a comment\n1 2 1.0\n"
+    g = parse_graph(text, None)
+    assert g == parse_graph(text, "explicit")
+    assert g.mu_mode == "explicit" and g.mu.tolist() == [2.0, 0.5]
+    # the default measure stays unit, which refuses mu lines
+    with pytest.raises(GraphParseError, match="mu lines present"):
+        parse_graph(text)
+    with pytest.raises(GraphParseError, match="mu missing for vertex 2"):
+        parse_graph("n 2\nmu 1 2.0\n1 2 1.0\n", None)
+
+
 def test_parse_missing_header():
     with pytest.raises(GraphParseError, match="header"):
         parse_graph("1 2 1.0\n", "unit")
