@@ -157,6 +157,7 @@ def parse_graph(text: str, mu_mode: str | None = "unit") -> Graph:
                 raise GraphParseError(f"line {lineno}: bad vertex count {tokens[1]!r}") from None
             if n < 1:
                 raise GraphParseError(f"line {lineno}: vertex count must be >= 1")
+            header = lineno
             continue
         if tokens[0] == "mu":
             if len(tokens) != 3:
@@ -197,10 +198,12 @@ def parse_graph(text: str, mu_mode: str | None = "unit") -> Graph:
         mu_mode = "explicit" if mu_seen else "unit"
     mu = None
     if mu_mode == "explicit":
-        missing = [v for v in range(1, n + 1) if v not in mu_seen]
-        if missing:
+        if len(mu_seen) < n:
+            # mu_seen holds vertices of 1..n, so one of the first
+            # len(mu_seen) + 1 has no mu
+            missing = next(v for v in range(1, n + 1) if v not in mu_seen)
             raise GraphParseError(
-                f"end of input: mu_mode=explicit but mu missing for vertex {missing[0]}")
+                f"end of input: mu_mode=explicit but mu missing for vertex {missing}")
         mu = [mu_seen[v] for v in range(1, n + 1)]
     elif mu_seen:
         raise GraphParseError(
@@ -209,6 +212,9 @@ def parse_graph(text: str, mu_mode: str | None = "unit") -> Graph:
         return build_graph(n, edges, mu=mu, mu_mode=mu_mode)
     except ValueError as exc:
         raise GraphParseError(str(exc)) from None
+    except MemoryError:
+        raise GraphParseError(
+            f"line {header}: vertex count {n} is too large to allocate") from None
 
 
 def serialize_graph(g: Graph) -> str:

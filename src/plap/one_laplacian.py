@@ -385,63 +385,45 @@ def _example(n, near, domains, lam, mu, edges) -> tuple[Fraction, ...]:
     """An eigenfunction at lambda with the most strong nodal domains.
 
     By the lemma it is some nonconstant sum_i sigma_i 1_{D_i} of disjoint
-    candidate domains, same-sign domains not adjacent.  The sums of k
-    domains grow vertex by vertex: the lowest vertex not yet covered stays
-    zero or starts a domain of either sign, the first one positive, as f and
-    -f are one candidate.  From the largest k down, the sums are decided in
-    the order of `_candidate`'s key, and the first that holds is returned
-    with level i at i + 1/2 - zero_pos / 2 (halved when no vertex is zero).
+    candidate domains, same-sign domains not adjacent.  A depth-first search
+    builds the sums of k domains, largest k first: the lowest vertex not yet
+    covered opens a positive domain, then a negative one once a positive one
+    exists (f and -f are one candidate), then stays zero.  Each sum is decided
+    as it is built, and the first that holds is returned as whichever of f
+    and -f has the lexicographically smaller level ranks, with values +-1 and
+    0, or +-1/2 when no vertex is zero.
     """
     full = (1 << n) - 1
     by_low = [[] for _ in range(n)]  # the domains by their lowest vertex
     for d in domains:
         by_low[(d & -d).bit_length() - 1].append(d)
+
+    def sums(free, pos, neg, k):
+        # the nonconstant sums with k more domains in free, the uncovered
+        # vertices the search has not passed
+        if not k:
+            if pos != full:
+                yield pos, neg
+        elif free.bit_count() >= k:
+            low = free & -free
+            for d in by_low[low.bit_length() - 1]:
+                if d & ~free:
+                    continue
+                if not d & near[pos]:
+                    yield from sums(free & ~d, pos | d, neg, k - 1)
+                if pos and not d & near[neg]:
+                    yield from sums(free & ~d, pos, neg | d, k - 1)
+            yield from sums(free ^ low, pos, neg, k)
+
+    def ranked(sign):
+        values = sorted(set(sign))
+        return [values.index(x) for x in sign], sign
+
     for k in range(min(n, len(domains)), 0, -1):
-        found = []
-
-        def grow(v, pos, neg, count):
-            free = full >> v << v & ~(pos | neg)  # vertices v.. not covered
-            if count == k:
-                if neg or pos != full:
-                    found.append(_candidate(pos, neg, n))
-            elif count + free.bit_count() >= k:
-                v = (free & -free).bit_length() - 1
-                for d in by_low[v]:
-                    if d & ~free:
-                        continue
-                    if not d & near[pos]:
-                        grow(v + 1, pos | d, neg, count + 1)
-                    if pos and not d & near[neg]:
-                        grow(v + 1, pos, neg | d, count + 1)
-                grow(v + 1, pos, neg, count)
-
-        grow(0, 0, 0, 0)
-        for (_, zero_pos), levels, sign in sorted(found):
+        for pos, neg in sums(full, 0, 0, k):
+            sign = [(pos >> u & 1) - (neg >> u & 1) for u in range(n)]
+            levels, sign = min(ranked(sign), ranked([-x for x in sign]))
             if _free_selections(levels, sign, mu, edges,
                                 lam.numerator, lam.denominator) is not None:
-                return tuple(Fraction(2 * lev + 1 - zero_pos, 2) for lev in levels)
-
-
-def _candidate(pos, neg, n):
-    """(key, levels, signs) of 1_pos - 1_neg or of its negative, whichever
-    has the lexicographically smaller level ranks.
-
-    The key places the pattern (levels, zero position) in the depth-first
-    recursion where each vertex joins a block of the vertices before it or
-    opens a new one, each by rank, as `tests/oracles.py` enumerates weak
-    orderings: the example is the first that enumeration reports whenever
-    that one takes values in {-1, 0, 1}.
-    """
-    def pattern(p, q):
-        sign = [(p >> u & 1) - (q >> u & 1) for u in range(n)]
-        values = sorted(set(sign))
-        return [values.index(x) for x in sign], sign, values
-
-    levels, sign, values = min(pattern(pos, neg), pattern(neg, pos))
-    zero_pos = 2 * values.index(0) + 1 if 0 in values else 2
-    seen, choices = set(), []
-    for lev in levels:  # join the block of rank r, or open one at rank r
-        below = sum(x < lev for x in seen)
-        choices.append(below if lev in seen else len(seen) + below)
-        seen.add(lev)
-    return (choices, zero_pos), levels, sign
+                half = 1 if 0 in sign else 2
+                return tuple(Fraction(x, half) for x in sign)

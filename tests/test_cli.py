@@ -127,6 +127,16 @@ def test_malformed_file_exit_2(tmp_path):
     assert main(["solve", str(tmp_path / "missing.txt"), "--p", "2"]) == 2
 
 
+@pytest.mark.parametrize("command", ["certify", "solve"])
+@pytest.mark.parametrize("mu_line", ["", "mu 1 1.0\n"], ids=["unit", "mu-line"])
+def test_absurd_vertex_count_is_a_parse_error(command, mu_line, tmp_path, capsys):
+    graph = tmp_path / "huge.txt"
+    graph.write_text(f"n {10 ** 15}\n{mu_line}1 2 1.0\n")
+    assert main([command, str(graph)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("parse error: "), err
+
+
 def test_unusable_paths_exit_2(path4, tmp_path, capsys):
     assert main(["certify", str(tmp_path)]) == 2
     assert main(["solve", path4, "--json", str(tmp_path)]) == 2

@@ -61,6 +61,9 @@ def test_parse_bad_edge_lines(line, fragment):
         parse_graph(text, "unit")
 
 
+HUGE = 10 ** 15
+
+
 @pytest.mark.parametrize("text,mode,fragment", [
     ("n x\n", "unit", "line 1: bad vertex count 'x'"),
     ("n 0\n", "unit", "line 1: vertex count must be >= 1"),
@@ -75,9 +78,16 @@ def test_parse_bad_edge_lines(line, fragment):
     ("# a comment\n\n", "unit", "empty document"),
     ("n 3\n1 2 1.0\n", "degree", "mu_mode=degree requires every vertex"),
     ("n 2\n1 2 1.0\n", "cosine", "unknown mu_mode 'cosine'"),
+    # numpy refuses 10^15 measures without touching memory, and the first
+    # missing mu is found without walking every vertex
+    (f"n {HUGE}\n1 2 1.0\n", "unit",
+     f"line 1: vertex count {HUGE} is too large to allocate"),
+    (f"# huge\nn {HUGE}\n1 2 1.0\n", "degree",
+     f"line 2: vertex count {HUGE} is too large to allocate"),
+    (f"n {HUGE}\nmu 1 1.0\n1 2 1.0\n", "explicit", "mu missing for vertex 2"),
 ], ids=["count", "n0", "mu-short", "mu-token", "mu-range", "mu-duplicate",
         "mu-zero", "mu-negative", "empty", "comment-only",
-        "isolated-degree", "mu-mode"])
+        "isolated-degree", "mu-mode", "huge-unit", "huge-degree", "huge-mu"])
 def test_parse_errors(text, mode, fragment):
     with pytest.raises(GraphParseError, match=re.escape(fragment)):
         parse_graph(text, mode)

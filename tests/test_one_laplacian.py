@@ -9,6 +9,7 @@ from plap import (
     enumerate_1lap_eigenvalues,
     is_connected,
     multiway_cheeger_all,
+    multiway_cheeger_values,
     path_graph,
     strong_nodal_domains,
     verify_1lap_eigenpair,
@@ -444,6 +445,53 @@ def test_enumerate_ignores_vertex_labels():
     relabelled = enumerate_1lap_eigenvalues(_relabelled(g, rng.permutation(10)))
     assert relabelled.nonconstant == found.nonconstant
     assert len(found.nonconstant) > 10
+
+
+def test_example_is_the_first_sum_of_the_search_that_holds():
+    # (0, 1, 1) and (0, -1, 1) both hold with two strong domains; the search
+    # opens a positive domain at vertex 3 before a negative one
+    g = build_graph(3, [(1, 2, 0.814568519393309), (1, 3, 1.464324725797387)],
+                    mu_mode="degree")
+    found = enumerate_1lap_eigenvalues(g)
+    assert found.example == (0, 1, 1)
+    lam = found.nonconstant[0]
+    for f in (found.example, (0, -1, 1)):
+        assert strong_nodal_domains(g, [float(x) for x in f]).count == 2
+        cert = verify_1lap_eigenpair(g, f, lam)
+        assert cert.feasible and check_certificate(g, f, lam, cert), f
+
+
+def _scaled(g, a, b):
+    """g with every w times 2^a and every mu times 2^b; under the degree
+    measure mu follows w."""
+    edges = [(int(u) + 1, int(v) + 1, float(w) * 2.0 ** a)
+             for u, v, w in zip(g.edges_u, g.edges_v, g.edges_w)]
+    if g.mu_mode == "degree":
+        return build_graph(g.n, edges, mu_mode="degree")
+    return build_graph(g.n, edges, mu=g.mu * 2.0 ** b, mu_mode="explicit")
+
+
+def test_exact_layers_scale_exactly():
+    # a power of two times every w and every mu scales every cut ratio
+    # without rounding, so h_k bit for bit and the p = 1 set exactly
+    rng = np.random.default_rng(39)
+    for n in range(2, 11):
+        for mode in MU_MODES:
+            g = random_connected_graph(rng, n, mode)
+            hk, values = multiway_cheeger_all(g), multiway_cheeger_values(g)
+            found = enumerate_1lap_eigenvalues(g) if n <= 8 else None
+            for a, b in ((20, 0), (-20, 0), (0, 20), (7, -13)):
+                h = _scaled(g, a, b)
+                e = 0 if mode == "degree" else a - b
+                assert multiway_cheeger_all(h) == [
+                    (x * 2.0 ** e, family) for x, family in hk], (n, mode, a, b)
+                assert multiway_cheeger_values(h) == [
+                    x * 2.0 ** e for x in values], (n, mode, a, b)
+                if found:
+                    scaled = enumerate_1lap_eigenvalues(h)
+                    assert scaled.nonconstant == tuple(
+                        x * F(2) ** e for x in found.nonconstant), (n, mode, a, b)
+                    assert scaled.example == found.example, (n, mode, a, b)
 
 
 def _cut_test_graphs():
