@@ -3,16 +3,17 @@
 h_k is the smallest achievable value, over families of k pairwise-disjoint
 nonempty vertex subsets, of the largest cut ratio c(A) = w(boundary)/mu(A)
 in the family.  Subsets are not required to cover the vertex set.  Exact
-values are computed by enumeration over subset masks (a 2^n cut table plus a
-min-max packing recursion over about 3^n / 2 (mask, submask) pairs per
-layer), capped at n <= 14; beyond the cap a greedy spectral heuristic is
-available and clearly labeled non-exact.
+values are computed by enumeration over subset masks, capped at n <= 14;
+beyond the cap a greedy spectral heuristic is clearly labeled non-exact.
 
-The recursion is `kernels.family_minmax_dp`: layer j holds, for every mask,
-the best family of j subsets inside it, at a cost that falls with j as
-popcount pruning drops the small masks.  `multiway_cheeger_values` runs the
-layers up to ceil(n/2) only and finishes each larger k with one pass over
-the 2^n masks M: floor(k/2) subsets inside M and ceil(k/2) inside V - M.
+A member A of a family can give way to a nonempty proper subset of ratio at
+most c(A), so the recursion `kernels.family_minmax_dp` pairs masks with the
+undominated subsets alone (every nonempty proper subset of larger ratio):
+layer j holds, for every mask, the best family of j subsets inside it, at a
+cost that falls with j as popcount pruning drops the small leftovers.
+`multiway_cheeger_values` runs the layers up to ceil(n/2) only and finishes
+each larger k with one pass over the 2^n masks M: floor(k/2) subsets inside
+M and ceil(k/2) inside V - M.
 `multiway_cheeger_all` runs every layer and reads each optimal family back
 from the subsets whose ratio is at most h_k, dropping those that meet each
 pick, and taking the smallest by a base-3 rank table whose integer order is
@@ -36,11 +37,11 @@ from .graph import Graph, subset_indices, tau
 if TYPE_CHECKING:
     from .eigensolver import Spectrum
 
-# Warm, on seeded random graphs (2-core x86-64 VM): `multiway_cheeger_values`
-# takes 0.004, 0.011, 0.034, 0.10 and 0.28 s at n = 12..16 (tracemalloc peak
-# 0.7-5.8 MB), `multiway_cheeger_all` 0.006, 0.016, 0.044, 0.12 and 0.32 s
-# (0.9-12.6 MB), and a whole `certify --p 2` 7, 14 and 35 ms at n = 12..14.
-# The cap stays at 14 until whole `certify` calls are timed past it.
+# Warm, on a shared 2-core x86-64 VM: `multiway_cheeger_values` takes 2-4,
+# 2-5, 6-9, 20-27 and 17-65 ms at n = 12..16 on seeded random graphs (peak
+# 0.5-11.5 MB in tracemalloc), and 8, 22, 60, 192 and 672 ms on K_n (0.6-11.0
+# MB); a warm `certify --p 2` takes 4-6, 6-7 and 8-17 ms at n = 12..14.  The
+# cap stays at 14 until whole `certify` calls are timed past it.
 EXACT_HK_CAP = 14
 BOUND_TOL_BASE = 1e-9  # the additive part of `bound_tol`
 

@@ -14,9 +14,10 @@ import numpy as np
 
 # Scratch arrays kept between calls and grown on demand, so that repeated
 # calls fault in no memory.  No caller returns a view of one, and the uses
-# of one name never overlap ("edges_a" and "edges_b" serve `subset_tables`
-# and `nodal.nodal_space_max_rq`), so two threads must not run them at once.
-# Within the exact h_k cap (n <= 14) they hold at most 5.31 MB.
+# of one name never overlap ("edges_a" and "edges_b" serve `subset_tables`,
+# `family_minmax_dp` and `nodal.nodal_space_max_rq`; "subset_bits" and
+# "subset_bits_t" the first two), so two threads must not run them at once.
+# Within the exact h_k cap (n <= 14) they hold at most 5.74 MB.
 _work: dict[str, np.ndarray] = {}
 
 
@@ -147,160 +148,156 @@ def subset_tables(n, eu, ev, ew, mu):
 # dp[j, mask] = min over j pairwise-disjoint nonempty subsets inside mask of
 # the largest ratio[s].  ratio[s] is the cut ratio of subset s against the
 # whole graph, so dp[k, full] is the k-way isoperimetric constant.
-
-# e[j, mask] is the best family of j subsets whose union is exactly mask:
-#   e[0] = [0, inf, ...],
-#   e[j][mask] = min over s <= mask with lowbit(mask) in s of
-#                max(ratio[s], e[j-1][mask ^ s]).
-# Fixing the subset that holds the lowest vertex visits every family once
-# instead of once per member, about 3^n / 2 (mask, submask) pairs per layer.
-# dp[j] is then the minimum of e[j] over submasks: one np.minimum per bit
-# over the whole table (a subset-min zeta transform).
 #
-# Each mask splits into its high bits and its low L = min(n, 9) bits.  For a
-# nonzero low part the lowest vertex is low, and the (lo, ls) pairs with
-# lowbit(lo) in ls form a fixed table of (3^L - 1) / 2 entries grouped by lo.
-# A step (hi, hs) of layer j reads e[j-1] at (hi ^ hs, lo ^ ls), which is
-# finite only if that mask holds at least j - 1 bits, since a family of
-# j - 1 disjoint nonempty subsets needs j - 1 vertices.  So the step runs
-# over the pairs with popcount(lo ^ ls) >= c = j - 1 - popcount(hi ^ hs)
-# only (`_low_tables`), and none at all once c >= L.  The steps of one high
-# mask that share c are gathered, maximized and minimized into one buffer,
-# and one reduceat over the lo groups ends them.  For a zero low part the
-# lowest vertex is high, and the few high submasks holding it are walked as
-# scalars.  Only min and max are taken, so the table is bit-identical to a
-# plain submask walk (`tests/oracles.family_dp_loop`); ratio[0] is never read.
+# Domination.  s is undominated when ratio[s] < ratio[t] for every nonempty
+# proper subset t of s.  A member s of a family can give way to a t of ratio
+# at most ratio[s]: the family stays disjoint, its largest ratio does not
+# rise and it shrinks, so some optimal family has undominated members only
+# (where dp is finite).  A subset-min and a drop-one-vertex pass find them.
+#
+# Recursion.  With h(M) the highest vertex of M, dp[1] is the subset-min of
+# ratio and dp[j][M] = min(dp[j][M - h(M)], max(ratio[s], dp[j-1][M - s])
+# over undominated s with h(M) in s <= M): no member of a best family holds
+# h(M), or the one that does is undominated.  Only min and max of the same
+# floats are taken, so the table is bit-identical to a plain submask walk
+# (`tests/oracles.family_dp_loop`); ratio[0] is never read.  On the seed-0
+# n = 12 benchmark graphs 8-39% of the subsets are undominated, meeting
+# 7-31% of the 3^n / 2 (mask, submask) pairs that hold h(M).
+#
+# Pairs.  s meets M = s | r for each leftover r over its free bits, those
+# below h(s) outside s; layer j runs only over leftovers of >= j - 1 bits,
+# since dp[j-1][r] is inf below that.  `_submasks` lists the leftovers of
+# the low L = min(n, 9) free bits by popcount, once per subset of the free
+# bits above L (a segment).  The s go in ascending chunks of about 2^(n+1)
+# pairs, each listed by leftover popcount descending, so that layer j reads
+# a prefix.  Pairs of s read dp only below h(s), so a chunk runs every layer
+# before the next, and dp[j][M - h(M)] closes the masks of one highest
+# vertex after its last s.  A chunk takes 32 bytes per pair in four kept
+# work arrays, so warm calls fault in no memory; the table takes 0.16 MB.
+# On K14, where every subset is undominated, a warm
+# `cheeger.multiway_cheeger_values` peaks under 3 MB in tracemalloc.
 
-LOW_BITS = 9
-
-
-def _low_submask_pairs(low):
-    """The (lo, ls) pairs of `low` bits with lo != 0 and lowbit(lo) in ls.
-
-    Returns the submasks ls, their complements lo ^ ls, and the start of each
-    lo group for lo = 1 .. 2^low - 1.  Group lo holds lowbit(lo) plus each of
-    the 2^(popcount(lo) - 1) submasks of its other bits, dealt from the
-    group index one bit at a time, so no sort and no 2^low x 2^low temporary
-    is needed.
-    """
-    lo = np.arange(1, 1 << low)
-    first = lo & -lo
-    others = lo ^ first
-    sizes = np.ones_like(lo)
-    for i in range(low):
-        sizes <<= (others >> i) & 1
-    starts = np.cumsum(sizes) - sizes
-    lo = np.repeat(lo, sizes)
-    others = np.repeat(others, sizes)
-    index = np.arange(lo.shape[0]) - np.repeat(starts, sizes)
-    ls = np.repeat(first, sizes)
-    for i in range(low):
-        bit = (others >> i) & 1
-        ls |= (index & bit) << i
-        index >>= bit
-    return ls, lo ^ ls, starts
+SUBMASK_BITS = 9
+_PAD = 16  # column c + _PAD of `_submasks`'s binomial tables, |c| <= 16
 
 
 @functools.lru_cache(maxsize=1)
-def _low_tables(low):
-    """`_low_submask_pairs(low)` split by threshold, for c = 0 .. low - 1.
+def _submasks(bits):
+    """Every submask of every mask x of `bits` bits, grouped by x and within
+    a group by popcount descending; the start of each group; and, flat at
+    f * (2 * _PAD + 1) + c + _PAD, the length and offset of the c-bit run of
+    any group of an f-bit x (0 outside 0 <= c <= f)."""
+    x = np.arange(1 << bits, dtype=np.uint16)  # small first-call temporaries
+    size = 1 << np.bitwise_count(x).astype(np.intp)
+    first = np.cumsum(size) - size
+    # canon[2^f - 1 + k]: the k-th f-bit mask by popcount descending
+    canon = np.array([v for f in range(bits + 1) for v in sorted(
+        range(1 << f), key=lambda v: -v.bit_count())], dtype=np.uint16)
+    xs = np.repeat(x, size)
+    index = canon[np.arange(xs.shape[0]) - np.repeat(first - size + 1, size)]
+    sub = np.zeros_like(xs)
+    for i in range(bits):  # deal the bits of index to the bits of x
+        bit = (xs >> i) & 1
+        sub |= (index & bit) << i
+        index >>= bit
+    sub = sub.astype(np.intp)
+    c = np.arange(-_PAD, _PAD + 1)
+    count = np.array([[math.comb(f, k) if 0 <= k <= f else 0 for k in c]
+                      for f in range(bits + 1)])
+    above = np.cumsum(count[:, ::-1], axis=1)[:, ::-1] - count
+    return sub, first, count.ravel(), above.ravel()
 
-    Table c is (ls, lo ^ ls, group starts, group lo) over the pairs with
-    popcount(lo ^ ls) >= c, still grouped by ascending lo; a group is kept
-    iff popcount(lo) > c, since ls holds lowbit(lo).  Built on first use and
-    kept for the last `low` only: about 0.55 MB at low = 9.
-    """
-    sub, rest, _ = _low_submask_pairs(low)
-    lo = sub | rest
-    bits = np.zeros_like(rest)
-    for i in range(low):
-        bits += (rest >> i) & 1
-    tables = []
-    for c in range(low):
-        keep = bits >= c
-        group_lo = lo[keep]
-        starts = np.flatnonzero(np.diff(group_lo, prepend=0))
-        tables.append((sub[keep], rest[keep], starts, group_lo[starts]))
-    return tables
+
+def _undominated(ratio, least):
+    """The masks, ascending, with no nonempty proper subset of ratio at most
+    their own, given least[t], the least ratio of a nonempty t' <= t."""
+    below = np.full(ratio.shape[0], np.inf)  # over nonempty proper subsets
+    for i in range(ratio.shape[0].bit_length() - 1):
+        v, w = below.reshape(-1, 2, 1 << i), least.reshape(-1, 2, 1 << i)
+        np.minimum(v[:, 1], w[:, 0], out=v[:, 1])
+    keep = ratio < below
+    keep[1 << np.arange(ratio.shape[0].bit_length() - 1)] = True  # singletons
+    keep[0] = False
+    return np.flatnonzero(keep)
 
 
 def family_minmax_dp(ratio, kmax):
     size = ratio.shape[0]
-    low = min(size.bit_length() - 1, LOW_BITS)
-    tables = _low_tables(low)
-    r = ratio.reshape(-1, 1 << low)
-    n_hi = r.shape[0]
-    r_col0 = r[:, 0].tolist()
-    e = np.full((kmax + 1, size), np.inf)
-    e[0, 0] = 0.0
-    # one subset: e[1][mask] = max(ratio[mask], e[0][0])
-    np.maximum(ratio[1:], 0.0, out=e[1, 1:])
-    # leftovers[hi][b]: the high parts d = hi ^ hs of b bits that a step
-    # (hi, hs) leaves over
-    leftovers = []
-    for hi in range(n_hi):
-        by_bits = [[] for _ in range(hi.bit_count() + 1)]
-        d = hi
-        while True:
-            by_bits[d.bit_count()].append(d)
-            if d == 0:
-                break
-            d = (d - 1) & hi
-        leftovers.append(by_bits)
-    m = tables[0][0].shape[0]
-    va, vb, acc = np.empty(m), np.empty(m), np.empty(m)
-    for j in range(2, kmax + 1):
-        prev = e[j - 1].reshape(r.shape)
-        cur = e[j].reshape(r.shape)
-        prev_col0 = prev[:, 0].tolist()
-        for hi in range(n_hi):
-            if hi.bit_count() + low < j:
-                continue
-            row = cur[hi]
-            for b_hi, ds in enumerate(leftovers[hi]):
-                c = j - 1 - b_hi
-                if c >= low:
-                    continue
-                sub, rest, starts, los = tables[max(c, 0)]
-                m = sub.shape[0]
-                a, b, best = va[:m], vb[:m], acc[:m]
-                # mode="clip" skips the buffered copy that take makes for
-                # out= in its default mode; every index is in range
-                for i, d in enumerate(ds):
-                    r[hi ^ d].take(sub, out=a, mode="clip")
-                    prev[d].take(rest, out=b, mode="clip")
-                    if i == 0:
-                        np.maximum(a, b, out=best)
-                    else:
-                        np.maximum(a, b, out=b)
-                        np.minimum(best, b, out=best)
-                red = np.minimum.reduceat(best, starts)
-                if c <= 0:  # table 0 has a group for every lo = 1 .. 2^L - 1
-                    np.minimum(row[1:], red, out=row[1:])
-                else:
-                    row[los] = np.minimum(row[los], red)
-            if hi == 0 or hi.bit_count() < j:
-                continue
-            # low part empty: the subset holding lowbit(hi) has no low bits
-            first = hi & -hi
-            others = hi ^ first
-            best = np.inf
-            t = others
-            while True:
-                a = r_col0[first | t]
-                b = prev_col0[others ^ t]
-                v = a if a > b else b
-                if v < best:
-                    best = v
-                if t == 0:
-                    break
-                t = (t - 1) & others
-            cur[hi, 0] = best
-    # dp[j, mask] = min of e[j] over the submasks of mask
-    for i in range(size.bit_length() - 1):
-        view = e.reshape(kmax + 1, -1, 2, 1 << i)
-        np.minimum(view[:, :, 1], view[:, :, 0], out=view[:, :, 1])
-    return e
+    n = size.bit_length() - 1
+    dp = np.full((kmax + 1, size), np.inf)
+    dp[0] = 0.0
+    dp[1, 1:] = ratio[1:]
+    for i in range(n):  # dp[1] is the subset-min of ratio
+        v = dp[1].reshape(-1, 2, 1 << i)
+        np.minimum(v[:, 1], v[:, 0], out=v[:, 1])
+    if kmax < 2:
+        return dp
+    s = _undominated(ratio, dp[1])
+    top_end = np.searchsorted(s, 2 << np.arange(n)).tolist()  # by highest bit
+    free = ((1 << np.frexp(s)[1]) - 1) ^ s
+    pairs = np.cumsum(1 << np.bitwise_count(free).astype(np.intp))
+    cuts = np.searchsorted(pairs, np.arange(2 * size, pairs[-1], 2 * size))
+    cuts = [0, *cuts.tolist(), s.shape[0]]
+    del pairs
+    low = min(n, SUBMASK_BITS)
+    sub, first, count, above = _submasks(low)
+    shift = sub.shape[0].bit_length()  # code: position | segment << shift
+    # a chunk ends within the 2^(n-1) pairs of one s past 2^(n+1)
+    cap = 2 * size + (size >> 1) + 1
+    code, r, m = (work(name, (cap,)).view(np.intp)
+                  for name in ("edges_a", "edges_b", "subset_bits"))
+    rs = work("subset_bits_t", (cap,))
+    rows = np.arange(n - 1, 0, -1)[:, None] + _PAD  # a cell: (popcount, seg)
+    closed = 0
+    for a, b in zip(cuts, cuts[1:]):  # each s has at most 2^(n-1) pairs
+        seg_s, x, seg_high = s[a:b], free[a:b], 0
+        if (x >> low).any():  # a segment per subset of the free bits above L
+            runs = 1 << np.bitwise_count(x >> low).astype(np.intp)
+            ends = np.cumsum(runs)
+            at = np.repeat(first[x >> low] - ends + runs, runs)
+            seg_high = sub.take(at + np.arange(ends[-1])) << low
+            seg_s = np.repeat(seg_s, runs)
+            x = np.repeat(x, runs) & ((1 << low) - 1)
+        cell = np.bitwise_count(x).astype(np.intp) * (2 * _PAD + 1) + rows
+        cell -= np.bitwise_count(seg_high)
+        length = count.take(cell).ravel()
+        ends = np.cumsum(length)
+        tot = int(ends[-1])
+        # codes run up by one inside a cell; a cell adds its jump from the
+        # end of the one before it where it starts (empty cells cancel out)
+        head = above.take(cell) + first.take(x)
+        head = (head + (np.arange(x.shape[0]) << shift)).ravel()
+        jump = head - 1
+        jump[1:] -= head[:-1] + length[:-1] - 1
+        code[:tot + 1] = 1
+        np.add.at(code, ends - length, jump)
+        np.cumsum(code[:tot], out=code[:tot])
+        np.bitwise_and(code[:tot], (1 << shift) - 1, out=m[:tot])
+        sub.take(m[:tot], out=r[:tot], mode="clip")
+        np.right_shift(code[:tot], shift, out=code[:tot])
+        if np.ndim(seg_high):
+            r[:tot] |= seg_high.take(code[:tot], out=m[:tot], mode="clip")
+        seg_s.take(code[:tot], out=m[:tot], mode="clip")
+        ratio.take(m[:tot], out=rs[:tot], mode="clip")
+        m[:tot] |= r[:tot]
+        row_end = ends[x.shape[0] - 1::x.shape[0]].tolist()
+        done = sum(e <= b for e in top_end)
+        for j in range(2, kmax + 1):
+            p = row_end[n - j]  # pairs whose leftover holds >= j - 1 bits
+            if p:
+                v = code.view(np.float64)[:p]
+                dp[j - 1].take(r[:p], out=v, mode="clip")
+                np.maximum(v, rs[:p], out=v)
+                np.minimum.at(dp[j], m[:p], v)
+            _close(dp[j], max(closed, j - 1), done)  # inf below j bits
+        closed = done  # n after the last chunk
+    return dp
+
+
+def _close(row, start, stop):
+    """row[M] = min(row[M], row[M - h(M)]) for h(M) = start .. stop - 1."""
+    for h in range(start, stop):
+        np.minimum(row[1 << h:2 << h], row[:1 << h], out=row[1 << h:2 << h])
 
 
 def warmup() -> None:

@@ -1,9 +1,12 @@
-"""Golden `plap certify --json` reports of inputs whose answers are known.
+"""Golden `plap certify --json` and `plap cheeger --json` reports of inputs
+whose answers are known.
 
-Each input is a graph file in this directory plus the certify options it
-runs with; its report is the .json file of the same name.  A report records
-the graph path, so every report is made from this directory with the bare
-file name, as `tests/test_golden.py` and the CI console-script step do.
+Each certify input is a graph file in this directory plus the certify
+options it runs with; its report is the .json file of the same name.  Each
+cheeger input names a graph file and the cheeger options; its report is
+the .json file of the cheeger input's name.  A report records the graph
+path, so every report is made from this directory with the bare file name,
+as `tests/test_golden.py` and the CI console-script step do.
 
     PYTHONPATH=src python3 -m tests.golden.regen
 
@@ -30,11 +33,16 @@ HERE = Path(__file__).resolve().parent
 
 # report fields whose changes regen names one by one
 WATCHED = {"lambda", "strong", "weak", "strong_domains", "weak_domains", "h_k",
-           "pass", "all_pass"}
+           "pass", "all_pass", "h", "families"}
 
 
 def _unit_path(n: int) -> str:
     return f"n {n}\n" + "".join(f"{i} {i + 1} 1.0\n" for i in range(1, n))
+
+
+def _complete_graph(n: int) -> str:
+    return f"n {n}\n" + "".join(f"{u} {v} 1.0\n" for u in range(1, n + 1)
+                                  for v in range(u + 1, n + 1))
 
 
 def _random_graph(seed: int, mu_mode: str, n: int = 5) -> str:
@@ -108,16 +116,39 @@ INPUTS = {
 }
 
 
-def certify(name: str, json_path) -> int:
-    """Exit code of `plap certify` on input name, run from this directory."""
-    _, options = INPUTS[name]
+# graph files that only cheeger inputs read
+GRAPHS = {"k8": _complete_graph(8)}
+
+# name: (graph file name, cheeger options).  cap0_g000 is an n = 12 graph
+# with every k; on the unit-weight K8 every family of each size ties, so the
+# report pins the lexicographic tie-break.
+CHEEGER_INPUTS = {
+    "cheeger_cap0_g000": ("cap0_g000", ("--k", "12")),
+    "cheeger_k8": ("k8", ("--k", "8")),
+}
+
+
+def _run_here(argv: list[str]) -> int:
     cwd = os.getcwd()
     os.chdir(HERE)
     try:
         with contextlib.redirect_stderr(io.StringIO()):
-            return cli.main(["certify", f"{name}.txt", *options, "--json", str(json_path)])
+            return cli.main(argv)
     finally:
         os.chdir(cwd)
+
+
+def certify(name: str, json_path) -> int:
+    """Exit code of `plap certify` on input name, run from this directory."""
+    _, options = INPUTS[name]
+    return _run_here(["certify", f"{name}.txt", *options, "--json", str(json_path)])
+
+
+def cheeger(name: str, json_path) -> int:
+    """Exit code of `plap cheeger` on cheeger input name, run from this
+    directory."""
+    graph, options = CHEEGER_INPUTS[name]
+    return _run_here(["cheeger", f"{graph}.txt", *options, "--json", str(json_path)])
 
 
 def _leaves(x, path=""):
@@ -137,7 +168,7 @@ def moved(old: dict, new: dict) -> list[str]:
     lines, others = [], 0
     for path in sorted(a.keys() | b.keys()):
         if a.get(path) != b.get(path):
-            if path.rsplit(".", 1)[-1] in WATCHED:
+            if path.rsplit(".", 1)[-1].split("[")[0] in WATCHED:
                 lines.append(f"{path}: {a.get(path)} -> {b.get(path)}")
             else:
                 others += 1
@@ -146,23 +177,31 @@ def moved(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def _regen(name: str, run) -> None:
+    report = HERE / f"{name}.json"
+    old = json.loads(report.read_text(encoding="utf-8")) if report.exists() else None
+    code = run(name, report)
+    new = json.loads(report.read_text(encoding="utf-8"))
+    if old is None:
+        print(f"{name}: new, exit {code}")
+        return
+    lines = moved(old, new)
+    old_code = 0 if old.get("all_pass", True) else 1
+    if code != old_code:
+        lines.insert(0, f"exit code: {old_code} -> {code}")
+    print(f"{name}: " + ("unchanged" if not lines else "moved"))
+    for line in lines:
+        print(f"  {line}")
+
+
 def main() -> None:
     for name, (text, _) in INPUTS.items():
         (HERE / f"{name}.txt").write_text(text, encoding="utf-8")
-        report = HERE / f"{name}.json"
-        old = json.loads(report.read_text(encoding="utf-8")) if report.exists() else None
-        code = certify(name, report)
-        new = json.loads(report.read_text(encoding="utf-8"))
-        if old is None:
-            print(f"{name}: new, exit {code}")
-            continue
-        lines = moved(old, new)
-        old_code = 0 if old["all_pass"] else 1
-        if code != old_code:
-            lines.insert(0, f"exit code: {old_code} -> {code}")
-        print(f"{name}: " + ("unchanged" if not lines else "moved"))
-        for line in lines:
-            print(f"  {line}")
+        _regen(name, certify)
+    for name, text in GRAPHS.items():
+        (HERE / f"{name}.txt").write_text(text, encoding="utf-8")
+    for name in CHEEGER_INPUTS:
+        _regen(name, cheeger)
 
 
 if __name__ == "__main__":

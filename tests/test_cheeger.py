@@ -104,7 +104,7 @@ def test_reconstruction_matches_submask_walk():
             edges = [(int(u) + 1, int(v) + 1, 1.0) for u, v in zip(w.edges_u, w.edges_v)]
             mu = rng.choice([1.0, 2.0], n) if mu_mode == "explicit" else None
             graphs.append(build_graph(n, edges, mu=mu, mu_mode=mu_mode))
-    # n = 12 splits every mask into high and low bits (L = 9)
+    # n = 12 deals leftovers from segments above the 9-bit submask table
     rng = np.random.default_rng(53)
     for mu_mode in MU_MODES:
         w = random_connected_graph(rng, 12, mu_mode="unit")

@@ -754,7 +754,7 @@ def test_kept_work_arrays_stay_within_their_bound(tmp_path):
         assert main(["certify", str(gfile), "--p", "2",
                      "--json", str(tmp_path / "r.json")]) == 0
         # the ceiling stated beside `kernels.work`
-        assert sum(buf.nbytes for buf in kernels._work.values()) <= 5.31e6
+        assert sum(buf.nbytes for buf in kernels._work.values()) <= 5.74e6
 
 
 def _count_hk_and_repair_calls(monkeypatch):

@@ -1,4 +1,5 @@
-"""`plap certify --json` reports of fixed inputs, byte for byte.
+"""`plap certify --json` and `plap cheeger --json` reports of fixed inputs,
+byte for byte.
 
 The reports in tests/golden are the known-right answers of their inputs;
 `python3 -m tests.golden.regen` rewrites them and names what moved.
@@ -8,7 +9,7 @@ import pytest
 
 from plap import parse_graph
 
-from .golden.regen import HERE, INPUTS, certify
+from .golden.regen import CHEEGER_INPUTS, GRAPHS, HERE, INPUTS, certify, cheeger
 
 
 @pytest.mark.parametrize("name", list(INPUTS))
@@ -17,6 +18,16 @@ def test_certify_report_matches_golden(name, tmp_path):
     assert (HERE / f"{name}.txt").read_text(encoding="utf-8") == text
     out = tmp_path / "report.json"
     assert certify(name, out) == 0
+    assert out.read_bytes() == (HERE / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", list(CHEEGER_INPUTS))
+def test_cheeger_report_matches_golden(name, tmp_path):
+    graph, _ = CHEEGER_INPUTS[name]
+    if graph in GRAPHS:
+        assert (HERE / f"{graph}.txt").read_text(encoding="utf-8") == GRAPHS[graph]
+    out = tmp_path / "report.json"
+    assert cheeger(name, out) == 0
     assert out.read_bytes() == (HERE / f"{name}.json").read_bytes()
 
 

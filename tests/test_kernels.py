@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -36,9 +37,7 @@ def test_subset_tables_blocks_match_one_pass():
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_family_dp_matches_loop(monkeypatch):
-    # LOW_BITS = 2 and 3 send most masks through the high-part steps and the
-    # zero-low-part column, which n <= 9 never reaches at the default
+def test_family_dp_matches_loop():
     rng = np.random.default_rng(11)
     for n in range(1, 12):
         # one decimal gives many ties; ratio[0] is never read, since the
@@ -47,12 +46,91 @@ def test_family_dp_matches_loop(monkeypatch):
         ratio[rng.random(1 << n) < 0.1] = np.inf
         ratio[0] = 0.0
         want = family_dp_loop(ratio, n)
-        for low_bits in (kernels.LOW_BITS, 2, 3):
-            monkeypatch.setattr(kernels, "LOW_BITS", low_bits)
-            for kmax in sorted({1, n // 2, n} - {0}):
-                assert np.array_equal(kernels.family_minmax_dp(ratio, kmax),
-                                      want[:kmax + 1]), (n, low_bits, kmax)
-            monkeypatch.undo()
+        for kmax in sorted({1, n // 2, n} - {0}):
+            assert np.array_equal(kernels.family_minmax_dp(ratio, kmax),
+                                  want[:kmax + 1]), (n, kmax)
+
+
+def _ratio_table(n, edges, mu=None):
+    """Cut ratios of every mask, the empty set at inf."""
+    eu, ev, ew = (np.array(x) for x in zip(*edges))
+    mu = np.ones(n) if mu is None else mu
+    cut, mass = subset_tables_dense(n, eu, ev, ew.astype(float), mu)
+    return np.append(np.inf, cut[1:] / mass[1:])
+
+
+def test_family_dp_matches_loop_where_every_subset_is_undominated():
+    # on K_n every subset has a smaller ratio than its proper subsets, so no
+    # pair is dropped and every family of each size ties with many others;
+    # a disconnected graph has zero ratios on its components and their
+    # unions, and a star ties its leaves
+    tables = [_ratio_table(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
+              for n in range(2, 11)]
+    apart = _ratio_table(8, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0), (5, 6, 0.5)],
+                         np.array([1.0, 2.0, 1.0, 1.0, 1.0, 3.0, 1.0, 2.0]))
+    assert np.count_nonzero(apart == 0.0) == 15  # the unions of 4 components
+    tables.append(apart)
+    tables.append(_ratio_table(9, [(0, v, 1.0) for v in range(1, 9)]))
+    for ratio in tables:
+        n = ratio.shape[0].bit_length() - 1
+        want = family_dp_loop(ratio, n)
+        for kmax in sorted({1, (n + 1) // 2, n}):
+            assert np.array_equal(kernels.family_minmax_dp(ratio, kmax),
+                                  want[:kmax + 1]), (n, kmax)
+
+
+def test_undominated_subsets_by_brute_force():
+    # kept iff no nonempty proper subset has a ratio at most its own
+    rng = np.random.default_rng(12)
+    for n in range(1, 9):
+        for _ in range(3):
+            ratio = np.round(rng.uniform(0.0, 3.0, 1 << n), 1)
+            ratio[rng.random(1 << n) < 0.1] = np.inf
+            ratio[0] = 0.0
+            least = np.array([min([ratio[u] for u in range(1, t + 1) if u & t == u],
+                                  default=np.inf) for t in range(1 << n)])
+            want = [t for t in range(1, 1 << n)
+                    if not any(ratio[u] <= ratio[t] for u in range(1, t)
+                               if u & t == u)]
+            assert kernels._undominated(ratio, least).tolist() == want, n
+
+
+def test_submasks_list_every_submask_by_popcount():
+    for bits in range(1, kernels.SUBMASK_BITS + 1):
+        sub, first, count, above = kernels._submasks(bits)
+        assert sub.shape[0] == 3 ** bits and first[0] == 0
+        width = 2 * kernels._PAD + 1
+        for x in range(1 << bits):
+            f = x.bit_count()
+            group = sub[first[x]:first[x] + (1 << f)].tolist()
+            # every submask once, popcounts descending
+            assert sorted(group) == [y for y in range(x + 1) if y & x == y], (bits, x)
+            pc = [y.bit_count() for y in group]
+            assert pc == sorted(pc, reverse=True), (bits, x)
+            for c in range(-2, f + 3):
+                k = f * width + c + kernels._PAD
+                run = [i for i, p in enumerate(pc) if p == c]
+                assert count[k] == len(run), (bits, x, c)
+                if run:
+                    assert above[k] == run[0], (bits, x, c)
+
+
+def test_worst_case_stays_within_its_stated_peak():
+    # K14 has every subset undominated; a seeded n = 14 graph is typical.
+    # The bound is the warm peak stated beside `kernels.family_minmax_dp`.
+    from plap import build_graph, cheeger
+    from .util import random_connected_graph
+    k14 = build_graph(14, [(u, v, 1.0) for u in range(1, 15) for v in range(u + 1, 15)])
+    seeded = random_connected_graph(np.random.default_rng(3), 14, "degree")
+    for g in (k14, seeded):
+        values = cheeger.multiway_cheeger_values(g)
+        tracemalloc.start()
+        try:
+            assert cheeger.multiway_cheeger_values(g) == values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * 2 ** 20, peak
 
 
 def test_tables_share_no_memory_with_the_kept_work_arrays():
@@ -68,37 +146,6 @@ def test_tables_share_no_memory_with_the_kept_work_arrays():
     kernels.subset_tables(4, eu, ev, rng.uniform(1, 2, 3), rng.uniform(1, 2, 4))
     kernels.family_minmax_dp(rng.uniform(0, 1, 16), 3)
     assert all(np.array_equal(x, y) for x, y in zip((cut, mass, dp), kept))
-
-
-def test_low_submask_pairs_hold_lowest_bit():
-    for low in range(1, kernels.LOW_BITS + 1):
-        sub, rest, starts = kernels._low_submask_pairs(low)
-        assert sub.shape[0] == (3 ** low - 1) // 2
-        lo = sub | rest
-        assert np.all((sub & rest) == 0)
-        assert np.all(sub & lo & -lo)
-        # grouped by lo = 1 .. 2^low - 1, each group every such submask once
-        assert starts[0] == 0 and np.array_equal(lo[starts], np.arange(1, 1 << low))
-        assert np.all(np.diff(lo) >= 0)
-        assert len(set(zip(lo.tolist(), sub.tolist()))) == sub.shape[0]
-
-
-def test_low_tables_split_pairs_by_threshold():
-    for low in range(1, kernels.LOW_BITS + 1):
-        sub, rest, _ = kernels._low_submask_pairs(low)
-        bits = np.array([int(r).bit_count() for r in rest])
-        tables = kernels._low_tables(low)
-        assert len(tables) == low and bits.max() == low - 1
-        for c, (t_sub, t_rest, t_starts, t_lo) in enumerate(tables):
-            # the pairs with popcount(lo ^ ls) >= c, in their grouped order
-            keep = bits >= c
-            assert np.array_equal(t_sub, sub[keep]), (low, c)
-            assert np.array_equal(t_rest, rest[keep]), (low, c)
-            # one nonempty group per lo, ascending
-            lo = t_sub | t_rest
-            assert t_starts[0] == 0 and np.all(np.diff(t_starts) > 0)
-            assert np.array_equal(t_lo, lo[t_starts]) and np.all(np.diff(t_lo) > 0)
-            assert np.array_equal(np.repeat(t_lo, np.diff(t_starts, append=lo.shape[0])), lo)
 
 
 def _same_shot(got, want):
