@@ -95,17 +95,35 @@ def test_undominated_subsets_by_brute_force():
             assert kernels._undominated(ratio, least).tolist() == want, n
 
 
-def test_submasks_list_every_submask_by_popcount():
+def test_low_submask_pairs_hold_lowest_bit():
+    # the low-bit table pairs each x with every submask y once, so that
+    # x = y | (x ^ y); the table for fewer bits is a prefix of a wider one,
+    # and the lowest bit of x is held by half of its pairs
+    prev = None
+    for bits in range(1, kernels.SUBMASK_BITS + 1):
+        sub, first, _, _ = kernels._submasks(bits)
+        assert sub.shape[0] == 3 ** bits and first[0] == 0
+        for x in range(1 << bits):
+            group = sub[first[x]:first[x] + (1 << x.bit_count())].tolist()
+            assert sorted(group) == [y for y in range(x + 1) if y & x == y], (bits, x)
+            if x:
+                assert 2 * sum(y & x & -x != 0 for y in group) == len(group), (bits, x)
+        if prev is not None:
+            assert np.array_equal(sub[:prev[0].shape[0]], prev[0]), bits
+            assert np.array_equal(first[:prev[1].shape[0]], prev[1]), bits
+        prev = sub.copy(), first.copy()
+
+
+def test_low_tables_split_pairs_by_threshold():
+    # within a group popcounts descend, and for every threshold c the
+    # binomial tables give the length and offset of the c-bit run, so the
+    # pairs of popcount >= c are a prefix of above + count entries
+    width = 2 * kernels._PAD + 1
     for bits in range(1, kernels.SUBMASK_BITS + 1):
         sub, first, count, above = kernels._submasks(bits)
-        assert sub.shape[0] == 3 ** bits and first[0] == 0
-        width = 2 * kernels._PAD + 1
         for x in range(1 << bits):
             f = x.bit_count()
-            group = sub[first[x]:first[x] + (1 << f)].tolist()
-            # every submask once, popcounts descending
-            assert sorted(group) == [y for y in range(x + 1) if y & x == y], (bits, x)
-            pc = [y.bit_count() for y in group]
+            pc = [y.bit_count() for y in sub[first[x]:first[x] + (1 << f)].tolist()]
             assert pc == sorted(pc, reverse=True), (bits, x)
             for c in range(-2, f + 3):
                 k = f * width + c + kernels._PAD
@@ -113,6 +131,7 @@ def test_submasks_list_every_submask_by_popcount():
                 assert count[k] == len(run), (bits, x, c)
                 if run:
                     assert above[k] == run[0], (bits, x, c)
+                assert sum(p >= c for p in pc) == above[k] + count[k], (bits, x, c)
 
 
 def test_worst_case_stays_within_its_stated_peak():
