@@ -37,11 +37,11 @@ from .graph import Graph, subset_indices, tau
 if TYPE_CHECKING:
     from .eigensolver import Spectrum
 
-# Warm, on a shared 2-core x86-64 VM: `multiway_cheeger_values` takes 2-4,
-# 2-5, 6-9, 20-27 and 17-65 ms at n = 12..16 on seeded random graphs (peak
-# 0.5-11.5 MB in tracemalloc), and 8, 22, 60, 192 and 672 ms on K_n (0.6-11.0
-# MB); a warm `certify --p 2` takes 4-6, 6-7 and 8-17 ms at n = 12..14.  The
-# cap stays at 14 until whole `certify` calls are timed past it.
+# Warm (shared 2-core x86-64 VM): `multiway_cheeger_values` takes 1-2, 2-5,
+# 3-13, 7-25 and 15-75 ms at n = 12..16 on seeded random graphs (tracemalloc
+# peak 0.5-11.9 MB) and 7-12, 21, 63, 192 and 585 ms on K_n (0.6-11.1 MB); a
+# warm `certify --p 2` 4-6, 6-11 and 9-15 ms at n = 12..14.  The cap stays
+# at 14 until whole `certify` calls are timed past it.
 EXACT_HK_CAP = 14
 BOUND_TOL_BASE = 1e-9  # the additive part of `bound_tol`
 

@@ -13,16 +13,20 @@ import numpy as np
 
 
 # Scratch arrays kept between calls and grown on demand, so that repeated
-# calls fault in no memory.  No caller returns a view of one, and the uses
-# of one name never overlap ("edges_a" and "edges_b" serve `subset_tables`,
-# `family_minmax_dp` and `nodal.nodal_space_max_rq`; "subset_bits" and
-# "subset_bits_t" the first two), so two threads must not run them at once.
-# Within the exact h_k cap (n <= 14) they hold at most 5.74 MB.
+# calls fault in no memory.  Within the exact h_k cap (n <= 14) they hold at
+# most 5.74 MB.
 _work: dict[str, np.ndarray] = {}
 
 
 def work(name, shape):
-    """An uninitialized float64 array of shape over the kept buffer name."""
+    """An uninitialized float64 array of shape over the kept buffer name.
+
+    Kernels that never run inside one another share names, so the process
+    keeps one set of large buffers: "edges_a" and "edges_b" serve
+    `subset_tables`, `family_minmax_dp` (as int64 pair codes and leftovers)
+    and `nodal.nodal_space_max_rq`, "subset_bits" and "subset_bits_t" the
+    first two.  Two threads must not run them at once.
+    """
     size = math.prod(shape)
     buf = _work.get(name)
     if buf is None or buf.size < size:
@@ -160,35 +164,36 @@ def subset_tables(n, eu, ev, ew, mu):
 # over undominated s with h(M) in s <= M): no member of a best family holds
 # h(M), or the one that does is undominated.  Only min and max of the same
 # floats are taken, so the table is bit-identical to a plain submask walk
-# (`tests/oracles.family_dp_loop`); ratio[0] is never read.  On the seed-0
-# n = 12 benchmark graphs 8-39% of the subsets are undominated, meeting
-# 7-31% of the 3^n / 2 (mask, submask) pairs that hold h(M).
+# (`tests/oracles.family_dp_loop`); ratio[0] is never read.
 #
 # Pairs.  s meets M = s | r for each leftover r over its free bits, those
-# below h(s) outside s; layer j runs only over leftovers of >= j - 1 bits,
-# since dp[j-1][r] is inf below that.  `_submasks` lists the leftovers of
-# the low L = min(n, 9) free bits by popcount, once per subset of the free
-# bits above L (a segment).  The s go in ascending chunks of about 2^(n+1)
-# pairs, each listed by leftover popcount descending, so that layer j reads
-# a prefix.  Pairs of s read dp only below h(s), so a chunk runs every layer
-# before the next, and dp[j][M - h(M)] closes the masks of one highest
-# vertex after its last s.  A chunk takes 32 bytes per pair in four kept
-# work arrays, so warm calls fault in no memory; the table takes 0.16 MB.
-# On K14, where every subset is undominated, a warm
-# `cheeger.multiway_cheeger_values` peaks under 3 MB in tracemalloc.
+# below h(s) outside s.  Up to L = 9 vertices every s is paired (cheaper
+# than finding the undominated), from a table kept per n (`_every_pair`:
+# 0.34 MB for all n <= 9).  Past L, 7-31% of the pairs remain on the seed-0
+# n = 12 benchmark graphs, and layer j runs only over leftovers of >= j - 1
+# bits (dp[j-1][r] is inf below that).  `_submasks` lists the leftovers of
+# the low L free bits by popcount, once per subset of the free bits above L
+# (a segment).  The s go in ascending chunks of about 2^(n+1) pairs, each
+# listed by leftover popcount descending, so that layer j reads a prefix.
+# Pairs of s read dp only below h(s), so a chunk runs every layer before the
+# next, and dp[j][M - h(M)] closes the masks of one highest vertex after its
+# last s.  Chunks go through four kept work arrays, so warm calls fault in
+# no memory; `_submasks` takes 0.16 MB.  On K14 (every subset undominated) a
+# warm `cheeger.multiway_cheeger_values` peaks under 3 MB in tracemalloc.
 
 SUBMASK_BITS = 9
 _PAD = 16  # column c + _PAD of `_submasks`'s binomial tables, |c| <= 16
 
 
-@functools.lru_cache(maxsize=1)
-def _submasks(bits):
-    """Every submask of every mask x of `bits` bits, grouped by x and within
-    a group by popcount descending; the start of each group; and, flat at
+@functools.cache
+def _submasks():
+    """Every submask of every mask x of L bits, grouped by x and within a
+    group by popcount descending; the start of each group; and, flat at
     f * (2 * _PAD + 1) + c + _PAD, the length and offset of the c-bit run of
     any group of an f-bit x (0 outside 0 <= c <= f)."""
+    bits = SUBMASK_BITS
     x = np.arange(1 << bits, dtype=np.uint16)  # small first-call temporaries
-    size = 1 << np.bitwise_count(x).astype(np.intp)
+    size = 1 << np.array([v.bit_count() for v in range(1 << bits)])
     first = np.cumsum(size) - size
     # canon[2^f - 1 + k]: the k-th f-bit mask by popcount descending
     canon = np.array([v for f in range(bits + 1) for v in sorted(
@@ -208,6 +213,18 @@ def _submasks(bits):
     return sub, first, count.ravel(), above.ravel()
 
 
+@functools.cache
+def _every_pair(n):
+    """Rows M, r, s of the pairs with h(M) in s, r = M - s and M < 2^n."""
+    u = r = np.zeros(1, dtype=np.intp)  # every r <= u < 2^h
+    blocks = []
+    for h in range(n):
+        blocks.append(np.stack([u | 1 << h, r, (u ^ r) | 1 << h]))
+        u, r = np.tile(u | 1 << h, 3), np.concatenate([r, r, r | 1 << h])
+        u[:u.shape[0] // 3] ^= 1 << h
+    return np.concatenate(blocks, axis=1)
+
+
 def _undominated(ratio, least):
     """The masks, ascending, with no nonempty proper subset of ratio at most
     their own, given least[t], the least ratio of a nonempty t' <= t."""
@@ -222,25 +239,53 @@ def _undominated(ratio, least):
 
 
 def family_minmax_dp(ratio, kmax):
-    size = ratio.shape[0]
-    n = size.bit_length() - 1
-    dp = np.full((kmax + 1, size), np.inf)
+    dp = np.full((kmax + 1, ratio.shape[0]), np.inf)
     dp[0] = 0.0
     dp[1, 1:] = ratio[1:]
+    n = ratio.shape[0].bit_length() - 1
     for i in range(n):  # dp[1] is the subset-min of ratio
         v = dp[1].reshape(-1, 2, 1 << i)
         np.minimum(v[:, 1], v[:, 0], out=v[:, 1])
     if kmax < 2:
         return dp
-    s = _undominated(ratio, dp[1])
-    top_end = np.searchsorted(s, 2 << np.arange(n)).tolist()  # by highest bit
+    closed = 0
+    for m, r, rs, v, ends, done in _pairs(ratio, dp[1]):
+        for j in range(2, kmax + 1):
+            p = ends[n - j]  # pairs whose leftover holds >= j - 1 bits
+            if p:
+                dp[j - 1].take(r[:p], out=v[:p], mode="clip")
+                np.maximum(v[:p], rs[:p], out=v[:p])
+                np.minimum.at(dp[j], m[:p], v[:p])
+            for h in range(max(closed, j - 1), done):  # inf below j bits
+                row = dp[j, 1 << h:2 << h]  # the M of h(M) = h
+                np.minimum(row, dp[j, :1 << h], out=row)
+        closed = done
+    return dp
+
+
+def _pairs(ratio, least):
+    """Chunks (M, r = M - s, ratio[s], a float scratch, ends, done) of the
+    pairs: r holds >= j - 1 bits in the first ends[n - j], and the s of the
+    first `done` highest vertices have all come."""
+    size = ratio.shape[0]
+    n = size.bit_length() - 1
+    if n <= SUBMASK_BITS:  # every s, from the table
+        m, r, s = _every_pair(n)
+        rs = ratio.take(s, out=work("subset_bits_t", s.shape), mode="clip")
+        yield m, r, rs, work("edges_a", s.shape), [s.shape[0]] * n, n
+        return
+    count_bits = np.zeros(size, dtype=np.uint8)  # popcounts
+    for i in range(n):
+        count_bits[1 << i:2 << i] = count_bits[:1 << i] + 1
+    s = _undominated(ratio, least)
     free = ((1 << np.frexp(s)[1]) - 1) ^ s
-    pairs = np.cumsum(1 << np.bitwise_count(free).astype(np.intp))
+    pairs = np.cumsum(1 << count_bits.take(free).astype(np.intp))
     cuts = np.searchsorted(pairs, np.arange(2 * size, pairs[-1], 2 * size))
     cuts = [0, *cuts.tolist(), s.shape[0]]
     del pairs
-    low = min(n, SUBMASK_BITS)
-    sub, first, count, above = _submasks(low)
+    top_end = np.searchsorted(s, 2 << np.arange(n)).tolist()  # by highest bit
+    low = SUBMASK_BITS
+    sub, first, count, above = _submasks()
     shift = sub.shape[0].bit_length()  # code: position | segment << shift
     # a chunk ends within the 2^(n-1) pairs of one s past 2^(n+1)
     cap = 2 * size + (size >> 1) + 1
@@ -248,18 +293,16 @@ def family_minmax_dp(ratio, kmax):
                   for name in ("edges_a", "edges_b", "subset_bits"))
     rs = work("subset_bits_t", (cap,))
     rows = np.arange(n - 1, 0, -1)[:, None] + _PAD  # a cell: (popcount, seg)
-    closed = 0
     for a, b in zip(cuts, cuts[1:]):  # each s has at most 2^(n-1) pairs
-        seg_s, x, seg_high = s[a:b], free[a:b], 0
-        if (x >> low).any():  # a segment per subset of the free bits above L
-            runs = 1 << np.bitwise_count(x >> low).astype(np.intp)
-            ends = np.cumsum(runs)
-            at = np.repeat(first[x >> low] - ends + runs, runs)
-            seg_high = sub.take(at + np.arange(ends[-1])) << low
-            seg_s = np.repeat(seg_s, runs)
-            x = np.repeat(x, runs) & ((1 << low) - 1)
-        cell = np.bitwise_count(x).astype(np.intp) * (2 * _PAD + 1) + rows
-        cell -= np.bitwise_count(seg_high)
+        x = free[a:b]  # a segment per subset of the free bits above L
+        runs = 1 << count_bits.take(x >> low).astype(np.intp)
+        ends = np.cumsum(runs)
+        at = np.repeat(first[x >> low] - ends + runs, runs)
+        seg_high = sub.take(at + np.arange(ends[-1])) << low
+        seg_s = np.repeat(s[a:b], runs)
+        x = np.repeat(x, runs) & ((1 << low) - 1)
+        cell = count_bits.take(x).astype(np.intp) * (2 * _PAD + 1) + rows
+        cell -= count_bits.take(seg_high)
         length = count.take(cell).ravel()
         ends = np.cumsum(length)
         tot = int(ends[-1])
@@ -275,29 +318,13 @@ def family_minmax_dp(ratio, kmax):
         np.bitwise_and(code[:tot], (1 << shift) - 1, out=m[:tot])
         sub.take(m[:tot], out=r[:tot], mode="clip")
         np.right_shift(code[:tot], shift, out=code[:tot])
-        if np.ndim(seg_high):
-            r[:tot] |= seg_high.take(code[:tot], out=m[:tot], mode="clip")
+        r[:tot] |= seg_high.take(code[:tot], out=m[:tot], mode="clip")
         seg_s.take(code[:tot], out=m[:tot], mode="clip")
         ratio.take(m[:tot], out=rs[:tot], mode="clip")
         m[:tot] |= r[:tot]
         row_end = ends[x.shape[0] - 1::x.shape[0]].tolist()
         done = sum(e <= b for e in top_end)
-        for j in range(2, kmax + 1):
-            p = row_end[n - j]  # pairs whose leftover holds >= j - 1 bits
-            if p:
-                v = code.view(np.float64)[:p]
-                dp[j - 1].take(r[:p], out=v, mode="clip")
-                np.maximum(v, rs[:p], out=v)
-                np.minimum.at(dp[j], m[:p], v)
-            _close(dp[j], max(closed, j - 1), done)  # inf below j bits
-        closed = done  # n after the last chunk
-    return dp
-
-
-def _close(row, start, stop):
-    """row[M] = min(row[M], row[M - h(M)]) for h(M) = start .. stop - 1."""
-    for h in range(start, stop):
-        np.minimum(row[1 << h:2 << h], row[:1 << h], out=row[1 << h:2 << h])
+        yield m, r, rs, code.view(np.float64), row_end, done
 
 
 def warmup() -> None:

@@ -755,6 +755,9 @@ def test_kept_work_arrays_stay_within_their_bound(tmp_path):
                      "--json", str(tmp_path / "r.json")]) == 0
         # the ceiling stated beside `kernels.work`
         assert sum(buf.nbytes for buf in kernels._work.values()) <= 5.74e6
+    # the pair tables the kernel keeps, at most those stated beside it
+    tables = [*kernels._submasks(), *map(kernels._every_pair, range(1, 10))]
+    assert sum(t.nbytes for t in tables) <= (0.16 + 0.34) * 2 ** 20
 
 
 def _count_hk_and_repair_calls(monkeypatch):

@@ -96,22 +96,28 @@ def test_undominated_subsets_by_brute_force():
 
 
 def test_low_submask_pairs_hold_lowest_bit():
-    # the low-bit table pairs each x with every submask y once, so that
-    # x = y | (x ^ y); the table for fewer bits is a prefix of a wider one,
-    # and the lowest bit of x is held by half of its pairs
-    prev = None
-    for bits in range(1, kernels.SUBMASK_BITS + 1):
-        sub, first, _, _ = kernels._submasks(bits)
-        assert sub.shape[0] == 3 ** bits and first[0] == 0
-        for x in range(1 << bits):
-            group = sub[first[x]:first[x] + (1 << x.bit_count())].tolist()
-            assert sorted(group) == [y for y in range(x + 1) if y & x == y], (bits, x)
-            if x:
-                assert 2 * sum(y & x & -x != 0 for y in group) == len(group), (bits, x)
-        if prev is not None:
-            assert np.array_equal(sub[:prev[0].shape[0]], prev[0]), bits
-            assert np.array_equal(first[:prev[1].shape[0]], prev[1]), bits
-        prev = sub.copy(), first.copy()
+    # the submask table pairs each x with every submask y once, so that
+    # x = y | (x ^ y), and the lowest bit of x is held by half of its pairs
+    bits = kernels.SUBMASK_BITS
+    sub, first, _, _ = kernels._submasks()
+    assert sub.shape[0] == 3 ** bits and first[0] == 0
+    for x in range(1 << bits):
+        group = sub[first[x]:first[x] + (1 << x.bit_count())].tolist()
+        assert sorted(group) == [y for y in range(x + 1) if y & x == y], x
+        if x:
+            assert 2 * sum(y & x & -x != 0 for y in group) == len(group), x
+
+
+def test_every_pair_lists_each_anchored_pair_once():
+    # below n bits, each s holding h(M) pairs with M once
+    for n in range(1, kernels.SUBMASK_BITS + 1):
+        m, r, s = kernels._every_pair(n)
+        assert np.array_equal(m, r | s) and not (r & s).any()
+        want = sorted((mm, mm ^ ss, ss) for mm in range(1, 1 << n)
+                      for ss in range(1, mm + 1)
+                      if ss & mm == ss and ss >> (mm.bit_length() - 1))
+        got = zip(m.tolist(), r.tolist(), s.tolist())
+        assert sorted(got) == want, n
 
 
 def test_low_tables_split_pairs_by_threshold():
@@ -119,19 +125,29 @@ def test_low_tables_split_pairs_by_threshold():
     # binomial tables give the length and offset of the c-bit run, so the
     # pairs of popcount >= c are a prefix of above + count entries
     width = 2 * kernels._PAD + 1
-    for bits in range(1, kernels.SUBMASK_BITS + 1):
-        sub, first, count, above = kernels._submasks(bits)
-        for x in range(1 << bits):
-            f = x.bit_count()
-            pc = [y.bit_count() for y in sub[first[x]:first[x] + (1 << f)].tolist()]
-            assert pc == sorted(pc, reverse=True), (bits, x)
-            for c in range(-2, f + 3):
-                k = f * width + c + kernels._PAD
-                run = [i for i, p in enumerate(pc) if p == c]
-                assert count[k] == len(run), (bits, x, c)
-                if run:
-                    assert above[k] == run[0], (bits, x, c)
-                assert sum(p >= c for p in pc) == above[k] + count[k], (bits, x, c)
+    sub, first, count, above = kernels._submasks()
+    for x in range(1 << kernels.SUBMASK_BITS):
+        f = x.bit_count()
+        pc = [y.bit_count() for y in sub[first[x]:first[x] + (1 << f)].tolist()]
+        assert pc == sorted(pc, reverse=True), x
+        for c in range(-2, f + 3):
+            k = f * width + c + kernels._PAD
+            run = [i for i, p in enumerate(pc) if p == c]
+            assert count[k] == len(run), (x, c)
+            if run:
+                assert above[k] == run[0], (x, c)
+            assert sum(p >= c for p in pc) == above[k] + count[k], (x, c)
+
+
+def test_family_dp_runs_without_numpy_2(monkeypatch):
+    # the declared floor is NumPy 1.24, which has no np.bitwise_count
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    kernels._submasks.__wrapped__()
+    rng = np.random.default_rng(13)
+    for n in (4, 10, 11):
+        ratio = np.round(rng.uniform(0.0, 3.0, 1 << n), 1)
+        assert np.array_equal(kernels.family_minmax_dp(ratio, 3),
+                              family_dp_loop(ratio, 3)), n
 
 
 def test_worst_case_stays_within_its_stated_peak():
