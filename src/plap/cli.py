@@ -282,8 +282,12 @@ def _nodal_stream(stream_seed: int) -> np.ndarray:
     return rows
 
 
-def _operator_checks(g: Graph, p: float, rng) -> dict:
-    f = rng.standard_normal(g.n)
+def _operator_checks(g: Graph, p: float, seed: int) -> dict:
+    """Lap_p f sums to 0 and R_p is scale invariant at one random f: the
+    first n entries of row 0 of `_nodal_stream(seed + 7)`, the f that
+    `default_rng(seed + 7).standard_normal(n)` draws.  The nodal-space check
+    of pair 8 reads the same stream, so the two checks share it."""
+    f = _nodal_stream(seed + 7)[0, :g.n]
     lap = plaplacian.apply_p_laplacian(g, f, p)
     sum_zero = abs(float(np.sum(lap))) <= 1e-12 * (float(np.sum(np.abs(lap))) + 1.0)
     r0 = plaplacian.rayleigh_quotient(g, f, p)
@@ -313,8 +317,10 @@ def _certify_spectrum(sp, seed, hk):
     certs = cheeger.certify_cheeger(sp, hk=hk)
     span_checks = []
     # drawn before the checks grow their work arrays, so that a first call
-    # keeps its streams side by side on the heap and its peak RSS lower
+    # keeps its streams side by side on the heap and its peak RSS lower; the
+    # operator check reads stream seed + 7, so it runs here too
     streams = [_nodal_stream(seed + i) for i in range(len(sp.pairs))]
+    op_check = _operator_checks(g, p, seed)
     for i, (pair, (strong, weak)) in enumerate(zip(sp.pairs, sp.decompositions)):
         strong_rq = nodal.nodal_space_max_rq(g, pair, strong, streams[i])
         # with no zero vertex the weak domains are the strong ones, and the
@@ -326,7 +332,6 @@ def _certify_spectrum(sp, seed, hk):
             entry[kind] = {"max_rq": float(mx),
                            "pass": bool(mx <= pair.lam + 1e-8)}
         span_checks.append(entry)
-    op_check = _operator_checks(g, p, np.random.default_rng(seed + 7))
     run = {
         "p": p,
         "method": sp.method,

@@ -10,12 +10,14 @@ Three routes:
   continuation driver work over two coordinate forms: the direct form
   (f, lam) serves targets p >= 2 and the flux form (phi_p(f),
   phi_p(edge differences), lam) serves targets p < 2.  One form serves the
-  whole path from p = 2 to the target, halved steps included.  Each
-  Armijo backtrack of Newton tries the one point x + alpha * step, and a
-  finished direct-form pair has its unresolved cusp entries set to exact
-  zeros when the residual stays within tolerance.  When a
-  branch dies or a value breaks its upper bound, a single repair pass
-  solves once from each distinct indicator-span start at the target p;
+  whole path from p = 2 to the target, halved steps included.  Newton's
+  Armijo line search evaluates its trial points x + alpha * step, alpha = 1,
+  1/2, ..., 2^-40, in one residual call and takes the first that passes, as
+  trying them one by one would.  A finished direct-form pair has its
+  unresolved cusp entries set to exact zeros when the residual stays
+  within tolerance.  When a branch dies or a value breaks its upper bound,
+  a single repair pass solves once from each distinct indicator-span start
+  at the target p;
 * a shooting solver on unit-weight paths that counts the eigenvalues below
   a trial lambda from one shot (generalized zeros plus the sign of the
   boundary defect) and bisects that count down to adjacent floats,
@@ -162,11 +164,10 @@ def solve_p2_spectrum(g: Graph) -> Spectrum:
     sym = 0.5 * (sym + sym.T)
     vals, vecs = np.linalg.eigh(sym)
     vals = np.where((vals < 0) & (vals > -1e-10), 0.0, vals)
-    pairs = []
-    for k in range(n):
-        f = _canonical_sign(inv_sqrt * vecs[:, k])
-        res = plaplacian.eigen_residual(g, f, float(vals[k]), 2.0)
-        pairs.append(EigenPair(p=2.0, lam=float(vals[k]), f=f, residual=res))
+    fs = [_canonical_sign(inv_sqrt * vecs[:, k]) for k in range(n)]
+    lams = vals.tolist()
+    pairs = [EigenPair(p=2.0, lam=lam, f=f, residual=res) for f, lam, res
+             in zip(fs, lams, plaplacian.eigen_residuals(g, fs, lams, 2.0))]
     return Spectrum(graph=g, p=2.0, pairs=tuple(pairs), method="dense_p2",
                     diagnostics=tuple({} for _ in pairs),
                     notes=_limit_notes(pairs, "dense p = 2 pairs"))
@@ -179,6 +180,11 @@ def solve_p2_spectrum(g: Graph) -> Spectrum:
 # the augmented system (eigen-equation plus unit-norm row) with unknowns
 # x = (coordinates, lam).  A form poses a vertex function f as x and maps
 # x back to f, and supplies the residual, Jacobian and the finished pair.
+# A form's residual also takes a stack of points, one per row, and returns
+# each row's residual bit for bit (the kernels' rows form).
+
+# the Armijo trial step lengths 1, 1/2, ..., 2^-40
+_ALPHAS = np.ldexp(1.0, -np.arange(41))
 
 
 def _dphi(x: np.ndarray, p: float) -> np.ndarray:
@@ -203,11 +209,12 @@ class _DirectForm:
         return x[:-1]
 
     def residual(self, x, p):
-        g, f, lam = self.g, x[:-1], x[-1]
-        out = np.empty(g.n + 1)
-        out[:g.n] = (kernels.plap_apply(g.edges_u, g.edges_v, g.edges_w, f, p, g.n)
-                     - lam * g.mu * plaplacian.phi(p, f))
-        out[g.n] = kernels.weighted_pnorm_pow(g.mu, f, p) - 1.0
+        g, f, lam = self.g, x[..., :-1], x[..., -1:]
+        out = np.empty(x.shape)
+        out[..., :g.n] = (
+            kernels.plap_apply(g.edges_u, g.edges_v, g.edges_w, f, p, g.n)
+            - lam * g.mu * plaplacian.phi(p, f))
+        out[..., g.n] = kernels.weighted_pnorm_pow(g.mu, f, p) - 1.0
         return out
 
     def jacobian(self, x, p):
@@ -279,15 +286,15 @@ class _FluxForm:
         g = self.g
         n, m = g.n, g.m
         eu, ev, ew = g.edges_u, g.edges_v, g.edges_w
-        s, t, lam, q = x[:n], x[n:n + m], x[-1], p / (p - 1.0)
-        out = np.empty(n + m + 1)
+        s, t = x[..., :n], x[..., n:n + m]
+        lam, q = x[..., -1:], p / (p - 1.0)
+        out = np.empty(x.shape)
         phis = plaplacian.phi(q, s)
-        out[:m] = plaplacian.phi(q, t) - phis[eu] + phis[ev]
-        wt = ew * t
-        out[m:m + n] = (np.bincount(eu, weights=wt, minlength=n)
-                        - np.bincount(ev, weights=wt, minlength=n)
-                        - lam * g.mu * s)
-        out[m + n] = float(np.sum(g.mu * np.abs(s) ** q)) - 1.0
+        out[..., :m] = (plaplacian.phi(q, t) - phis.take(eu, axis=-1)
+                        + phis.take(ev, axis=-1))
+        out[..., m:m + n] = (kernels.edge_divergence(eu, ev, ew * t, n)
+                             - lam * g.mu * s)
+        out[..., m + n] = kernels.weighted_pnorm_pow(g.mu, s, q) - 1.0
         return out
 
     def jacobian(self, x, p):
@@ -350,23 +357,24 @@ def _newton(form, x, p):
             step = np.linalg.lstsq(jac, -res, rcond=None)[0]
             if not np.all(np.isfinite(step)):
                 raise _NewtonFailure(form.failures[0])
-        # Armijo backtracking on the residual norm
-        alpha = 1.0
-        while True:
-            x_try = x + alpha * step
-            res_try = form.residual(x_try, p)
+        # Armijo backtracking on the residual norm: every trial point in one
+        # residual call, the first to pass taken.  Each row's norm is the
+        # norm of that row alone, so the step is the one-trial-at-a-time
+        # loop's (`tests/oracles.newton_scalar`)
+        trials = x + _ALPHAS[:, None] * step
+        for alpha, x_try, res_try in zip(_ALPHAS.tolist(), trials,
+                                         form.residual(trials, p)):
             nrm_try = float(np.linalg.norm(res_try))
             if nrm_try <= (1.0 - 1e-4 * alpha) * nrm2:
                 x, res, nrm2 = x_try, res_try, nrm_try
                 break
-            alpha *= 0.5
-            if alpha < 2.0 ** -40:
-                # stiff instances bottom out above the tolerance; accept the
-                # floor when it is already far below the solver contract;
-                # without it stiff steps fail and some spectra lose a pair
-                if np.max(np.abs(res)) <= 100 * NEWTON_TOL:
-                    return x, iters
-                raise _NewtonFailure(form.failures[1])
+        else:
+            # stiff instances bottom out above the tolerance; accept the
+            # floor when it is already far below the solver contract;
+            # without it stiff steps fail and some spectra lose a pair
+            if np.max(np.abs(res)) <= 100 * NEWTON_TOL:
+                return x, iters
+            raise _NewtonFailure(form.failures[1])
         iters += 1
     if np.max(np.abs(res)) <= 100 * NEWTON_TOL:
         return x, iters
@@ -869,9 +877,11 @@ def path_spectrum(n: int, p: float) -> Spectrum:
                     f"path pair k = {k} residual {res:.3g} exceeds "
                     f"{accept:.3g}; defect = {shot_defect!r}")
             pairs.append(EigenPair(p=p, lam=a_root, f=f, residual=res))
-            diags.append({"zero_count": zeros, "defect": shot_defect,
-                          "direct_defect": plaplacian.eigen_residual(
-                              g, f, a_root, p)})
+            diags.append({"zero_count": zeros, "defect": shot_defect})
+        direct = plaplacian.eigen_residuals(
+            g, [pr.f for pr in pairs[1:]], [pr.lam for pr in pairs[1:]], p)
+        for diag, res in zip(diags[1:], direct):
+            diag["direct_defect"] = res
         return pairs, diags
 
     try:

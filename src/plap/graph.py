@@ -48,6 +48,16 @@ class Graph:
         return d
 
     @cached_property
+    def unit_weights(self) -> bool:
+        """Every edge weight is 1.0."""
+        return bool(np.all(self.edges_w == 1.0))
+
+    @cached_property
+    def unit_measure(self) -> bool:
+        """Every vertex measure is 1.0."""
+        return bool(np.all(self.mu == 1.0))
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor lists (0-based) for traversal."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]

@@ -1,7 +1,13 @@
 """Hot inner loops of the solvers and the h_k enumeration, in numpy and Python.
 
+`plap_apply` takes edge ends eu, ev, weights ew, a vertex function f, the
+exponent p and the vertex count n.  f is one function of shape (n,) or a
+stack of them of shape (rows, n), and row r of a stack's result is the call
+on f[r], bit for bit; `edge_divergence` and `weighted_pnorm_pow` take stacks
+the same way.  So a caller evaluates many points in one call.
+
 Callers look each kernel up as a module attribute (``kernels.plap_apply``),
-so a tracer can count calls by replacing the attribute.
+so a tracer can count calls by replacing the attribute; a stack is one call.
 """
 
 from __future__ import annotations
@@ -36,12 +42,26 @@ def work(name, shape):
 
 # ---------------------------------------------------------------------------
 # p-Laplacian application: out[u] = sum_v w(uv) |f(u)-f(v)|^(p-2) (f(u)-f(v))
+# A stack's rows are bit for bit one-row calls: elementwise operations do
+# not see the other rows, and the edge sums of all rows go through one
+# np.bincount over the flattened bins row * n + edge end, which adds each
+# bin's terms in edge order as a one-row call does.
+
+def edge_divergence(eu, ev, t, n):
+    """out[u] = sum of t over the edges (u, v) minus over the edges (v, u)."""
+    size = n
+    if t.ndim > 1:  # bin row * n + edge end; one row needs no offset
+        size *= t.shape[0]
+        at = np.arange(0, size, n)[:, None]
+        eu, ev = (eu + at).ravel(), (ev + at).ravel()
+    out = (np.bincount(eu, weights=t.ravel(), minlength=size)
+           - np.bincount(ev, weights=t.ravel(), minlength=size))
+    return out.reshape(t.shape[0], n) if t.ndim > 1 else out
+
 
 def plap_apply(eu, ev, ew, f, p, n):
-    d = f[eu] - f[ev]
-    t = ew * np.sign(d) * np.abs(d) ** (p - 1.0)
-    return (np.bincount(eu, weights=t, minlength=n)
-            - np.bincount(ev, weights=t, minlength=n))
+    d = f.take(eu, axis=-1) - f.take(ev, axis=-1)
+    return edge_divergence(eu, ev, ew * np.sign(d) * np.abs(d) ** (p - 1.0), n)
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +72,10 @@ def dirichlet(eu, ev, ew, f, p):
 
 
 def weighted_pnorm_pow(mu, f, p):
-    """sum_u mu(u) |f(u)|^p (the p-th power of the weighted norm)."""
-    return float(np.sum(mu * np.abs(f) ** p))
+    """sum_u mu(u) |f(u)|^p (the p-th power of the weighted norm): a float
+    for one vertex function, one sum per row for a stack."""
+    s = np.sum(mu * np.abs(f) ** p, axis=-1)
+    return s if s.ndim else float(s)
 
 
 # ---------------------------------------------------------------------------

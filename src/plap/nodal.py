@@ -144,13 +144,17 @@ def nodal_space_max_rq(
     gmat.take(g.edges_u, axis=0, out=diff, mode="clip")
     gmat.take(g.edges_v, axis=0, out=other, mode="clip")
     diff -= other
-    np.abs(diff, out=diff)
+    # exact identities skipped: (-x)^2 = x^2 and x * 1.0 = x
+    if p != 2.0:
+        np.abs(diff, out=diff)
+        np.abs(gmat, out=gmat)
     diff **= p
-    diff *= g.edges_w[:, None]
+    if not g.unit_weights:
+        diff *= g.edges_w[:, None]
     num = diff.sum(axis=0)
-    np.abs(gmat, out=gmat)
     gmat **= p
-    gmat *= g.mu[:, None]
+    if not g.unit_measure:
+        gmat *= g.mu[:, None]
     den = gmat.sum(axis=0)
     # mask only when some combination is (numerically) zero
     if den.min() > 1e-300:

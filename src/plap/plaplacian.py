@@ -101,15 +101,28 @@ def rq_gradient(g: Graph, f, p: float) -> np.ndarray:
 
 def eigen_residual(g: Graph, f, lam: float, p: float) -> float:
     """Max-norm defect of the eigen-equation after unit p-norm scaling."""
+    return eigen_residuals(g, _as_vertex_function(g, f)[None], [lam], p)[0]
+
+
+def eigen_residuals(g: Graph, fs, lams, p: float) -> list[float]:
+    """`eigen_residual` of each row of fs at the lam beside it, from one
+    kernel call.  Each row's norm is the one-row sum and its 1/p power is
+    taken on a Python float, so every value is the one-row call's."""
     if p <= 1:
         raise ValueError(f"eigen_residual requires p > 1, got {p}")
-    arr = _as_vertex_function(g, f)
-    nrm = kernels.weighted_pnorm_pow(g.mu, arr, p) ** (1.0 / p)
-    if nrm == 0.0:
+    arr = np.asarray(fs, dtype=np.float64)
+    if arr.shape != (len(lams), g.n):
+        raise ValueError(f"vertex functions have shape {arr.shape}, "
+                         f"expected ({len(lams)}, {g.n})")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("vertex function must be finite")
+    nrm = [s ** (1.0 / p) for s in kernels.weighted_pnorm_pow(g.mu, arr, p).tolist()]
+    if 0.0 in nrm:
         raise ValueError("residual undefined for the zero function")
-    arr = arr / nrm
+    arr = arr / np.array(nrm)[:, None]
     lap = kernels.plap_apply(g.edges_u, g.edges_v, g.edges_w, arr, p, g.n)
-    return float(np.max(np.abs(lap - lam * g.mu * phi(p, arr))))
+    lam = np.array(lams, dtype=np.float64)[:, None]
+    return np.max(np.abs(lap - lam * g.mu * phi(p, arr)), axis=1).tolist()
 
 
 def ax_by_gap(p: float, a, b, x, y):

@@ -13,7 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from plap import kernels, plaplacian, rayleigh_quotient
-from plap.eigensolver import PATH_RESIDUAL_TOL, BracketError, Spectrum
+from plap.eigensolver import (NEWTON_MAX_ITER, NEWTON_TOL, PATH_RESIDUAL_TOL,
+                              BracketError, Spectrum, _NewtonFailure)
 from plap.graph import components, is_canonical_path, path_graph
 from plap.nodal import MAX_SIGN_PATTERN_DOMAINS, NODAL_SPACE_SAMPLES, NodalDecomposition
 from plap.one_laplacian import OneLapCertificate, _integer_graph, _rational_graph, _vertex_net
@@ -1027,3 +1028,43 @@ def path_spectrum_bisection(n, p):
                  + ", ".join(above),)
     return Spectrum(graph=g, p=p, pairs=tuple(pairs), method="path_shooting",
                     diagnostics=tuple(diags), notes=notes)
+
+
+def newton_scalar(form, x, p):
+    """`eigensolver._newton` with its Armijo trials one residual call each.
+
+    The reference for the batched line search: the same (x, iterations) or
+    the same failure.  Call it under the solver's quiet errstate.
+    """
+    res = form.residual(x, p)
+    nrm2 = float(np.linalg.norm(res))
+    iters = 0
+    for _ in range(NEWTON_MAX_ITER):
+        if np.max(np.abs(res)) <= NEWTON_TOL:
+            return x, iters
+        jac = form.jacobian(x, p)
+        try:
+            step = np.linalg.solve(jac, -res)
+            if not np.all(np.isfinite(step)):
+                raise np.linalg.LinAlgError
+        except np.linalg.LinAlgError:
+            step = np.linalg.lstsq(jac, -res, rcond=None)[0]
+            if not np.all(np.isfinite(step)):
+                raise _NewtonFailure(form.failures[0])
+        alpha = 1.0
+        while True:
+            x_try = x + alpha * step
+            res_try = form.residual(x_try, p)
+            nrm_try = float(np.linalg.norm(res_try))
+            if nrm_try <= (1.0 - 1e-4 * alpha) * nrm2:
+                x, res, nrm2 = x_try, res_try, nrm_try
+                break
+            alpha *= 0.5
+            if alpha < 2.0 ** -40:
+                if np.max(np.abs(res)) <= 100 * NEWTON_TOL:
+                    return x, iters
+                raise _NewtonFailure(form.failures[1])
+        iters += 1
+    if np.max(np.abs(res)) <= 100 * NEWTON_TOL:
+        return x, iters
+    raise _NewtonFailure(form.failures[2])

@@ -32,11 +32,12 @@ from plap.eigensolver import (
 
 from .oracles import (
     charpoly_roots,
+    newton_scalar,
     p2_path_eigenvalues,
     path_p2_charpoly,
     path_spectrum_bisection,
 )
-from .util import random_connected_graph
+from .util import MU_MODES, random_connected_graph, vertex_function_stack
 
 
 def test_p2_matches_closed_form():
@@ -279,6 +280,65 @@ def test_repair_reports_the_lowest_pairs_from_distinct_starts(monkeypatch):
     assert len(pool) == g.n + 6
     lowest = sorted(pool, key=lambda pr: pr.lam)[:g.n]
     assert all(a is b for a, b in zip(sp.pairs, lowest))
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0])
+def test_form_residual_rows_match_one_point_calls(p):
+    rng = np.random.default_rng(int(p * 10) + 2)
+    for n in range(2, 15):
+        for mode in MU_MODES:
+            g = random_connected_graph(rng, n, mode)
+            for form in (eigensolver._DirectForm(g), eigensolver._FluxForm(g)):
+                size = n + 1 if form.renormalises else n + g.m + 1
+                xs = vertex_function_stack(rng, 9, size)
+                # the flux form's q = 11 at p = 1.1 overflows on large rows
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for x, row in zip(xs, form.residual(xs, p)):
+                        assert row.tobytes() == form.residual(x, p).tobytes()
+
+
+# (mu mode, p, seed): graphs whose solves backtrack hundreds to thousands of
+# times and fail some Newton calls, in both forms; seed 24 at p = 1.1 runs the
+# repair pass
+@pytest.mark.parametrize("mu_mode, p, seed", [
+    ("unit", 1.1, 0), ("unit", 1.5, 4), ("unit", 3.0, 2),
+    ("degree", 1.1, 4), ("degree", 1.5, 3), ("degree", 3.0, 4),
+    ("explicit", 1.1, 2), ("explicit", 1.5, 2), ("explicit", 3.0, 7),
+    (None, 1.1, 24)])
+def test_batched_line_search_matches_scalar_loop(mu_mode, p, seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    if mu_mode is None:  # the graph of the repair test above
+        g = random_connected_graph(rng, 4)
+    else:
+        g = random_connected_graph(rng, int(rng.integers(4, 8)), mu_mode)
+    counts = {"calls": 0, "iterations": 0, "residuals": 0}
+
+    def scalar(form, x, p):
+        class Counted:  # counts the scalar loop's residual calls
+            failures = form.failures
+            jacobian = staticmethod(form.jacobian)
+
+            @staticmethod
+            def residual(x, p):
+                counts["residuals"] += 1
+                return form.residual(x, p)
+        counts["calls"] += 1
+        x, iters = newton_scalar(Counted, x, p)
+        counts["iterations"] += iters
+        return x, iters
+
+    def solved(newton):
+        monkeypatch.setattr(eigensolver, "_newton", newton)
+        sp = variational_spectrum(g, p)
+        return ([(pr.lam, pr.f.tobytes(), pr.residual) for pr in sp.pairs],
+                sp.diagnostics, sp.notes)
+
+    batched = eigensolver._newton
+    want = solved(eigensolver._quiet(scalar))
+    assert solved(batched) == want
+    # one residual per call and per accepted step, the rest rejected trials
+    # (failed calls count their trials too)
+    assert counts["residuals"] > 100 + counts["calls"] + counts["iterations"]
 
 
 def test_variational_spectrum_flags_a_branch_above_its_upper_bound(monkeypatch):

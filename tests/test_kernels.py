@@ -2,10 +2,41 @@ import tracemalloc
 import warnings
 
 import numpy as np
+import pytest
 
 from plap import kernels
 
 from .oracles import family_dp_loop, shoot_array, subset_tables_dense
+from .util import MU_MODES, random_connected_graph, vertex_function_stack
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0])
+def test_rows_kernels_match_row_by_row_calls(p):
+    # a stack's row r is the one-row call on row r, and the one-row call is
+    # the pair of bincounts over the edges, bit for bit
+    rng = np.random.default_rng(int(p * 10))
+    for n in range(2, 15):
+        for mode in MU_MODES:
+            g = random_connected_graph(rng, n, mode)
+            eu, ev, ew = g.edges_u, g.edges_v, g.edges_w
+            fs = vertex_function_stack(rng, 9, n)
+            ts = vertex_function_stack(rng, 9, g.m)
+            rows = kernels.plap_apply(eu, ev, ew, fs, p, n)
+            norms = kernels.weighted_pnorm_pow(g.mu, fs, p)
+            for f, row, norm in zip(fs, rows, norms):
+                one = kernels.plap_apply(eu, ev, ew, f, p, n)
+                d = f[eu] - f[ev]
+                t = ew * np.sign(d) * np.abs(d) ** (p - 1.0)
+                plain = (np.bincount(eu, weights=t, minlength=n)
+                         - np.bincount(ev, weights=t, minlength=n))
+                assert row.tobytes() == one.tobytes() == plain.tobytes()
+                assert np.float64(norm).tobytes() == np.float64(
+                    kernels.weighted_pnorm_pow(g.mu, f, p)).tobytes()
+            for t, row in zip(ts, kernels.edge_divergence(eu, ev, ts, n)):
+                plain = (np.bincount(eu, weights=t, minlength=n)
+                         - np.bincount(ev, weights=t, minlength=n))
+                assert row.tobytes() == plain.tobytes()
+                assert kernels.edge_divergence(eu, ev, t, n).tobytes() == row.tobytes()
 
 
 def test_subset_tables_small_hand_check():

@@ -11,10 +11,16 @@ from plap import (
     rayleigh_quotient,
     rq_gradient,
 )
+from plap import plaplacian
 from plap.eigensolver import path_spectrum
 
 from .oracles import fd_gradient
-from .util import random_connected_graph, random_vertex_function
+from .util import (
+    MU_MODES,
+    random_connected_graph,
+    random_vertex_function,
+    vertex_function_stack,
+)
 
 
 def test_phi_values():
@@ -109,6 +115,41 @@ def test_eigen_residual_values():
     assert eigen_residual(g, [1.0, 0.0, -1.0], 1.0, 2.0) == pytest.approx(0.0, abs=1e-15)
     # defect is evaluated after scaling f to unit weighted 2-norm
     assert eigen_residual(g, [1.0, 0.0, -1.0], 2.0, 2.0) == pytest.approx(2 ** -0.5)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 2.0, 3.0])
+def test_eigen_residuals_match_per_pair_calls(p):
+    rng = np.random.default_rng(int(p * 10) + 1)
+    for n in range(2, 15):
+        for mode in MU_MODES:
+            g = random_connected_graph(rng, n, mode)
+            fs = vertex_function_stack(rng, 9, n)
+            lams = rng.uniform(0.0, 8.0, 9).tolist()
+            # rows of norm 0 (all zero, or underflowing) raise, one by one
+            # and in a stack
+            keep = [i for i, f in enumerate(fs) if plaplacian.pnorm(g, f, p) > 0]
+            if len(keep) < len(fs):
+                with pytest.raises(ValueError, match="zero function"):
+                    plaplacian.eigen_residuals(g, fs, lams, p)
+            fs, lams = fs[keep], [lams[i] for i in keep]
+            got = plaplacian.eigen_residuals(g, fs, lams, p)
+            want = [eigen_residual(g, f, lam, p) for f, lam in zip(fs, lams)]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            assert all(type(r) is float for r in got)
+
+
+def test_eigen_residuals_validation():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="shape"):
+        plaplacian.eigen_residuals(g, np.ones((2, 4)), [0.0, 0.0], 2.0)
+    with pytest.raises(ValueError, match="shape"):
+        plaplacian.eigen_residuals(g, np.ones((2, 3)), [0.0], 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        plaplacian.eigen_residuals(g, [[1.0, np.nan, 0.0]], [0.0], 2.0)
+    with pytest.raises(ValueError, match="zero function"):
+        plaplacian.eigen_residuals(g, [[1.0, 0.0, -1.0], [0.0] * 3], [1.0, 1.0], 2.0)
+    with pytest.raises(ValueError, match="p > 1"):
+        plaplacian.eigen_residuals(g, np.ones((1, 3)), [0.0], 1.0)
 
 
 def test_ax_by_gap_values():

@@ -36,3 +36,13 @@ def random_vertex_function(rng, n, min_gap=0.0):
         diffs = np.abs(f[:, None] - f[None, :])
         if np.min(diffs[np.triu_indices(n, 1)]) > min_gap:
             return f
+
+
+def vertex_function_stack(rng, rows, n):
+    """rows random vertex functions of n entries; some rows have ties, exact
+    zeros, or scales from 1e-60 to 1e60."""
+    fs = rng.standard_normal((rows, n))
+    fs[1::4] = np.round(fs[1::4])
+    fs[2::4, :n // 2] = 0.0
+    fs[3::4] *= 10.0 ** rng.integers(-60, 61, (fs[3::4].shape[0], 1))
+    return fs
