@@ -17,17 +17,19 @@ M and ceil(k/2) inside V - M.
 `multiway_cheeger_all` runs every layer and reads each optimal family back
 from the subsets whose ratio is at most h_k, dropping those that meet each
 pick, and taking the smallest by a base-3 rank table whose integer order is
-the order of sorted vertex tuples.  `plap certify` reads the values, and
-builds the families at most once, when a repair pass of
-`eigensolver.variational_spectrum` asks for indicator seeds; `plap cheeger`
-reports both.  Costs by n are given beside `EXACT_HK_CAP`; `python3
-perfbench/run.py` times them inside the whole pipeline.
+the order of sorted vertex tuples.  A `Graph` keeps both as the cached
+properties `hk` and `optimal_families`: `certify_cheeger` and the repair
+trigger of `eigensolver.variational_spectrum` read the values, and only a
+repair pass, which seeds from indicator spans, builds the families.
+`plap cheeger` calls `multiway_cheeger_all` and reports both.  Costs by n
+are given beside `EXACT_HK_CAP`; `python3 perfbench/run.py` times them
+inside the whole pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
@@ -247,13 +249,12 @@ class CheegerCertificate:
         return self.lower_ok and self.upper_ok
 
 
-def certify_cheeger(spectrum: "Spectrum",
-                    hk: Sequence | None = None) -> list[CheegerCertificate]:
+def certify_cheeger(spectrum: "Spectrum") -> list[CheegerCertificate]:
     """Evaluate the two-sided isoperimetric bound for every pair in a spectrum.
 
-    Pass tolerance is `bound_tol` on each side, and m is each pair's strong
-    count from `spectrum.decompositions`.  hk may carry the list h_1..h_n
-    that `multiway_cheeger_values(g)` returns, to avoid re-enumeration.
+    Pass tolerance is `bound_tol` on each side, m is each pair's strong
+    count from `spectrum.decompositions`, and h_k and h_m come from the
+    graph's `hk`.
     """
     g = spectrum.graph
     p = spectrum.p
@@ -263,8 +264,7 @@ def certify_cheeger(spectrum: "Spectrum",
         if pair.residual > plaplacian.RESIDUAL_LIMIT:
             raise ValueError(f"pair residual {pair.residual:.3g} exceeds "
                              f"{plaplacian.RESIDUAL_LIMIT:g}")
-    if hk is None:
-        hk = multiway_cheeger_values(g)
+    hk = g.hk
     t = tau(g)
     certs = []
     for i, pair in enumerate(spectrum.pairs):

@@ -68,14 +68,14 @@ def _load_vertex_function(path: str, n: int) -> np.ndarray:
     return np.array(vals)
 
 
-def _spectrum_for(g: Graph, p: float, hk=None, families=None) -> Spectrum:
+def _spectrum_for(g: Graph, p: float) -> Spectrum:
     if p == 2.0:
         return solve_p2_spectrum(g)
     if g.n > 1 and is_unit_path(g):
         # a unit path read with explicit unit mu lines is the same operator;
         # the spectrum belongs to the caller's graph
         return dataclasses.replace(path_spectrum(g.n, p), graph=g)
-    return variational_spectrum(g, p, hk=hk, families=families)
+    return variational_spectrum(g, p)
 
 
 def _spectrum_rows(sp: Spectrum, with_f: bool):
@@ -297,8 +297,8 @@ def _operator_checks(g: Graph, p: float, seed: int) -> dict:
             "pass": bool(sum_zero and scale_inv)}
 
 
-def _solve_for_certify(g, p, hk, families) -> Spectrum:
-    sp = _spectrum_for(g, p, hk=hk, families=families)
+def _solve_for_certify(g, p) -> Spectrum:
+    sp = _spectrum_for(g, p)
     # the certificates refuse pairs above the residual limit; only the path
     # solver's conditioning floor lets one through, and that is a solver miss.
     # This is the refusal `certify` reaches: the residual checks in
@@ -311,10 +311,10 @@ def _solve_for_certify(g, p, hk, families) -> Spectrum:
     return sp
 
 
-def _certify_spectrum(sp, seed, hk):
+def _certify_spectrum(sp, seed):
     g, p = sp.graph, sp.p
     nrep = nodal.certify_nodal_bounds(sp)
-    certs = cheeger.certify_cheeger(sp, hk=hk)
+    certs = cheeger.certify_cheeger(sp)
     span_checks = []
     # drawn before the checks grow their work arrays, so that a first call
     # keeps its streams side by side on the heap and its peak RSS lower; the
@@ -416,11 +416,9 @@ def _cmd_certify(args) -> int:
             raise ValueError(f"--p {name} is given more than once (exponents "
                              f"must differ at 6 significant digits)")
     g = _load_graph(args.graph, args.mu)
-    # past EXACT_HK_CAP this raises the cap error before any solve
-    hk = cheeger.multiway_cheeger_values(g)
-    # built once, and only if a repair pass asks for indicator seeds
-    families = functools.cache(
-        lambda: [fam for _, fam in cheeger.multiway_cheeger_all(g)])
+    # past EXACT_HK_CAP this raises the cap error before any solve; the
+    # graph keeps h_k for every exponent's certificate
+    hk = g.hk
     checks = []
     runs = []
     t0 = time.perf_counter()
@@ -428,10 +426,10 @@ def _cmd_certify(args) -> int:
     checks.append({"name": "power_inequality_suite", "pass": kernel_check["pass"]})
     for p in p_list:
         t1 = time.perf_counter()
-        sp = _solve_for_certify(g, p, hk, families)
+        sp = _solve_for_certify(g, p)
         print(f"certify: p = {p:g} solved in {time.perf_counter() - t1:.3f}s",
               file=sys.stderr)
-        run, ok = _certify_spectrum(sp, args.seed, hk)
+        run, ok = _certify_spectrum(sp, args.seed)
         runs.append(run)
         checks.append({"name": f"certificates[p={p:g}]", "pass": bool(ok)})
     one_lap_section = None

@@ -32,7 +32,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -572,28 +571,20 @@ def _upper_violations(p: float, hk, pairs) -> list[tuple[int, float]]:
     return found
 
 
-def variational_spectrum(
-    g: Graph,
-    p: float,
-    hk: Sequence | None = None,
-    families=None,
-) -> Spectrum:
+def variational_spectrum(g: Graph, p: float) -> Spectrum:
     """The variational eigenvalue sequence at the target p.
 
     The p = 2 spectrum is continued pairwise along a geometric grid and
-    re-sorted.  When exact multiway constants are available (n within the
-    enumeration cap, or supplied as hk), every value is checked against the
-    certified upper bound 2^(p-1) h_k; a violation or a dead branch
-    triggers a repair pass that seeds additional eigenpairs from the
+    re-sorted.  Within the enumeration cap, every value is checked against
+    the certified upper bound 2^(p-1) h_k of `g.hk`; a violation or a dead
+    branch triggers a repair pass that seeds additional eigenpairs from the
     optimal-cut indicator spans directly at the target p.  The n lowest
     pairs are reported; that is the best certified selection, since the
     lower bound of the paper holds for every eigenpair and the upper bound
     2^(p-1) h_k only gets harder to meet as lambda_k grows.  Anything still
-    violating the upper bound stays flagged in the diagnostics.  hk is the
-    list h_1..h_n, as `cheeger.multiway_cheeger_values(g)` returns it;
-    without it the constants are enumerated once here.  families, called
-    only by a repair pass, returns the optimal families of k = 1..n; without
-    it that pass builds them with `cheeger.multiway_cheeger_all`.
+    violating the upper bound stays flagged in the diagnostics.  The graph
+    computes h_k once and its optimal families only if a repair pass reads
+    them, however many exponents are solved.
     """
     if p <= 1:
         raise ValueError(f"variational spectrum requires p > 1, got {p}")
@@ -616,9 +607,7 @@ def variational_spectrum(
         diag["seed_k"] = i + 1
         pool.append((pair, diag))
 
-    if hk is None and g.n <= cheeger.EXACT_HK_CAP:
-        hk = cheeger.multiway_cheeger_values(g)
-
+    hk = g.hk if g.n <= cheeger.EXACT_HK_CAP else None
     certified = hk is not None and g.n > 1
     lowest = sorted((pr for pr, _ in pool), key=lambda x: x.lam)[:g.n]
     if certified and (len(lowest) < g.n or _upper_violations(p, hk, lowest)):
@@ -629,9 +618,7 @@ def variational_spectrum(
         # adding 0.0 folds -0.0 to +0.0 in the bytes
         rng = np.random.default_rng(12961)
         started: set[bytes] = set()
-        fams = (families() if families is not None else
-                [fam for _, fam in cheeger.multiway_cheeger_all(g)])
-        for f0 in _indicator_seeds(g, fams[1:], rng):
+        for f0 in _indicator_seeds(g, g.optimal_families[1:], rng):
             key = (f0 + 0.0).tobytes()
             if key in started:
                 continue

@@ -58,6 +58,18 @@ class Graph:
         return bool(np.all(self.mu == 1.0))
 
     @cached_property
+    def hk(self) -> tuple[float, ...]:
+        """Exact h_1..h_n; raises `cheeger.ExactCapExceeded` past the cap."""
+        from . import cheeger
+        return tuple(cheeger.multiway_cheeger_values(self))
+
+    @cached_property
+    def optimal_families(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        """The optimal family of every k = 1..n, as `cheeger` breaks ties."""
+        from . import cheeger
+        return tuple(fam for _, fam in cheeger.multiway_cheeger_all(self))
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Neighbor lists (0-based) for traversal."""
         nbrs: list[list[int]] = [[] for _ in range(self.n)]
@@ -291,9 +303,7 @@ def is_canonical_path(g: Graph) -> bool:
 
 def is_unit_path(g: Graph) -> bool:
     """Canonical path with unit weights and unit measures."""
-    return (is_canonical_path(g)
-            and np.all(g.edges_w == 1.0)
-            and np.all(g.mu == 1.0))
+    return is_canonical_path(g) and g.unit_weights and g.unit_measure
 
 
 def tau(g: Graph) -> float:

@@ -219,8 +219,8 @@ def test_criterion_7_cheeger_certificates():
             elif gi < 5:
                 sp = path_spectrum(g.n, p)
             else:
-                sp = variational_spectrum(g, p, hk=hk)
-            certs = certify_cheeger(sp, hk=hk)
+                sp = variational_spectrum(g, p)
+            certs = certify_cheeger(sp)
             bad = [c for c in certs if not c.passed]
             if bad:
                 failures.append((gi, p, bad))

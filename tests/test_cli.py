@@ -338,8 +338,7 @@ def test_certify_names_failed_cheeger_and_operator_checks(path4, tmp_path,
     certify_cheeger = cheeger.certify_cheeger
     monkeypatch.setattr(
         cheeger, "certify_cheeger",
-        lambda sp, hk=None: [replace(c, upper_ok=c.k != 2)
-                             for c in certify_cheeger(sp, hk=hk)])
+        lambda sp: [replace(c, upper_ok=c.k != 2) for c in certify_cheeger(sp)])
     monkeypatch.setattr(cli, "_operator_checks", lambda g, p, rng: {
         "sum_zero": False, "scale_invariant": True, "pass": False})
     out = tmp_path / "r.json"
@@ -810,14 +809,25 @@ def test_certify_repair_reuses_hk_families(tmp_path, monkeypatch):
 
 
 def test_variational_spectrum_enumerates_hk_once(monkeypatch):
-    # the graph of the test above: without hk and families the library call
-    # enumerates the values once, and its repair pass builds the families
+    # the graph of the test above: the library call enumerates the values
+    # once, and its repair pass builds the families
     from plap.eigensolver import variational_spectrum
     calls = _count_hk_and_repair_calls(monkeypatch)
     variational_spectrum(random_connected_graph(np.random.default_rng(24), 4), 1.1)
     assert calls["repair"] > 0
     assert calls["hk"] == 1
     assert calls["families"] == 1
+
+
+def test_one_graph_enumerates_hk_once_for_every_solve_and_certificate(
+        monkeypatch):
+    from plap.cheeger import certify_cheeger
+    from plap.eigensolver import variational_spectrum
+    calls = _count_hk_and_repair_calls(monkeypatch)
+    g = random_connected_graph(np.random.default_rng(5), 6, "degree")
+    spectra = [variational_spectrum(g, p) for p in (1.5, 3.0)]
+    certify_cheeger(spectra[0])
+    assert calls["hk"] == 1
 
 
 @pytest.mark.parametrize("argv", [

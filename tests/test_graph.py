@@ -9,14 +9,17 @@ from plap import (
     build_graph,
     graph_digest,
     is_connected,
+    multiway_cheeger_all,
+    multiway_cheeger_values,
     parse_graph,
     path_graph,
     serialize_graph,
     tau,
 )
+from plap.cheeger import ExactCapExceeded
 from plap.graph import is_canonical_path, is_unit_path
 
-from .util import random_connected_graph
+from .util import MU_MODES, random_connected_graph
 
 P3_TEXT = """\
 n 3
@@ -216,3 +219,19 @@ def test_graph_is_immutable():
     g = path_graph(3)
     with pytest.raises(ValueError):
         g.mu[0] = 7.0
+
+
+@pytest.mark.parametrize("mu_mode", MU_MODES)
+def test_graph_owns_exact_hk_and_optimal_families(mu_mode):
+    rng = np.random.default_rng(17)
+    for n in (2, 5, 8, 11):
+        g = random_connected_graph(rng, n, mu_mode)
+        assert g.hk == tuple(multiway_cheeger_values(g))
+        assert g.optimal_families == tuple(
+            fam for _, fam in multiway_cheeger_all(g))
+        assert g.hk is g.hk and g.optimal_families is g.optimal_families
+
+
+def test_graph_hk_past_the_cap_raises():
+    with pytest.raises(ExactCapExceeded):
+        path_graph(15).hk
